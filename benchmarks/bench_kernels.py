@@ -1,9 +1,8 @@
-"""Benchmark the compiled elimination scan against the numpy fallback.
+"""Time the elimination scan over the full canonical sign-vector table.
 
-Both implementations compute the same boolean mask over the full canonical
-sign-vector table, so the comparison isolates kernel speed. The compiled
-kernel is warmed up once before timing so JIT compilation is not billed to
-the first measurement.
+The scan computes, for every canonical vector of length n, whether at least
+one of the random eliminator rows eliminates it, so the timing isolates kernel
+speed from table construction and CLI work.
 
 Run from the repository root:
 
@@ -17,10 +16,9 @@ import time
 
 import numpy as np
 
-from signelim import backend
 from signelim.backend import (
     UNDETERMINED,
-    eliminated_any_numpy,
+    eliminated_any_mask,
     sign_vector_table,
 )
 
@@ -61,39 +59,11 @@ def main():
         f"{args.rows} eliminators, repeat={args.repeat}"
     )
 
-    numpy_times = time_callable(
-        lambda: eliminated_any_numpy(table, elim), args.repeat
-    )
-    numpy_best = min(numpy_times)
+    times = time_callable(lambda: eliminated_any_mask(table, elim), args.repeat)
     print(
-        f"numpy fallback : best {numpy_best * 1e3:9.3f} ms  "
-        f"median {statistics.median(numpy_times) * 1e3:9.3f} ms"
+        f"elimination scan: best {min(times) * 1e3:9.3f} ms  "
+        f"median {statistics.median(times) * 1e3:9.3f} ms"
     )
-
-    if not backend.USING_NUMBA:
-        print(
-            "compiled kernel: unavailable (numba not active; "
-            "unset SIGNELIM_BACKEND or install numba)"
-        )
-        return
-
-    from signelim.backend import eliminated_any_numba
-
-    eliminated_any_numba(table, elim)  # warm-up: JIT compile outside timing
-    numba_times = time_callable(
-        lambda: eliminated_any_numba(table, elim), args.repeat
-    )
-    numba_best = min(numba_times)
-    print(
-        f"compiled kernel: best {numba_best * 1e3:9.3f} ms  "
-        f"median {statistics.median(numba_times) * 1e3:9.3f} ms"
-    )
-    print(f"speedup (best numpy / best compiled): {numpy_best / numba_best:.1f}x")
-
-    mismatch = (
-        eliminated_any_numba(table, elim) != eliminated_any_numpy(table, elim)
-    ).sum()
-    print(f"parity check: {int(mismatch)} mismatched rows")
 
 
 if __name__ == "__main__":

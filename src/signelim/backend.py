@@ -1,11 +1,9 @@
 """Array kernels for sign-vector tables and elimination scans.
 
-Two interchangeable implementations of the hot scans are provided: loops
-compiled with numba, and a vectorized pure-numpy fallback. Selection happens
-once at import time through the ``SIGNELIM_BACKEND`` environment variable
-("numba", "numpy", or the default "auto", which uses numba when it imports).
-Both paths return bit-identical results; ``tests/test_kernels.py`` checks
-parity and ``benchmarks/bench_kernels.py`` compares throughput.
+The elimination scan is vectorized numpy: one pass over the table per
+eliminator row, chunked so temporaries stay bounded on large tables.
+``tests/test_kernels.py`` checks it against the brute-force oracles and
+``benchmarks/bench_kernels.py`` times it.
 
 Encoding: sign entries are int8 values -1, 0, +1. Total-sign rows may also
 contain UNDETERMINED (2), the "u" entry that forbids any nonzero coordinate
@@ -14,51 +12,25 @@ in an eliminated vector.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
 
-ENV_BACKEND = "SIGNELIM_BACKEND"
-
 #: int8 code for the undetermined total-sign entry, serialized as "u".
 UNDETERMINED = 2
 
-# The numpy fallback materializes (rows x n) temporaries per eliminator;
-# chunking keeps peak memory bounded on large tables.
-_NUMPY_CHUNK = 1 << 18
-
-
-def _requested_backend() -> str:
-    value = os.environ.get(ENV_BACKEND, "auto").strip().lower()
-    if value not in ("auto", "numba", "numpy"):
-        raise RuntimeError(
-            f"{ENV_BACKEND} must be 'numba', 'numpy', or 'auto', got {value!r}"
-        )
-    return value
-
-
-_requested = _requested_backend()
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-        njit = None
-else:
-    njit = None
-
-USING_NUMBA = njit is not None
+# The scan materializes (rows x n) temporaries per eliminator; chunking keeps
+# peak memory bounded on large tables.
+_CHUNK_ROWS = 1 << 18
 
 
 def backend_name() -> str:
-    """Name of the active scan implementation: "numba" or "numpy"."""
-    return "numba" if USING_NUMBA else "numpy"
+    """Name of the scan implementation, reported in JSON output."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# table generation (shared by both backends; plain numpy, allocation-exact)
+# table generation (allocation-exact)
 # ---------------------------------------------------------------------------
 
 
@@ -119,69 +91,7 @@ def sign_vector_table(n: int) -> np.ndarray:
 #     +1 or all -1, and at least one such index exists.
 
 
-def _scan_any(table, elim, out):  # pragma: no cover - compiled or shadowed
-    rows, n = table.shape
-    m = elim.shape[0]
-    for r in range(rows):
-        hit = False
-        for e in range(m):
-            pos = False
-            neg = False
-            ok = True
-            for i in range(n):
-                t = elim[e, i]
-                s = table[r, i]
-                if t == 2:
-                    if s != 0:
-                        ok = False
-                        break
-                elif t != 0 and s != 0:
-                    if t == s:
-                        pos = True
-                    else:
-                        neg = True
-            if ok and (pos != neg):
-                hit = True
-                break
-        out[r] = hit
-
-
-def _scan_all(table, elim, out):  # pragma: no cover - compiled or shadowed
-    rows, n = table.shape
-    m = elim.shape[0]
-    for r in range(rows):
-        hit = True
-        for e in range(m):
-            pos = False
-            neg = False
-            ok = True
-            for i in range(n):
-                t = elim[e, i]
-                s = table[r, i]
-                if t == 2:
-                    if s != 0:
-                        ok = False
-                        break
-                elif t != 0 and s != 0:
-                    if t == s:
-                        pos = True
-                    else:
-                        neg = True
-            if not (ok and (pos != neg)):
-                hit = False
-                break
-        out[r] = hit
-
-
-if USING_NUMBA:
-    _scan_any_numba = njit(cache=True)(_scan_any)
-    _scan_all_numba = njit(cache=True)(_scan_all)
-else:
-    _scan_any_numba = None
-    _scan_all_numba = None
-
-
-def _single_mask_numpy(table: np.ndarray, row: np.ndarray) -> np.ndarray:
+def _single_mask(table: np.ndarray, row: np.ndarray) -> np.ndarray:
     undet_bad = ((row == UNDETERMINED) & (table != 0)).any(axis=1)
     shared = (row != 0) & (row != UNDETERMINED) & (table != 0)
     prod = table * row
@@ -190,57 +100,26 @@ def _single_mask_numpy(table: np.ndarray, row: np.ndarray) -> np.ndarray:
     return ~undet_bad & (pos ^ neg)
 
 
-def eliminated_any_numpy(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
+def _reduce_masks(table: np.ndarray, elim: np.ndarray, every: bool) -> np.ndarray:
+    """OR of the per-eliminator masks, or their AND when ``every`` is set."""
+    combine = np.logical_and if every else np.logical_or
     out = np.zeros(table.shape[0], dtype=bool)
-    for start in range(0, table.shape[0], _NUMPY_CHUNK):
-        chunk = table[start : start + _NUMPY_CHUNK]
-        acc = np.zeros(chunk.shape[0], dtype=bool)
+    for start in range(0, table.shape[0], _CHUNK_ROWS):
+        chunk = table[start : start + _CHUNK_ROWS]
+        acc = np.full(chunk.shape[0], every, dtype=bool)
         for row in elim:
-            acc |= _single_mask_numpy(chunk, row)
-        out[start : start + _NUMPY_CHUNK] = acc
-    return out
-
-
-def eliminated_all_numpy(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
-    out = np.zeros(table.shape[0], dtype=bool)
-    for start in range(0, table.shape[0], _NUMPY_CHUNK):
-        chunk = table[start : start + _NUMPY_CHUNK]
-        acc = np.ones(chunk.shape[0], dtype=bool)
-        for row in elim:
-            acc &= _single_mask_numpy(chunk, row)
-        out[start : start + _NUMPY_CHUNK] = acc
-    return out
-
-
-def eliminated_any_numba(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
-    if _scan_any_numba is None:
-        raise RuntimeError("numba backend is not available")
-    out = np.empty(table.shape[0], dtype=np.bool_)
-    _scan_any_numba(table, elim, out)
-    return out
-
-
-def eliminated_all_numba(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
-    if _scan_all_numba is None:
-        raise RuntimeError("numba backend is not available")
-    out = np.empty(table.shape[0], dtype=np.bool_)
-    _scan_all_numba(table, elim, out)
+            combine(acc, _single_mask(chunk, row), out=acc)
+        out[start : start + _CHUNK_ROWS] = acc
     return out
 
 
 def eliminated_any_mask(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
     """Mask over table rows eliminated by at least one eliminator row."""
-    if elim.shape[0] == 0:
-        return np.zeros(table.shape[0], dtype=bool)
-    if USING_NUMBA:
-        return eliminated_any_numba(table, elim)
-    return eliminated_any_numpy(table, elim)
+    return _reduce_masks(table, elim, every=False)
 
 
 def eliminated_all_mask(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
     """Mask over table rows eliminated by every eliminator row."""
     if elim.shape[0] == 0:
         raise ValueError("eliminator matrix must have at least one row")
-    if USING_NUMBA:
-        return eliminated_all_numba(table, elim)
-    return eliminated_all_numpy(table, elim)
+    return _reduce_masks(table, elim, every=True)

@@ -27,12 +27,13 @@ from .counting import (
     pair_profile,
 )
 from .covers import cover_reports
-from .errors import SignElimError
+from .errors import SignElimError, ValidationError
 from .gates import (
     dumps_gate,
     expand,
     gate_to_json,
     load_gate,
+    parse_rational,
     rational_string,
     reduced_dimension,
 )
@@ -46,7 +47,9 @@ from .sensitivity import (
     default_family,
     format_log3,
     parse_experiment_csv,
+    reversibility_certificate,
     sorted_signs,
+    verify_certificate,
 )
 from .signvec import (
     canonical_sign_vectors,
@@ -102,12 +105,12 @@ def _load_family(path, output_dim) -> ProjectionFamily:
     with open(path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
     if not isinstance(obj, list):
-        raise SignElimError(f"{path}: functionals file must be a JSON list")
+        raise ValidationError(f"{path}: functionals file must be a JSON list")
     vectors = []
     for pos, item in enumerate(obj):
         if not isinstance(item, list):
-            raise SignElimError(f"{path}: functional {pos} must be a list")
-        vectors.append([Fraction(str(v)) for v in item])
+            raise ValidationError(f"{path}: functional {pos} must be a list")
+        vectors.append([parse_rational(v) for v in item])
     return ProjectionFamily.from_vectors(vectors, output_dim)
 
 
@@ -368,8 +371,7 @@ def _cmd_gate_certify(args) -> int:
     gate = load_gate(args.gate)
     expansion = expand(gate)
     family = _family_for(args, gate)
-    analysis = analyze_gate(expansion, family=family)
-    cert = analysis.certificate
+    cert = reversibility_certificate(expansion, family=family)
     if cert is None:
         _emit(
             {
@@ -379,8 +381,6 @@ def _cmd_gate_certify(args) -> int:
             }
         )
         return NO_CERTIFICATE
-    from .sensitivity import verify_certificate
-
     if not verify_certificate(expansion, cert):
         print("certificate failed replay verification", file=sys.stderr)
         return INVARIANT_VIOLATION

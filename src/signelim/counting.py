@@ -14,13 +14,12 @@ routes can be compared at any scale the enumeration cap allows:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, env_cap
 from .signvec import (
     canonical_sign_vectors,
     eliminated_count,
@@ -145,19 +144,6 @@ def count_eliminated_intersection(matrix: SignMatrix) -> int:
     return _intersection_count(matrix.rows)
 
 
-def _subset_cap() -> int:
-    raw = os.environ.get(ENV_SUBSET_CAP)
-    if raw is None:
-        return DEFAULT_SUBSET_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ResourceLimitError(f"{ENV_SUBSET_CAP} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ResourceLimitError(f"{ENV_SUBSET_CAP} must be >= 1, got {cap}")
-    return cap
-
-
 def _distinct_rows(X: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     rows = set()
     for x in X:
@@ -180,7 +166,7 @@ def count_eliminated_union(X: Iterable[Sequence[int]]) -> int:
     the subset cap (default 20, env SIGNELIM_SUBSET_CAP).
     """
     rows = _distinct_rows(X)
-    cap = _subset_cap()
+    cap = env_cap(ENV_SUBSET_CAP, DEFAULT_SUBSET_CAP)
     if len(rows) > cap:
         raise ResourceLimitError(
             f"{len(rows)} vectors exceed the inclusion-exclusion cap {cap}; "

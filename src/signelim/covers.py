@@ -9,7 +9,6 @@ sets grow monotonically with X).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import backend
 from .counting import SignMatrix
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, env_cap
 from .signvec import (
     as_fraction_dot,
     canonicalize,
@@ -147,19 +146,6 @@ def column_rank(matrix: SignMatrix) -> int:
     return rank
 
 
-def _search_cap() -> int:
-    raw = os.environ.get(ENV_SEARCH_CAP)
-    if raw is None:
-        return DEFAULT_SEARCH_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ResourceLimitError(f"{ENV_SEARCH_CAP} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ResourceLimitError(f"{ENV_SEARCH_CAP} must be >= 1, got {cap}")
-    return cap
-
-
 def _element_bitmasks(n: int) -> tuple[list[tuple[int, ...]], list[int], int]:
     """Per-vector elimination bitmasks over enumeration ranks."""
     rows = table(n)
@@ -182,7 +168,7 @@ def _cover_search(n: int, max_size: int):
     vectors, masks, full = _element_bitmasks(n)
     count = len(vectors)
     max_size = min(max_size, count)
-    cap = _search_cap()
+    cap = env_cap(ENV_SEARCH_CAP, DEFAULT_SEARCH_CAP)
     nodes = sum(comb(count, k) for k in range(1, max_size + 1))
     if nodes > cap:
         raise ResourceLimitError(

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the env-var cap parser."""
+
+import os
 
 
 class SignElimError(Exception):
@@ -19,3 +21,17 @@ class ValidationError(SignElimError, ValueError):
 
 class ResourceLimitError(SignElimError, RuntimeError):
     """A configured enumeration or search cap would be exceeded."""
+
+
+def env_cap(name: str, default: int) -> int:
+    """Positive int cap read from environment variable ``name``, else default."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ResourceLimitError(f"{name} must be an integer, got {raw!r}")
+    if cap < 1:
+        raise ResourceLimitError(f"{name} must be >= 1, got {cap}")
+    return cap

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-import numpy as np
-
-from . import backend
 from .counting import (
     SignMatrix,
     count_eliminated_intersection,
@@ -181,31 +178,6 @@ def _check_column_ops(rng: random.Random, trials: int) -> CheckResult:
     return CheckResult("column-ops", True, f"{trials} randomized invariance checks")
 
 
-def _check_backend_parity(rng: random.Random, trials: int) -> Optional[CheckResult]:
-    if not backend.USING_NUMBA:
-        return CheckResult(
-            "backend-parity", True, "numpy backend active, nothing to compare"
-        )
-    for trial in range(trials):
-        n = rng.randint(1, 6)
-        table = backend.sign_vector_table(n)
-        m = rng.randint(1, 4)
-        elim = np.asarray(
-            [
-                [rng.choice((-1, 0, 1, 2)) for _ in range(n)]
-                for _ in range(m)
-            ],
-            dtype=np.int8,
-        )
-        any_nb = backend.eliminated_any_numba(table, elim)
-        any_np = backend.eliminated_any_numpy(table, elim)
-        all_nb = backend.eliminated_all_numba(table, elim)
-        all_np = backend.eliminated_all_numpy(table, elim)
-        if not (np.array_equal(any_nb, any_np) and np.array_equal(all_nb, all_np)):
-            return CheckResult("backend-parity", False, f"trial {trial}, n={n}")
-    return CheckResult("backend-parity", True, f"{trials} random mask comparisons")
-
-
 def run_selftest(
     seed: int = 0, quick: bool = False, log: Optional[Callable[[str], None]] = None
 ) -> list[CheckResult]:
@@ -225,5 +197,4 @@ def run_selftest(
     record(_check_random(rng, 200 if quick else 1000, 5 if quick else 6))
     record(_check_unit_identity(5 if quick else 6))
     record(_check_column_ops(rng, 50 if quick else 100))
-    record(_check_backend_parity(rng, 10 if quick else 25))
     return checks

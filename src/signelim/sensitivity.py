@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, ResourceLimitError, ValidationError
+from .errors import DomainError, ResourceLimitError, ValidationError, env_cap
 from .gates import (
     Gate,
     MultilinearExpansion,
@@ -91,26 +90,11 @@ Index = tuple[int, ...]
 Vector = tuple[Fraction, ...]
 
 
-def _base_point_cap() -> int:
-    raw = os.environ.get(ENV_BASE_POINT_CAP)
-    if raw is None:
-        return DEFAULT_BASE_POINT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ResourceLimitError(
-            f"{ENV_BASE_POINT_CAP} must be an integer, got {raw!r}"
-        )
-    if cap < 1:
-        raise ResourceLimitError(f"{ENV_BASE_POINT_CAP} must be >= 1, got {cap}")
-    return cap
-
-
 def _check_base_point_count(expansion: MultilinearExpansion) -> int:
     count = 1
     for a in expansion.arities:
         count *= a
-    cap = _base_point_cap()
+    cap = env_cap(ENV_BASE_POINT_CAP, DEFAULT_BASE_POINT_CAP)
     if count > cap:
         raise ResourceLimitError(
             f"{count} base points exceed the cap {cap}; "

@@ -21,7 +21,6 @@ String form uses the alphabet "+", "0", "-", "u", one character per entry.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import backend
 from .backend import UNDETERMINED
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, env_cap
 
 __all__ = [
     "UNDETERMINED",
@@ -65,16 +64,7 @@ _VALUE_OF = {"+": 1, "0": 0, "-": -1, "u": UNDETERMINED}
 
 def enumeration_cap() -> int:
     """Largest length n for which enumeration-backed operations may run."""
-    raw = os.environ.get(ENV_MAX_N)
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ResourceLimitError(f"{ENV_MAX_N} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ResourceLimitError(f"{ENV_MAX_N} must be >= 1, got {cap}")
-    return cap
+    return env_cap(ENV_MAX_N, DEFAULT_MAX_N)
 
 
 def _check_length(n: int) -> None:

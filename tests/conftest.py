@@ -5,7 +5,7 @@ import random
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-FIXTURE_PATH = REPO_ROOT / "fixtures" / "color_gate.json"
+FIXTURE_PATH = REPO_ROOT / "src" / "signelim" / "fixtures" / "color_gate.json"
 
 
 @pytest.fixture(scope="session")

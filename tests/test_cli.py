@@ -35,6 +35,21 @@ def first_gate_path(tmp_path):
 
 
 @pytest.fixture()
+def two_output_gate_path(tmp_path):
+    path = tmp_path / "two_output_gate.json"
+    outputs = {(0, 0): ["1", "0"], (0, 1): ["1", "0"], (1, 0): ["1", "0"]}
+    entries = [
+        {"index": [a, b], "output": outputs.get((a, b), ["0", "1"])}
+        for a in range(2)
+        for b in range(2)
+    ]
+    path.write_text(
+        json.dumps({"arities": [2, 2], "output_dim": 2, "entries": entries})
+    )
+    return path
+
+
+@pytest.fixture()
 def projection_csv(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text(
@@ -235,6 +250,37 @@ class TestGateCommands:
         assert code == 0
         assert len(payload["certificate"]["witnesses"]) == 4
 
+    def test_float_functional_exits_one(self, capsys, tmp_path, two_output_gate_path):
+        family = tmp_path / "family.json"
+        family.write_text("[[0.5, 1], [1, 0]]")
+        code, out, err = run(
+            capsys,
+            "gate",
+            "analyze",
+            str(two_output_gate_path),
+            "--functionals",
+            str(family),
+        )
+        assert code == 1
+        assert out == ""
+        assert "floats are inexact" in err
+
+    def test_rational_string_functional_is_accepted(
+        self, capsys, tmp_path, two_output_gate_path
+    ):
+        family = tmp_path / "family.json"
+        family.write_text('[["1/2", 1], [1, 0]]')
+        code, payload, _ = run_json(
+            capsys,
+            "gate",
+            "analyze",
+            str(two_output_gate_path),
+            "--functionals",
+            str(family),
+        )
+        assert code == 0
+        assert payload["family"] == [["1/2", "1"], ["1", "0"]]
+
     def test_certify_failure_exits_two(self, capsys, and_gate_path):
         code, payload, _ = run_json(capsys, "gate", "certify", str(and_gate_path))
         assert code == 2
@@ -289,7 +335,7 @@ class TestSelftestCommand:
         assert payload["ok"] is True
         assert payload["quick"] is True
         assert payload["seed"] == 7
-        assert len(payload["checks"]) == 7
+        assert len(payload["checks"]) == 6
         assert all(c["ok"] for c in payload["checks"])
 
 

@@ -1,5 +1,4 @@
 import json
-import pathlib
 from fractions import Fraction
 from itertools import product
 
@@ -126,16 +125,6 @@ class TestSerialization:
     def test_fixture_round_trip_is_byte_stable(self, color_gate):
         original = FIXTURE_PATH.read_text(encoding="utf-8")
         assert dumps_gate(color_gate) == original
-
-    def test_packaged_fixture_matches_the_repository_copy(self):
-        import signelim
-
-        packaged = (
-            pathlib.Path(signelim.__file__).parent / "fixtures" / "color_gate.json"
-        )
-        assert packaged.read_text(encoding="utf-8") == FIXTURE_PATH.read_text(
-            encoding="utf-8"
-        )
 
     def test_to_json_orders_entries(self):
         gate = gate_from_json(minimal_payload())

@@ -1,8 +1,3 @@
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -10,9 +5,7 @@ from signelim import backend
 from signelim.backend import (
     UNDETERMINED,
     eliminated_all_mask,
-    eliminated_all_numpy,
     eliminated_any_mask,
-    eliminated_any_numpy,
     sign_vector_table,
 )
 
@@ -50,16 +43,6 @@ class TestTable:
 
 
 class TestBackendParity:
-    def test_any_and_all_agree_with_numpy(self, rng):
-        for _ in range(50):
-            n = rng.randint(1, 7)
-            table = sign_vector_table(n)
-            elim = random_eliminators(rng, n, rng.randint(1, 4))
-            any_fast = eliminated_any_mask(table, elim)
-            all_fast = eliminated_all_mask(table, elim)
-            assert np.array_equal(any_fast, eliminated_any_numpy(table, elim))
-            assert np.array_equal(all_fast, eliminated_all_numpy(table, elim))
-
     def test_masks_match_brute_force(self, rng):
         for _ in range(30):
             n = rng.randint(1, 5)
@@ -82,57 +65,22 @@ class TestBackendParity:
             assert np.array_equal(eliminated_all_mask(table, elim), expect_all)
 
     def test_numpy_chunking_is_invisible(self, rng, monkeypatch):
-        monkeypatch.setattr(backend, "_NUMPY_CHUNK", 7)
+        monkeypatch.setattr(backend, "_CHUNK_ROWS", 7)
         n = 6
         table = sign_vector_table(n)
-        elim = random_eliminators(rng, n, 3)
-        monkeypatch_free = eliminated_any_numpy(table, elim)
-        assert monkeypatch_free.shape == (table.shape[0],)
-        assert np.array_equal(
-            monkeypatch_free,
-            np.asarray(
-                [
-                    any(
-                        oracles.eliminates(tuple(t), tuple(s))
-                        for t in elim.tolist()
-                    )
-                    for s in table.tolist()
-                ]
-            ),
-        )
+        # Without "u" entries both masks are mixed, so either reducer would
+        # show a chunk written to the wrong rows.
+        elim = random_eliminators(rng, n, 3, allow_undetermined=False)
+        X = [tuple(t) for t in elim.tolist()]
+        for mask, reduce in ((eliminated_any_mask, any), (eliminated_all_mask, all)):
+            chunked = mask(table, elim)
+            expect = np.asarray(
+                [reduce(oracles.eliminates(t, tuple(s)) for t in X) for s in table.tolist()]
+            )
+            assert 0 < expect.sum() < expect.size
+            assert np.array_equal(chunked, expect)
 
     def test_empty_eliminator_matrix(self):
         table = sign_vector_table(3)
         empty = np.zeros((0, 3), dtype=np.int8)
         assert not eliminated_any_mask(table, empty).any()
-
-
-class TestBackendSelection:
-    def test_backend_name_is_known(self):
-        assert backend.backend_name() in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        code = (
-            "import json, signelim\n"
-            "from signelim import backend\n"
-            "print(json.dumps({'name': backend.backend_name(),"
-            " 'count': int(signelim.eliminated_count([(1, 1, 0)], 3))}))\n"
-        )
-        env = dict(os.environ, SIGNELIM_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        payload = json.loads(out.stdout)
-        assert payload == {"name": "numpy", "count": 9}
-
-    def test_unknown_backend_is_rejected(self):
-        code = "from signelim import backend\nprint(backend.backend_name())\n"
-        env = dict(os.environ, SIGNELIM_BACKEND="cuda")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode != 0
