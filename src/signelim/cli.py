@@ -33,7 +33,7 @@ from .gates import (
     expand,
     gate_to_json,
     load_gate,
-    parse_rational,
+    parse_rational_vector,
     rational_string,
     reduced_dimension,
 )
@@ -76,13 +76,15 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _parse_canonical(text: str):
-    vec = parse_sign_string(text, total=False)
-    return vec
-
-
 def _score_json(score) -> dict:
     return {"value": score.value, "log3": format_log3(score.value)}
+
+
+def _witnesses_json(witnesses) -> list[dict]:
+    return [
+        {"w": [rational_string(v) for v in w], "total_sign": sign_string(ts)}
+        for w, ts in witnesses
+    ]
 
 
 def _certificate_json(cert: Optional[Certificate]) -> Optional[dict]:
@@ -91,13 +93,7 @@ def _certificate_json(cert: Optional[Certificate]) -> Optional[dict]:
     return {
         "base_point": list(cert.base_point),
         "n_reduced": cert.n_reduced,
-        "witnesses": [
-            {
-                "w": [rational_string(v) for v in w],
-                "total_sign": sign_string(ts),
-            }
-            for w, ts in cert.witnesses
-        ],
+        "witnesses": _witnesses_json(cert.witnesses),
     }
 
 
@@ -110,7 +106,7 @@ def _load_family(path, output_dim) -> ProjectionFamily:
     for pos, item in enumerate(obj):
         if not isinstance(item, list):
             raise ValidationError(f"{path}: functional {pos} must be a list")
-        vectors.append([parse_rational(v) for v in item])
+        vectors.append(parse_rational_vector(item, f"{path}: functional {pos}"))
     return ProjectionFamily.from_vectors(vectors, output_dim)
 
 
@@ -140,13 +136,7 @@ def _analysis_document(
         reports_json.append(
             {
                 "base_point": list(report.base_point),
-                "witnesses": [
-                    {
-                        "w": [rational_string(v) for v in w],
-                        "total_sign": sign_string(ts),
-                    }
-                    for w, ts in report.witnesses
-                ],
+                "witnesses": _witnesses_json(report.witnesses),
                 "sens_lower": [
                     sign_string(v) for v in sorted_signs(report.sens_lower)
                 ],
@@ -204,14 +194,20 @@ def _cmd_zs(args) -> int:
     return 0
 
 
-def _cmd_ze(args) -> int:
-    signs = [parse_sign_string(t) for t in args.t]
+def _shared_length(signs, expected: Optional[int], what: str) -> int:
+    """The one length of `signs`, checked against --n when it is given."""
     lengths = {len(s) for s in signs}
     if len(lengths) != 1:
-        raise SignElimError("all total signs must share one length")
+        raise SignElimError(f"all {what} must share one length")
     n = lengths.pop()
-    if args.n is not None and args.n != n:
-        raise SignElimError(f"--n {args.n} does not match sign length {n}")
+    if expected is not None and expected != n:
+        raise SignElimError(f"--n {expected} does not match sign length {n}")
+    return n
+
+
+def _cmd_ze(args) -> int:
+    signs = [parse_sign_string(t) for t in args.t]
+    n = _shared_length(signs, args.n, "total signs")
     result = eliminated_set(signs, n)
     _emit([sign_string(v) for v in sorted_signs(result)])
     return 0
@@ -230,14 +226,14 @@ def _verified(value: int, oracle: Optional[int], verify: bool) -> int:
 
 
 def _cmd_count_single(args) -> int:
-    x = _parse_canonical(args.x[0])
+    x = parse_sign_string(args.x[0], total=False)
     value = count_eliminated_single(x)
     oracle = count_eliminated_oracle([x], len(x)) if args.verify else None
     return _verified(value, oracle, args.verify)
 
 
 def _cmd_count_intersect(args) -> int:
-    rows = [_parse_canonical(t) for t in args.x]
+    rows = [parse_sign_string(t, total=False) for t in args.x]
     matrix = SignMatrix.from_rows(rows)
     value = count_eliminated_intersection(matrix)
     oracle = count_intersection_oracle(matrix) if args.verify else None
@@ -245,7 +241,7 @@ def _cmd_count_intersect(args) -> int:
 
 
 def _cmd_count_set(args) -> int:
-    rows = [_parse_canonical(t) for t in args.x]
+    rows = [parse_sign_string(t, total=False) for t in args.x]
     value = count_eliminated_union(rows)
     oracle = (
         count_eliminated_oracle(rows, len(rows[0])) if args.verify else None
@@ -254,8 +250,8 @@ def _cmd_count_set(args) -> int:
 
 
 def _cmd_count_pair(args) -> int:
-    x = _parse_canonical(args.x)
-    y = _parse_canonical(args.y)
+    x = parse_sign_string(args.x, total=False)
+    y = parse_sign_string(args.y, total=False)
     matrix = SignMatrix.from_rows([x, y])
     profile = pair_profile(matrix)
     intersection, union = count_pair(profile)
@@ -288,12 +284,7 @@ def _cmd_count_pair(args) -> int:
 
 def _cmd_count_oracle(args) -> int:
     signs = [parse_sign_string(t) for t in args.x]
-    lengths = {len(s) for s in signs}
-    if len(lengths) != 1:
-        raise SignElimError("all vectors must share one length")
-    n = lengths.pop()
-    if args.n is not None and args.n != n:
-        raise SignElimError(f"--n {args.n} does not match sign length {n}")
+    n = _shared_length(signs, args.n, "vectors")
     print(count_eliminated_oracle(signs, n))
     return 0
 

@@ -42,6 +42,7 @@ __all__ = [
     "Gate",
     "MultilinearExpansion",
     "parse_rational",
+    "parse_rational_vector",
     "rational_string",
     "gate_from_json",
     "gate_to_json",
@@ -77,6 +78,14 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse rational from {value!r}: {exc}")
     raise ValidationError(f"cannot parse rational from {value!r}")
+
+
+def parse_rational_vector(values: Sequence, where: str) -> Vector:
+    """Parse every entry with parse_rational; errors name `where`."""
+    try:
+        return tuple(parse_rational(v) for v in values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}")
 
 
 def rational_string(value) -> str:
@@ -347,7 +356,7 @@ def gate_from_json(obj) -> Gate:
         out = entry["output"]
         if not isinstance(out, list):
             raise ValidationError(f"entry {pos}: output must be a list")
-        table[key] = tuple(parse_rational(v) for v in out)
+        table[key] = parse_rational_vector(out, f"entry {pos}")
     input_labels = None
     if "input_labels" in obj and obj["input_labels"] is not None:
         raw = obj["input_labels"]
@@ -365,7 +374,7 @@ def gate_from_json(obj) -> Gate:
                 raise ValidationError(
                     f"output_labels[{pos}] must be an object with output and label"
                 )
-            vec = tuple(parse_rational(v) for v in item["output"])
+            vec = parse_rational_vector(item["output"], f"output_labels[{pos}]")
             output_labels[vec] = str(item["label"])
     return Gate(
         arities=tuple(arities),
@@ -408,10 +417,11 @@ def dumps_gate(gate: Gate) -> str:
 def load_gate(path) -> Gate:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            return gate_from_json(json.load(handle))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}")
-    return gate_from_json(obj)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}")
 
 
 def boolean_gate(outputs: Sequence[int], inputs: int) -> Gate:

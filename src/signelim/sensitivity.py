@@ -34,6 +34,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from .backend import eliminated_any_mask
 from .errors import DomainError, ResourceLimitError, ValidationError, env_cap
 from .gates import (
     Gate,
@@ -42,6 +45,7 @@ from .gates import (
     base_points,
     expand,
     parse_rational,
+    rational_string,
     reduced_dimension,
     reduced_partial,
     validate_base_point,
@@ -51,9 +55,12 @@ from .signvec import (
     canonical_sign_vectors,
     canonicalize,
     eliminated_count,
+    eliminated_mask,
     eliminated_set,
     enumeration_key,
     is_canonical,
+    table,
+    vector_count,
 )
 
 __all__ = [
@@ -90,7 +97,7 @@ Index = tuple[int, ...]
 Vector = tuple[Fraction, ...]
 
 
-def _check_base_point_count(expansion: MultilinearExpansion) -> int:
+def _check_base_point_count(expansion: MultilinearExpansion) -> None:
     count = 1
     for a in expansion.arities:
         count *= a
@@ -100,7 +107,6 @@ def _check_base_point_count(expansion: MultilinearExpansion) -> int:
             f"{count} base points exceed the cap {cap}; "
             f"set {ENV_BASE_POINT_CAP} to raise it"
         )
-    return count
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,9 @@ class ProjectionFamily:
             raise DomainError("a projection family must be nonempty")
         for w in self.functionals:
             if len(w) != self.output_dim:
+                shown = [rational_string(c) for c in w]
                 raise DomainError(
-                    f"functional {w!r} must have {self.output_dim} components"
+                    f"functional {shown} must have {self.output_dim} components"
                 )
 
     @classmethod
@@ -127,10 +134,6 @@ class ProjectionFamily:
         seen = []
         for raw in vectors:
             w = tuple(Fraction(v) for v in raw)
-            if len(w) != output_dim:
-                raise DomainError(
-                    f"functional {raw!r} must have {output_dim} components"
-                )
             lead = next((c for c in w if c != 0), None)
             if lead is None:
                 raise DomainError("functionals must be nonzero")
@@ -255,6 +258,18 @@ def format_log3(value: int) -> str:
     return f"{log3_value(value):.12f}"
 
 
+def _score(n_reduced: int, eliminated: int) -> ScorePair:
+    """The score 3**N - 2 * (size of an eliminated set), with its log3."""
+    value = 3**n_reduced - 2 * eliminated
+    return ScorePair(value=value, log3=log3_value(value))
+
+
+def _lower_score(n_reduced: int, mask: np.ndarray) -> ScorePair:
+    """Score of the set `mask` marks over the length-N enumeration."""
+    rows = table(n_reduced)
+    return _score(n_reduced, int(eliminated_any_mask(rows, rows[~mask]).sum()))
+
+
 def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> ScorePair:
     """score(S) = 3**N - 2 * |eliminated set of the complement of S|.
 
@@ -269,11 +284,8 @@ def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> S
                 f"{vec!r} is not a canonical vector of length {n_reduced}"
             )
         subset.add(vec)
-    complement = [
-        v for v in canonical_sign_vectors(n_reduced) if v not in subset
-    ]
-    value = 3**n_reduced - 2 * eliminated_count(complement, n_reduced)
-    return ScorePair(value=value, log3=log3_value(value))
+    mask = np.array([v in subset for v in canonical_sign_vectors(n_reduced)])
+    return _lower_score(n_reduced, mask)
 
 
 @dataclass(frozen=True)
@@ -294,30 +306,21 @@ def _greedy_certificate(
     z: Index,
     signs: Sequence[tuple[Vector, tuple[int, ...]]],
     n_reduced: int,
-) -> Optional[Certificate]:
-    universe = frozenset(canonical_sign_vectors(n_reduced))
-    pool = [
-        (w, ts, eliminated_set([ts], n_reduced)) for w, ts in signs
-    ]
-    covered: frozenset = frozenset()
-    chosen: list[tuple[Vector, tuple[int, ...], frozenset]] = []
-    while covered != universe:
-        best = None
-        best_gain = 0
-        for item in pool:
-            gain = len(item[2] - covered)
-            if gain > best_gain:
-                best = item
-                best_gain = gain
-        if best is None:
-            return None
+) -> Certificate:
+    """Pruned greedy cover; the witnesses must jointly eliminate everything."""
+    pool = [(w, ts, eliminated_mask([ts], n_reduced)) for w, ts in signs]
+    covered = np.zeros(vector_count(n_reduced), dtype=bool)
+    chosen = []
+    while not covered.all():
+        # max keeps the first of equal gains
+        best = max(pool, key=lambda item: np.count_nonzero(item[2] & ~covered))
         chosen.append(best)
-        covered = covered | best[2]
+        covered |= best[2]
     # prune to an irredundant witness list, keeping insertion order
     pruned = list(chosen)
-    for item in list(chosen):
+    for item in chosen:
         trial = [other for other in pruned if other is not item]
-        if trial and frozenset().union(*(t[2] for t in trial)) == universe:
+        if trial and np.any([t[2] for t in trial], axis=0).all():
             pruned = trial
     return Certificate(
         base_point=z,
@@ -337,13 +340,10 @@ def verify_certificate(
         z = validate_base_point(expansion, certificate.base_point)
     except DomainError:
         return False
-    covered: set = set()
-    for w, recorded in certificate.witnesses:
-        actual = total_sign(expansion, z, w)
-        if actual != tuple(recorded):
-            return False
-        covered |= eliminated_set([actual], n_reduced)
-    return len(covered) == (3**n_reduced - 1) // 2
+    witnesses = certificate.witnesses
+    if any(total_sign(expansion, z, w) != tuple(ts) for w, ts in witnesses):
+        return False
+    return bool(eliminated_mask([ts for _, ts in witnesses], n_reduced).all())
 
 
 @dataclass(frozen=True)
@@ -459,6 +459,34 @@ def _collision_signs_at(
     return out
 
 
+def _collision_scores(
+    records: Sequence[ExperimentRecord],
+    expansion: MultilinearExpansion,
+    eps: Fraction,
+    delta: Fraction,
+) -> tuple[dict[Index, ScorePair], Optional[DataBound]]:
+    """Collision score at every base point, and the first maximum as a bound.
+
+    Returns ({}, None) when no two records collide at distinct points.
+    """
+    eps = Fraction(eps)
+    delta = Fraction(delta)
+    _validate_records(records, expansion, delta)
+    _check_base_point_count(expansion)
+    pairs = _collision_pairs(records, eps)
+    if not pairs:
+        return {}, None
+    n_reduced = reduced_dimension(expansion)
+    scores = {}
+    for z in base_points(expansion):
+        signs = _collision_signs_at(pairs, expansion.arities, z)
+        scores[z] = _score(n_reduced, eliminated_count(signs, n_reduced))
+    z = max(scores, key=lambda z: scores[z].value)
+    return scores, DataBound(
+        score=scores[z], base_point=z, collisions=len(pairs), heuristic=eps > 0
+    )
+
+
 def data_upper_bound(
     records: Sequence[ExperimentRecord],
     expansion: MultilinearExpansion,
@@ -474,27 +502,19 @@ def data_upper_bound(
     points. Exact for eps = 0; eps > 0 marks the bound heuristic. Returns
     None when no two records collide at distinct points.
     """
-    eps = Fraction(eps)
-    delta = Fraction(delta)
-    _validate_records(records, expansion, delta)
-    _check_base_point_count(expansion)
-    pairs = _collision_pairs(records, eps)
-    if not pairs:
-        return None
+    return _collision_scores(records, expansion, eps, delta)[1]
+
+
+def _sweep(expansion: MultilinearExpansion, family: ProjectionFamily):
+    """Lazily yield (z, witness signs, eliminated mask) per base point."""
     n_reduced = reduced_dimension(expansion)
-    best: Optional[tuple[int, Index]] = None
+    scalars = [apply_functional(expansion, w) for w in family.functionals]
     for z in base_points(expansion):
-        signs = _collision_signs_at(pairs, expansion.arities, z)
-        value = 3**n_reduced - 2 * eliminated_count(signs, n_reduced)
-        if best is None or value > best[0]:
-            best = (value, z)
-    value, z = best
-    return DataBound(
-        score=ScorePair(value=value, log3=log3_value(value)),
-        base_point=z,
-        collisions=len(pairs),
-        heuristic=eps > 0,
-    )
+        signs = tuple(
+            (w, _total_sign_of_scalar(scalar, z))
+            for w, scalar in zip(family.functionals, scalars)
+        )
+        yield z, signs, eliminated_mask([ts for _, ts in signs], n_reduced)
 
 
 def analyze_gate(
@@ -509,65 +529,31 @@ def analyze_gate(
         family = default_family(expansion.output_dim)
     _check_base_point_count(expansion)
     n_reduced = reduced_dimension(expansion)
-    universe_size = (3**n_reduced - 1) // 2
-    pairs = None
+    data_upper, data = {}, None
     if records is not None:
-        eps = Fraction(eps)
-        delta = Fraction(delta)
-        _validate_records(records, expansion, delta)
-        pairs = _collision_pairs(records, eps)
-
-    scalars = [apply_functional(expansion, w) for w in family.functionals]
-    reports = []
-    lower_best: Optional[tuple[ScorePair, Index]] = None
-    data_best: Optional[tuple[int, Index, int]] = None
-    certificate: Optional[Certificate] = None
-    for z in base_points(expansion):
-        signs = tuple(
-            (w, _total_sign_of_scalar(scalar, z))
-            for w, scalar in zip(family.functionals, scalars)
-        )
-        sens = eliminated_set([ts for _, ts in signs], n_reduced)
-        score = sensitivity_score(n_reduced, sens)
-        cert = None
-        if len(sens) == universe_size:
-            cert = _greedy_certificate(z, signs, n_reduced)
-        data_upper = None
-        if pairs:
-            collision = _collision_signs_at(pairs, expansion.arities, z)
-            value = 3**n_reduced - 2 * eliminated_count(collision, n_reduced)
-            data_upper = ScorePair(value=value, log3=log3_value(value))
-            if data_best is None or value > data_best[0]:
-                data_best = (value, z, len(pairs))
-        reports.append(
-            BasePointReport(
-                base_point=z,
-                witnesses=signs,
-                sens_lower=sens,
-                score=score,
-                certificate=cert,
-                data_upper=data_upper,
-            )
-        )
-        if lower_best is None or score.value > lower_best[0].value:
-            lower_best = (score, z)
-        if certificate is None and cert is not None:
-            certificate = cert
-    data = None
-    if data_best is not None:
-        value, z, collisions = data_best
-        data = DataBound(
-            score=ScorePair(value=value, log3=log3_value(value)),
+        data_upper, data = _collision_scores(records, expansion, eps, delta)
+    reports = tuple(
+        BasePointReport(
             base_point=z,
-            collisions=collisions,
-            heuristic=Fraction(eps) > 0,
+            witnesses=signs,
+            sens_lower=frozenset(map(tuple, table(n_reduced)[mask].tolist())),
+            score=_lower_score(n_reduced, mask),
+            certificate=(
+                _greedy_certificate(z, signs, n_reduced) if mask.all() else None
+            ),
+            data_upper=data_upper.get(z),
         )
-    lower_score, lower_z = lower_best
+        for z, signs, mask in _sweep(expansion, family)
+    )
+    # max keeps the first of equal scores
+    lower = max(reports, key=lambda r: r.score.value)
     return GateAnalysis(
-        reports=tuple(reports),
-        lower=lower_score,
-        lower_base_point=lower_z,
-        certificate=certificate,
+        reports=reports,
+        lower=lower.score,
+        lower_base_point=lower.base_point,
+        certificate=next(
+            (r.certificate for r in reports if r.certificate is not None), None
+        ),
         data=data,
         n_reduced=n_reduced,
     )
@@ -576,9 +562,19 @@ def analyze_gate(
 def reversibility_certificate(
     expansion: MultilinearExpansion, family: Optional[ProjectionFamily] = None
 ) -> Optional[Certificate]:
-    """First certificate found sweeping base points, or None."""
-    analysis = analyze_gate(expansion, family=family)
-    return analysis.certificate
+    """First certificate in lexicographic base-point order, or None.
+
+    The sweep stops at the first base point where the family eliminates
+    every sign vector, and scores nothing.
+    """
+    if family is None:
+        family = default_family(expansion.output_dim)
+    _check_base_point_count(expansion)
+    n_reduced = reduced_dimension(expansion)
+    for z, signs, mask in _sweep(expansion, family):
+        if mask.all():
+            return _greedy_certificate(z, signs, n_reduced)
+    return None
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,34 @@ class TestGateCommands:
         assert code == 1
         assert out == ""
         assert "floats are inexact" in err
+        assert f"{family}: functional 0: " in err
+
+    def test_wrong_length_functional_exits_one(self, capsys, tmp_path, first_gate_path):
+        family = tmp_path / "family.json"
+        family.write_text('[["1/2", 1], [1, 0]]')
+        code, out, err = run(
+            capsys,
+            "gate",
+            "analyze",
+            str(first_gate_path),
+            "--functionals",
+            str(family),
+        )
+        assert code == 1
+        assert out == ""
+        assert "functional ['1/2', '1'] must have 1 components" in err
+        assert "Fraction(" not in err
+
+    def test_float_gate_entry_exits_one(self, capsys, tmp_path):
+        gate = json.loads(dumps_gate(boolean_gate([0, 0, 0, 1], 2)))
+        gate["entries"][1]["output"] = [0.5]
+        path = tmp_path / "float_gate.json"
+        path.write_text(json.dumps(gate))
+        code, out, err = run(capsys, "gate", "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert "floats are inexact" in err
+        assert f"{path}: entry 1: " in err
 
     def test_rational_string_functional_is_accepted(
         self, capsys, tmp_path, two_output_gate_path

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ from signelim import (
     Certificate,
     DomainError,
     ExperimentRecord,
+    Gate,
     ProjectionFamily,
     UNDETERMINED,
     ValidationError,
@@ -35,12 +37,80 @@ from signelim import (
 )
 from signelim.errors import ResourceLimitError
 
+import oracles
+
 F = Fraction
 
 AND = boolean_gate([0, 0, 0, 1], 2)
 XOR = boolean_gate([0, 1, 1, 0], 2)
 CONST = boolean_gate([0, 0, 0, 0], 2)
 FIRST = boolean_gate([0, 0, 1, 1], 2)  # ignores its second input
+
+# Certified at base points (0, 1) and (1, 0) but not at the origin.
+OFF_ORIGIN = Gate(
+    arities=(2, 2),
+    output_dim=2,
+    table={
+        (0, 0): (F(1, 3), F(1)),
+        (0, 1): (F(1, 3), F(0)),
+        (1, 0): (F(1), F(1, 3)),
+        (1, 1): (F(2, 3), F(0)),
+    },
+)
+
+
+def seeded_gate(seed, arities, output_dim, kind):
+    """A random table, or an additive one (a sum of per-block vectors)."""
+    rng = random.Random(seed)
+    thirds = [F(k, 3) for k in range(4)]
+    cells = list(product(*(range(a) for a in arities)))
+    if kind == "random":
+        table = {
+            idx: tuple(rng.choice(thirds) for _ in range(output_dim))
+            for idx in cells
+        }
+    else:
+        vectors = [
+            [tuple(rng.choice(thirds) for _ in range(output_dim)) for _ in range(a)]
+            for a in arities
+        ]
+        table = {
+            idx: tuple(
+                sum(vectors[i][j][c] for i, j in enumerate(idx))
+                for c in range(output_dim)
+            )
+            for idx in cells
+        }
+    return Gate(arities=arities, output_dim=output_dim, table=table)
+
+
+SWEEP_GATES = [
+    seeded_gate(1, (2, 3), 1, "random"),
+    seeded_gate(2, (3, 2), 2, "additive"),
+    seeded_gate(3, (2, 2, 2), 3, "additive"),
+    seeded_gate(4, (3, 3), 2, "random"),
+    seeded_gate(5, (2, 2, 2), 2, "random"),
+    seeded_gate(6, (2, 3), 3, "additive"),
+    AND,
+    XOR,
+    CONST,
+    OFF_ORIGIN,
+]
+
+
+def seeded_records(seed, gate, count=12):
+    """Interior records with outputs in multiples of 1/4, so some collide."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(count):
+        point = []
+        for a in gate.arities:
+            weights = [rng.randint(1, 4) for _ in range(a)]
+            point.append(tuple(F(k, sum(weights)) for k in weights))
+        output = tuple(F(rng.randint(0, 4), 4) for _ in range(gate.output_dim))
+        records.append(ExperimentRecord(point=tuple(point), output=output))
+    return records
+
 
 # The four mixing-gate projections that jointly certify reversibility,
 # with their frozen total signs at base point (0, 0, 0).
@@ -250,6 +320,17 @@ class TestScore:
         with pytest.raises(DomainError):
             log3_value(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_oracle_on_the_complement(self, n, rng):
+        universe = canonical_sign_vectors(n)
+        subsets = [[], universe] + [
+            rng.sample(universe, rng.randint(0, len(universe))) for _ in range(10)
+        ]
+        for subset in subsets:
+            complement = [v for v in universe if v not in subset]
+            eliminated = oracles.eliminated(complement, n)
+            assert sensitivity_score(n, subset).value == 3**n - 2 * len(eliminated)
+
     def test_rejects_non_canonical_members(self):
         with pytest.raises(DomainError):
             sensitivity_score(2, [(-1, 1)])
@@ -311,12 +392,29 @@ class TestCertificates:
     def test_partial_coverage_fails_verification(self, color_gate):
         expansion = expand(color_gate)
         cert = reversibility_certificate(expansion)
-        short = Certificate(
-            base_point=cert.base_point,
-            witnesses=cert.witnesses[:1],
-            n_reduced=cert.n_reduced,
+        for kept in (1, 0):
+            short = Certificate(
+                base_point=cert.base_point,
+                witnesses=cert.witnesses[:kept],
+                n_reduced=cert.n_reduced,
+            )
+            assert not verify_certificate(expansion, short)
+
+    def test_certified_only_away_from_the_origin(self):
+        expansion = expand(OFF_ORIGIN)
+        analysis = analyze_gate(expansion)
+        assert analysis.reports[0].certificate is None
+        cert = reversibility_certificate(expansion)
+        assert cert.base_point == (0, 1)
+        assert verify_certificate(expansion, cert)
+
+    @pytest.mark.parametrize("gate", SWEEP_GATES)
+    def test_early_exit_matches_the_full_sweep(self, gate):
+        expansion = expand(gate)
+        family = default_family(gate.output_dim)
+        assert reversibility_certificate(expansion, family) == (
+            analyze_gate(expansion, family).certificate
         )
-        assert not verify_certificate(expansion, short)
 
 
 class TestAnalyzeGate:
@@ -444,6 +542,8 @@ class TestDataBounds:
         bound = data_upper_bound(records, expansion)
         assert bound.score.value == 1
         assert bound.score.log3 == 0.0
+        # every base point ties; the first one is reported
+        assert bound.base_point == (0, 0)
 
     def test_identical_points_are_not_collisions(self):
         record = projection_records()[0]
@@ -462,6 +562,15 @@ class TestDataBounds:
         )
         assert bound is not None
         assert bound.heuristic
+
+    @pytest.mark.parametrize("eps", [F(0), F(1, 4)])
+    @pytest.mark.parametrize("seed", range(len(SWEEP_GATES)))
+    def test_bound_matches_the_analysis(self, seed, eps):
+        gate = SWEEP_GATES[seed]
+        records = seeded_records(seed, gate)
+        expansion = expand(gate)
+        bound = data_upper_bound(records, expansion, eps)
+        assert bound == analyze_gate(expansion, records=records, eps=eps).data
 
     def test_boundary_records_are_rejected(self):
         bad = ExperimentRecord(
