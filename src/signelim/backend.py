@@ -1,9 +1,27 @@
-"""Array kernels for sign-vector tables and elimination scans.
+"""Array kernels for sign-vector tables and elimination masks.
 
-The elimination scan is vectorized numpy: one pass over the table per
-eliminator row, chunked so temporaries stay bounded on large tables.
-``tests/test_kernels.py`` checks it against the brute-force oracles and
-``benchmarks/bench_kernels.py`` times it.
+Two kernels compute which table rows an eliminator matrix eliminates; both
+return the same masks and ``tests/test_kernels.py`` checks them against the
+brute-force oracles.
+
+* The chunked scan: one vectorized numpy pass over the table per eliminator
+  row, chunked so temporaries stay bounded on large tables. It costs about
+  len(elim) * rows * n.
+* The transform: let C+- be the eliminator rows together with their
+  negations (-u = u), as a multiset. For a sign vector s let f(s) count the
+  members that on supp(s) are 0 or equal to s (so u only where s is 0), and
+  g(s) those that are 0 on supp(s). Then f(s) - g(s) is the number of
+  eliminator rows that eliminate s, so the any-mask is f - g > 0 and the
+  all-mask is f - g == len(elim). f and g are Kronecker-product (Yates, fast
+  zeta) transforms of C+-'s indicator on a k**n grid, k = 4 when a u entry
+  is present and 3 otherwise, with one 3 x k 0/1 matrix per axis. They cost
+  about n * k**n whatever the eliminator count.
+
+``eliminated_any_mask`` and ``eliminated_all_mask`` take the transform when a
+fixed cost model of the two, fed by the table's and the eliminator matrix's
+sizes, rates it cheaper, and never when its grid exceeds a fixed cell budget,
+so peak memory stays bounded at every n. Short eliminator lists take the
+scan. ``benchmarks/bench_kernels.py`` times both paths.
 
 Encoding: sign entries are int8 values -1, 0, +1. Total-sign rows may also
 contain UNDETERMINED (2), the "u" entry that forbids any nonzero coordinate
@@ -82,7 +100,7 @@ def sign_vector_table(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elimination scans
+# elimination kernels
 # ---------------------------------------------------------------------------
 #
 # Row s of `table` is eliminated by eliminator row t when:
@@ -100,7 +118,7 @@ def _single_mask(table: np.ndarray, row: np.ndarray) -> np.ndarray:
     return ~undet_bad & (pos ^ neg)
 
 
-def _reduce_masks(table: np.ndarray, elim: np.ndarray, every: bool) -> np.ndarray:
+def _scan_masks(table: np.ndarray, elim: np.ndarray, every: bool) -> np.ndarray:
     """OR of the per-eliminator masks, or their AND when ``every`` is set."""
     combine = np.logical_and if every else np.logical_or
     out = np.zeros(table.shape[0], dtype=bool)
@@ -113,13 +131,109 @@ def _reduce_masks(table: np.ndarray, elim: np.ndarray, every: bool) -> np.ndarra
     return out
 
 
+# Transform digits of an eliminator entry, indexed by the int8 code mod 4:
+# 0 -> 0, +1 -> 1, u (2) -> 3, -1 (3 mod 4) -> 2. Digits 0-2 of a table row
+# are its own base-3 digits, so the transform's output grid is indexed like
+# the table. _NEGATED maps the digit of t_i to the digit of -t_i.
+_DIGIT = np.array([0, 1, 3, 2], dtype=np.int64)
+_NEGATED = np.array([0, 2, 1, 3], dtype=np.int64)
+
+
+def _axis_transform(grid: np.ndarray, n: int, k: int, conformal: bool) -> np.ndarray:
+    """Apply a 3 x k 0/1 matrix along every axis of a flat k**n count grid.
+
+    Output digit 0 (s_i = 0) sums every eliminator digit. Output digits 1 and
+    2 (s_i = +1, -1) take eliminator digit 0, plus, when ``conformal`` (f),
+    the digit of the same sign. Axes go first to last, each step turning one
+    k-axis into a 3-axis while the others keep their C-order place (Yates'
+    algorithm), so the result is the flat 3**n grid indexed like the table.
+    """
+    for axis in range(n):
+        x = grid.reshape(3**axis, k, k ** (n - 1 - axis))
+        grid = np.empty((3**axis, 3, k ** (n - 1 - axis)), dtype=np.int32)
+        np.add(x[:, 0], x[:, 1], out=grid[:, 0])
+        for digit in range(2, k):
+            grid[:, 0] += x[:, digit]
+        if conformal:
+            np.add(x[:, :1], x[:, 1:3], out=grid[:, 1:])
+        else:
+            grid[:, 1:] = x[:, :1]
+    return grid.reshape(-1)
+
+
+@lru_cache(maxsize=16)
+def _canonical_index(n: int) -> np.ndarray:
+    return _base3_index(_cached_table(n))
+
+
+def _base3_index(table: np.ndarray) -> np.ndarray:
+    n = table.shape[1]
+    return (table % 3).astype(np.int64) @ (3 ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def _elimination_counts(table: np.ndarray, elim: np.ndarray, has_u: bool) -> np.ndarray:
+    """Per table row, how many rows of ``elim`` eliminate it (transform path).
+
+    With C+- the multiset of eliminator rows and their negations, the count
+    is f(s) - g(s): each row t eliminates s exactly when one of t, -t is
+    conformal to s on supp(s) with a nonzero there, which is what f counts
+    beyond g. Counts stay below 2 * len(elim) < 2**31.
+    """
+    n = table.shape[1]
+    k = 4 if has_u else 3
+    digits = _DIGIT[elim % 4]
+    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    grid = np.zeros(k**n, dtype=np.int32)
+    np.add.at(grid, np.concatenate((digits @ powers, _NEGATED[digits] @ powers)), 1)
+    f = _axis_transform(grid, n, k, conformal=True)
+    g = _axis_transform(grid, n, k, conformal=False)
+    if n <= 12 and table is _cached_table(n):
+        index = _canonical_index(n)
+    else:
+        index = _base3_index(table)
+    return f[index] - g[index]
+
+
+# Dispatch cost model, in microseconds, fitted to timings of both paths on a
+# shared 2-core x86-64 VM (benchmarks/bench_kernels.py times them side by
+# side). The scan pays a fixed numpy overhead per eliminator row plus work per
+# table cell; the transform pays a fixed overhead, an overhead per axis and
+# work per grid cell it writes. Grids above _GRID_BUDGET cells always take the
+# chunked scan, which bounds the transform's memory at every n.
+_SCAN_ROW_US = 40.0
+_SCAN_CELL_US = 0.013
+_TRANSFORM_US = 20.0
+_TRANSFORM_AXIS_US = 20.0
+_TRANSFORM_CELL_US = 0.005
+_GRID_BUDGET = 1 << 22
+
+
+def _use_transform(rows: int, n: int, count: int, has_u: bool) -> bool:
+    """Whether the transform is cheaper than the scan for these sizes."""
+    k = 4 if has_u else 3
+    if k**n > _GRID_BUDGET:
+        return False
+    written = sum(3 ** (axis + 1) * k ** (n - 1 - axis) for axis in range(n))
+    scan = count * (_SCAN_ROW_US + _SCAN_CELL_US * rows * n)
+    transform = _TRANSFORM_US + _TRANSFORM_AXIS_US * n + _TRANSFORM_CELL_US * written
+    return transform < scan
+
+
+def _masks(table: np.ndarray, elim: np.ndarray, every: bool) -> np.ndarray:
+    has_u = bool((elim == UNDETERMINED).any())
+    if _use_transform(table.shape[0], table.shape[1], elim.shape[0], has_u):
+        counts = _elimination_counts(table, elim, has_u)
+        return counts == elim.shape[0] if every else counts > 0
+    return _scan_masks(table, elim, every)
+
+
 def eliminated_any_mask(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
     """Mask over table rows eliminated by at least one eliminator row."""
-    return _reduce_masks(table, elim, every=False)
+    return _masks(table, elim, every=False)
 
 
 def eliminated_all_mask(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
     """Mask over table rows eliminated by every eliminator row."""
     if elim.shape[0] == 0:
         raise ValueError("eliminator matrix must have at least one row")
-    return _reduce_masks(table, elim, every=True)
+    return _masks(table, elim, every=True)

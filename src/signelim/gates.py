@@ -374,6 +374,8 @@ def gate_from_json(obj) -> Gate:
                 raise ValidationError(
                     f"output_labels[{pos}] must be an object with output and label"
                 )
+            if not isinstance(item["output"], list):
+                raise ValidationError(f"output_labels[{pos}]: output must be a list")
             vec = parse_rational_vector(item["output"], f"output_labels[{pos}]")
             output_labels[vec] = str(item["label"])
     return Gate(

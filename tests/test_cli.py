@@ -320,6 +320,17 @@ class TestGateCommands:
         assert code == 1
         assert "error" in err
 
+    def test_non_list_output_label_exits_one(self, capsys, tmp_path):
+        gate = json.loads(dumps_gate(boolean_gate([0, 0, 0, 1], 2)))
+        gate["output_labels"] = [{"output": 5, "label": "x"}]
+        path = tmp_path / "label_gate.json"
+        path.write_text(json.dumps(gate))
+        code, out, err = run(capsys, "gate", "expand", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"{path}: output_labels[0]: output must be a list" in err
+
 
 class TestDataCommands:
     def test_bound(self, capsys, first_gate_path, projection_csv):
