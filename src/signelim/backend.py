@@ -20,8 +20,8 @@ brute-force oracles.
 ``eliminated_any_mask`` and ``eliminated_all_mask`` take the transform when a
 fixed cost model of the two, fed by the table's and the eliminator matrix's
 sizes, rates it cheaper, and never when its grid exceeds a fixed cell budget,
-so peak memory stays bounded at every n. Short eliminator lists take the
-scan. ``benchmarks/bench_kernels.py`` times both paths.
+so peak memory stays bounded at every n. A single eliminator row always
+takes the scan. ``benchmarks/bench_kernels.py`` times both paths.
 
 Encoding: sign entries are int8 values -1, 0, +1. Total-sign rows may also
 contain UNDETERMINED (2), the "u" entry that forbids any nonzero coordinate
@@ -209,9 +209,13 @@ _GRID_BUDGET = 1 << 22
 
 
 def _use_transform(rows: int, n: int, count: int, has_u: bool) -> bool:
-    """Whether the transform is cheaper than the scan for these sizes."""
+    """Whether the transform is cheaper than the scan for these sizes.
+
+    One row always takes the scan: the model rates the transform cheaper for
+    it on the full table at n = 9 to 13, where its grids leave the cache.
+    """
     k = 4 if has_u else 3
-    if k**n > _GRID_BUDGET:
+    if count < 2 or k**n > _GRID_BUDGET:
         return False
     written = sum(3 ** (axis + 1) * k ** (n - 1 - axis) for axis in range(n))
     scan = count * (_SCAN_ROW_US + _SCAN_CELL_US * rows * n)

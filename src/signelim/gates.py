@@ -126,7 +126,8 @@ class Gate:
     def __post_init__(self) -> None:
         arities = _validate_arities(self.arities)
         object.__setattr__(self, "arities", arities)
-        if not isinstance(self.output_dim, int) or self.output_dim < 1:
+        # type(), not isinstance: a JSON true is a bool, which subclasses int
+        if type(self.output_dim) is not int or self.output_dim < 1:
             raise ValidationError(f"output_dim must be an int >= 1, got {self.output_dim!r}")
         expected = set(product(*(range(a) for a in arities)))
         table = {}
@@ -169,9 +170,10 @@ class MultilinearExpansion:
 
     coefficients maps each index tuple (one truth value per remaining block)
     to a rational output vector. For a gate's expansion the coefficients are
-    exactly the table entries; slices and differences of slices produced by
-    reduced_partial are expansions over fewer blocks. An expansion over zero
-    blocks has the single key () and represents a constant.
+    exactly the table entries, which the sensitivity analysis reads as one
+    dense integer tensor. reduced_partial returns a difference of slices as an
+    expansion over fewer blocks; an expansion over zero blocks has the single
+    key () and represents a constant.
     """
 
     arities: tuple[int, ...]

@@ -14,9 +14,18 @@ monomial, and every coefficient is a limit of region values); strictly
 negative symmetrically; otherwise the sign is UNDETERMINED ("u").
 
 The total sign of a projection w at z collects the region signs of the N
-reduced partial derivatives of w composed with the expansion. Total signs
-eliminate sign vectors; the union of eliminated sets over a projection family
-is a lower approximation of the sensitive directions at z, and
+reduced partial derivatives of w composed with the expansion. They come for
+every base point and functional at once from one tensor. With the table T
+and the functionals W scaled to integers (positive scales keep every sign),
+S = T . W^T holds every functional's value at every table cell. Along block
+i, let D[j, c] = S[i = j] - S[i = c], a tensor over the other blocks: the
+reduced partial along (i, j) at z is D[j, z_i], and its region sign is 0 when
+D[j, z_i] vanishes everywhere, +1 when it is nowhere negative and positive at
+the anchor z_{-i}, -1 symmetrically, and "u" otherwise.
+
+Total signs eliminate sign vectors; the union of eliminated sets over a
+projection family is a lower approximation of the sensitive directions at z,
+and
 
     score(S) = 3**N - 2 * |eliminated set of (all canonical vectors not in S)|
 
@@ -31,7 +40,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -41,24 +50,23 @@ from .errors import DomainError, ResourceLimitError, ValidationError, env_cap
 from .gates import (
     Gate,
     MultilinearExpansion,
-    apply_functional,
     base_points,
     expand,
     parse_rational,
     rational_string,
     reduced_dimension,
-    reduced_partial,
     validate_base_point,
 )
 from .signvec import (
+    ENV_MAX_N,
     UNDETERMINED,
     canonical_sign_vectors,
-    canonicalize,
-    eliminated_count,
     eliminated_mask,
     eliminated_set,
+    enumeration_cap,
     enumeration_key,
     is_canonical,
+    sign_of,
     table,
     vector_count,
 )
@@ -97,15 +105,21 @@ Index = tuple[int, ...]
 Vector = tuple[Fraction, ...]
 
 
-def _check_base_point_count(expansion: MultilinearExpansion) -> None:
-    count = 1
-    for a in expansion.arities:
-        count *= a
+def _check_caps(expansion: MultilinearExpansion) -> None:
+    """Reject a sweep whose base points or reduced dimension exceed their caps."""
+    count = math.prod(expansion.arities)
     cap = env_cap(ENV_BASE_POINT_CAP, DEFAULT_BASE_POINT_CAP)
     if count > cap:
         raise ResourceLimitError(
             f"{count} base points exceed the cap {cap}; "
             f"set {ENV_BASE_POINT_CAP} to raise it"
+        )
+    n_reduced = reduced_dimension(expansion)
+    cap = enumeration_cap()
+    if n_reduced > cap:
+        raise ResourceLimitError(
+            f"reduced dimension {n_reduced} exceeds the enumeration cap {cap}; "
+            f"set {ENV_MAX_N} to raise it"
         )
 
 
@@ -165,7 +179,8 @@ def sign_over_region(form: MultilinearExpansion, base: Sequence[int]) -> int:
 
     Returns +1, -1, 0, or UNDETERMINED. Exactness rests on multilinearity:
     region values are convex combinations of coefficients with strictly
-    positive weight on the all-base coefficient.
+    positive weight on the all-base coefficient. total_sign applies the same
+    rule to every reduced partial at once.
     """
     if form.output_dim != 1:
         raise DomainError("sign_over_region expects a scalar form")
@@ -186,13 +201,56 @@ def sign_over_region(form: MultilinearExpansion, base: Sequence[int]) -> int:
     return UNDETERMINED
 
 
-def _total_sign_of_scalar(scalar: MultilinearExpansion, z: Index) -> tuple[int, ...]:
-    out = []
-    for i, j in reduced_coordinates(scalar.arities, z):
-        form = reduced_partial(scalar, z, i, j)
-        rest_base = z[:i] + z[i + 1 :]
-        out.append(sign_over_region(form, rest_base))
-    return tuple(out)
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Rows times the lcm of all their denominators, as Python ints."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
+def _total_signs(
+    expansion: MultilinearExpansion, functionals: Sequence[Sequence]
+) -> np.ndarray:
+    """Total sign of every functional at every base point, as int8 codes.
+
+    Entry [z][f] is the total sign of functionals[f] at base point z, in
+    reduced_coordinates order; the shape is arities + (len(functionals), N).
+    """
+    arities = expansion.arities
+    dim = expansion.output_dim
+    for w in functionals:
+        if len(w) != dim:
+            raise DomainError(f"functional must have {dim} components, got {len(w)}")
+    # One positive scale for the table and one per functional keep every sign,
+    # and every comparison between values of one functional. Object arrays of
+    # Python ints keep the products exact at any size.
+    cells = product(*(range(a) for a in arities))
+    tensor = np.array(
+        _cleared([expansion.coefficients[idx] for idx in cells]), dtype=object
+    )
+    scaled = [_cleared([[Fraction(v) for v in w]])[0] for w in functionals]
+    weights = np.array(scaled, dtype=object).reshape(len(scaled), dim)
+    values = (tensor @ weights.T).reshape(arities + (len(scaled),))
+    blocks = []
+    for i, a in enumerate(arities):
+        x = np.moveaxis(values, i, 0)
+        # [j, c, rest..., f]: the partial along (i, j) at z_i = c is > 0 / < 0
+        above = x[:, None] > x[None, :]
+        below = x[:, None] < x[None, :]
+        rest = tuple(range(2, above.ndim - 1))
+        pos = above.any(axis=rest, keepdims=True)
+        neg = below.any(axis=rest, keepdims=True)
+        codes = np.where(
+            pos | neg,
+            np.where(~neg & above, 1, np.where(~pos & below, -1, UNDETERMINED)),
+            0,
+        ).astype(np.int8)
+        # to [z..., f, j], then drop j == z_i
+        codes = np.moveaxis(np.moveaxis(codes, 0, -1), 0, i)
+        free = np.array([[j for j in range(a) if j != c] for c in range(a)])
+        shape = [1] * codes.ndim
+        shape[i], shape[-1] = a, a - 1
+        blocks.append(np.take_along_axis(codes, free.reshape(shape), axis=-1))
+    return np.concatenate(blocks, axis=-1)
 
 
 def total_sign(
@@ -200,8 +258,7 @@ def total_sign(
 ) -> tuple[int, ...]:
     """Region signs of the N reduced partials of w composed with the expansion."""
     base = validate_base_point(expansion, z)
-    scalar = apply_functional(expansion, w)
-    return _total_sign_of_scalar(scalar, base)
+    return tuple(_total_signs(expansion, [w])[base][0].tolist())
 
 
 def witness_signs(
@@ -214,11 +271,8 @@ def witness_signs(
             f"family works on dimension {family.output_dim}, "
             f"gate outputs have dimension {expansion.output_dim}"
         )
-    out = []
-    for w in family.functionals:
-        scalar = apply_functional(expansion, w)
-        out.append((w, _total_sign_of_scalar(scalar, base)))
-    return tuple(out)
+    codes = _total_signs(expansion, family.functionals)[base]
+    return tuple(zip(family.functionals, map(tuple, codes.tolist())))
 
 
 def sensitivity_lower_set(
@@ -341,9 +395,10 @@ def verify_certificate(
     except DomainError:
         return False
     witnesses = certificate.witnesses
-    if any(total_sign(expansion, z, w) != tuple(ts) for w, ts in witnesses):
+    codes = _total_signs(expansion, [w for w, _ in witnesses])[z]
+    if codes.tolist() != [list(ts) for _, ts in witnesses]:
         return False
-    return bool(eliminated_mask([ts for _, ts in witnesses], n_reduced).all())
+    return bool(eliminated_any_mask(table(n_reduced), codes).all())
 
 
 @dataclass(frozen=True)
@@ -443,22 +498,6 @@ def _collision_pairs(
     return pairs
 
 
-def _collision_signs_at(
-    pairs: Sequence[tuple[ExperimentRecord, ExperimentRecord]],
-    arities: Sequence[int],
-    z: Index,
-) -> set[tuple[int, ...]]:
-    coords = reduced_coordinates(arities, z)
-    out = set()
-    for a, b in pairs:
-        diff = tuple(b.point[i][j] - a.point[i][j] for i, j in coords)
-        if all(d == 0 for d in diff):
-            continue
-        canonical, _ = canonicalize(diff)
-        out.add(canonical)
-    return out
-
-
 def _collision_scores(
     records: Sequence[ExperimentRecord],
     expansion: MultilinearExpansion,
@@ -472,15 +511,32 @@ def _collision_scores(
     eps = Fraction(eps)
     delta = Fraction(delta)
     _validate_records(records, expansion, delta)
-    _check_base_point_count(expansion)
+    _check_caps(expansion)
     pairs = _collision_pairs(records, eps)
     if not pairs:
         return {}, None
     n_reduced = reduced_dimension(expansion)
+    rows = table(n_reduced)
+    # sign(b - a) of every pair on every input coordinate, block by block
+    width = sum(expansion.arities)
+    signs = np.fromiter(
+        (
+            sign_of(q - p)
+            for a, b in pairs
+            for pa, pb in zip(a.point, b.point)
+            for p, q in zip(pa, pb)
+        ),
+        dtype=np.int8,
+        count=len(pairs) * width,
+    ).reshape(len(pairs), width)
+    starts = np.cumsum((0,) + expansion.arities[:-1])
     scores = {}
     for z in base_points(expansion):
-        signs = _collision_signs_at(pairs, expansion.arities, z)
-        scores[z] = _score(n_reduced, eliminated_count(signs, n_reduced))
+        # The rows are neither canonicalized nor filtered: t and -t eliminate
+        # the same vectors, and a zero row eliminates none.
+        free = np.delete(signs, starts + z, axis=1)
+        count = eliminated_any_mask(rows, np.unique(free, axis=0)).sum()
+        scores[z] = _score(n_reduced, int(count))
     z = max(scores, key=lambda z: scores[z].value)
     return scores, DataBound(
         score=scores[z], base_point=z, collisions=len(pairs), heuristic=eps > 0
@@ -507,14 +563,12 @@ def data_upper_bound(
 
 def _sweep(expansion: MultilinearExpansion, family: ProjectionFamily):
     """Lazily yield (z, witness signs, eliminated mask) per base point."""
-    n_reduced = reduced_dimension(expansion)
-    scalars = [apply_functional(expansion, w) for w in family.functionals]
+    rows = table(reduced_dimension(expansion))
+    signs = _total_signs(expansion, family.functionals)
     for z in base_points(expansion):
-        signs = tuple(
-            (w, _total_sign_of_scalar(scalar, z))
-            for w, scalar in zip(family.functionals, scalars)
-        )
-        yield z, signs, eliminated_mask([ts for _, ts in signs], n_reduced)
+        codes = signs[z]
+        witnesses = tuple(zip(family.functionals, map(tuple, codes.tolist())))
+        yield z, witnesses, eliminated_any_mask(rows, codes)
 
 
 def analyze_gate(
@@ -527,7 +581,7 @@ def analyze_gate(
     """Full sweep over base points: witnesses, bounds, and certificates."""
     if family is None:
         family = default_family(expansion.output_dim)
-    _check_base_point_count(expansion)
+    _check_caps(expansion)
     n_reduced = reduced_dimension(expansion)
     data_upper, data = {}, None
     if records is not None:
@@ -569,7 +623,7 @@ def reversibility_certificate(
     """
     if family is None:
         family = default_family(expansion.output_dim)
-    _check_base_point_count(expansion)
+    _check_caps(expansion)
     n_reduced = reduced_dimension(expansion)
     for z, signs, mask in _sweep(expansion, family):
         if mask.all():

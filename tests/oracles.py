@@ -68,3 +68,82 @@ def evaluate_table(arities, table, point):
         term = [weight * Fraction(v) for v in vec]
         total = term if total is None else [a + b for a, b in zip(total, term)]
     return tuple(total)
+
+
+def reduced_partial(arities, scalar, z, block, coord):
+    """Slice of a scalar table at coord minus its slice at z[block].
+
+    `scalar` maps every index tuple to a number; the result maps the index
+    tuples of the other blocks (original order) to the differences.
+    """
+    rest = arities[:block] + arities[block + 1 :]
+    out = {}
+    for idx in product(*(range(a) for a in rest)):
+        plus = idx[:block] + (coord,) + idx[block:]
+        minus = idx[:block] + (z[block],) + idx[block:]
+        out[idx] = scalar[plus] - scalar[minus]
+    return out
+
+
+def region_sign(form, anchor):
+    """Sign of a scalar multilinear form over the region anchored at `anchor`.
+
+    0 when every coefficient is 0, +1 when none is negative and the anchor
+    coefficient is positive, -1 symmetrically, UNDET otherwise.
+    """
+    values = list(form.values())
+    if all(v == 0 for v in values):
+        return 0
+    if all(v >= 0 for v in values) and form[anchor] > 0:
+        return 1
+    if all(v <= 0 for v in values) and form[anchor] < 0:
+        return -1
+    return UNDET
+
+
+def total_sign(arities, table, z, w):
+    """Region signs of the reduced partials of w . table at base point z."""
+    scalar = {
+        idx: sum((Fraction(c) * Fraction(v) for c, v in zip(w, vec)), Fraction(0))
+        for idx, vec in table.items()
+    }
+    return tuple(
+        region_sign(reduced_partial(arities, scalar, z, i, j), z[:i] + z[i + 1 :])
+        for i, a in enumerate(arities)
+        for j in range(a)
+        if j != z[i]
+    )
+
+
+def collision_scores(arities, records, eps):
+    """{base point: 3**N - 2 * |eliminated set|} of the collision signs.
+
+    records are (point, output) pairs; two records collide when their points
+    differ and every output component differs by at most eps. Each pair
+    contributes the canonical sign of its difference on the free coordinates.
+    Empty when nothing collides.
+    """
+    pairs = [
+        (a, b)
+        for k, a in enumerate(records)
+        for b in records[k + 1 :]
+        if a[0] != b[0] and all(abs(p - q) <= eps for p, q in zip(a[1], b[1]))
+    ]
+    if not pairs:
+        return {}
+    n = sum(a - 1 for a in arities)
+    scores = {}
+    for z in product(*(range(a) for a in arities)):
+        signs = set()
+        for a, b in pairs:
+            diff = [
+                (q > p) - (q < p)
+                for i, arity in enumerate(arities)
+                for j in range(arity)
+                if j != z[i]
+                for p, q in [(a[0][i][j], b[0][i][j])]
+            ]
+            if any(diff):
+                signs.add(canonical(diff))
+        scores[z] = 3**n - 2 * len(eliminated(signs, n))
+    return scores

@@ -331,6 +331,54 @@ class TestGateCommands:
         assert err.startswith("error: ")
         assert f"{path}: output_labels[0]: output must be a list" in err
 
+    def test_boolean_output_dim_exits_one(self, capsys, tmp_path):
+        gate = json.loads(dumps_gate(boolean_gate([0, 0, 0, 1], 2)))
+        gate["output_dim"] = True
+        path = tmp_path / "bool_gate.json"
+        path.write_text(json.dumps(gate))
+        for command in ("expand", "analyze"):
+            code, out, err = run(capsys, "gate", command, str(path))
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ")
+            assert "output_dim must be an int >= 1, got True" in err
+
+
+@pytest.fixture()
+def four_block_inputs(tmp_path):
+    """A one-output gate with N = 4 and 16 base points, and colliding records."""
+    gate_path = tmp_path / "four_blocks.json"
+    gate_path.write_text(dumps_gate(boolean_gate([0] * 16, 4)))
+    csv_path = tmp_path / "four_blocks.csv"
+    header = [f"b{i}_{j}" for i in range(1, 5) for j in range(2)] + ["y1"]
+    csv_path.write_text(
+        ",".join(header) + "\n"
+        + ",".join(["1/2"] * 8 + ["0"]) + "\n"
+        + ",".join(["1/4", "3/4"] * 4 + ["0"]) + "\n"
+    )
+    return gate_path, csv_path
+
+
+@pytest.mark.parametrize(
+    "name, value", [("SIGNELIM_MAX_N", "3"), ("SIGNELIM_BASE_POINT_CAP", "8")]
+)
+@pytest.mark.parametrize("command", ["analyze", "certify", "bound"])
+def test_caps_exit_one_before_any_output(
+    capsys, monkeypatch, four_block_inputs, command, name, value
+):
+    gate_path, csv_path = four_block_inputs
+    argv = ["gate", command, str(gate_path)]
+    if command == "bound":
+        argv = ["data", "bound", str(gate_path), str(csv_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == (2 if command == "certify" else 0)
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert name in err
+
 
 class TestDataCommands:
     def test_bound(self, capsys, first_gate_path, projection_csv):

@@ -146,7 +146,7 @@ class TestBackendParity:
 
 class TestDispatch:
     def test_one_eliminator_row_takes_the_scan(self):
-        for n in range(1, 9):
+        for n in range(1, 17):
             rows = (3**n - 1) // 2
             assert not backend._use_transform(rows, n, 1, has_u=False)
             assert not backend._use_transform(rows, n, 1, has_u=True)

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signelim import (
     Certificate,
@@ -14,6 +16,7 @@ from signelim import (
     ValidationError,
     analyze_gate,
     apply_functional,
+    base_points,
     boolean_gate,
     boolean_sensitivity,
     canonical_sign_vectors,
@@ -35,6 +38,7 @@ from signelim import (
     verify_certificate,
     witness_signs,
 )
+from signelim import sensitivity
 from signelim.errors import ResourceLimitError
 
 import oracles
@@ -264,6 +268,87 @@ class TestTotalSign:
         family = ProjectionFamily.from_vectors([(1,)], 1)
         with pytest.raises(DomainError):
             witness_signs(expand(color_gate), (0, 0, 0), family)
+
+    def test_sweeps_reject_a_wrong_dimension_family(self, color_gate):
+        family = ProjectionFamily.from_vectors([(1,)], 1)
+        with pytest.raises(DomainError):
+            analyze_gate(expand(color_gate), family)
+        with pytest.raises(DomainError):
+            reversibility_certificate(expand(color_gate), family)
+
+    def test_functional_width_must_match(self, color_gate):
+        with pytest.raises(DomainError):
+            total_sign(expand(color_gate), (0, 0, 0), (1,))
+
+
+# Rationals near 10**40 / 10**30 next to small ones: exact scaling must keep
+# every comparison between values of one functional.
+HUGE = [F(10**40 + 1, 10**30), F(-(10**40), 3), F(10**40, 10**30 + 7), F(1, 10**30)]
+
+
+def rationals():
+    return st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=4),
+        st.sampled_from(HUGE),
+    )
+
+
+@st.composite
+def gates(draw):
+    """Mixed arities, single blocks, constant tables and one-block tables."""
+    arities = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)))
+    dim = draw(st.integers(1, 3))
+    cells = list(product(*(range(a) for a in arities)))
+    kind = draw(st.sampled_from(["random", "constant", "one block"]))
+    if kind == "constant":
+        value = tuple(draw(rationals()) for _ in range(dim))
+        table = {idx: value for idx in cells}
+    elif kind == "one block":
+        block = draw(st.integers(0, len(arities) - 1))
+        values = [
+            tuple(draw(rationals()) for _ in range(dim))
+            for _ in range(arities[block])
+        ]
+        table = {idx: values[idx[block]] for idx in cells}
+    else:
+        table = {idx: tuple(draw(rationals()) for _ in range(dim)) for idx in cells}
+    return Gate(arities=arities, output_dim=dim, table=table)
+
+
+def functionals(dim):
+    """Functionals with zero, negative, fractional and huge parts."""
+    entry = st.one_of(st.integers(-2, 2), rationals())
+    return st.lists(
+        st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=4
+    )
+
+
+class TestTotalSignsAgainstTheOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_base_point_and_functional(self, data):
+        gate = data.draw(gates())
+        expansion = expand(gate)
+        for w in data.draw(functionals(gate.output_dim)):
+            for z in base_points(expansion):
+                assert total_sign(expansion, z, w) == oracles.total_sign(
+                    gate.arities, gate.table, z, w
+                )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_sweep_witnesses(self, data):
+        gate = data.draw(gates())
+        expansion = expand(gate)
+        vectors = [
+            w for w in data.draw(functionals(gate.output_dim)) if any(w)
+        ] or [[1] * gate.output_dim]
+        family = ProjectionFamily.from_vectors(vectors, gate.output_dim)
+        for report in analyze_gate(expansion, family).reports:
+            for w, ts in report.witnesses:
+                assert ts == oracles.total_sign(
+                    gate.arities, gate.table, report.base_point, w
+                )
 
 
 class TestSensitivityLower:
@@ -571,6 +656,66 @@ class TestDataBounds:
         expansion = expand(gate)
         bound = data_upper_bound(records, expansion, eps)
         assert bound == analyze_gate(expansion, records=records, eps=eps).data
+
+    @pytest.mark.parametrize("eps", [F(0), F(1, 4)])
+    @pytest.mark.parametrize("seed", range(len(SWEEP_GATES)))
+    def test_collision_scores_match_the_oracle(self, seed, eps):
+        gate = SWEEP_GATES[seed]
+        records = seeded_records(seed, gate, count=16)
+        scores, _ = sensitivity._collision_scores(records, expand(gate), eps, F(0))
+        expected = oracles.collision_scores(
+            gate.arities, [(r.point, r.output) for r in records], eps
+        )
+        assert {z: s.value for z, s in scores.items()} == expected
+
+    @pytest.mark.parametrize("eps", [F(0), F(1, 8)])
+    def test_shared_blocks_and_negative_leads_match_the_oracle(self, eps):
+        gate = Gate(
+            arities=(2, 3, 2),
+            output_dim=1,
+            table={idx: (F(0),) for idx in product(range(2), range(3), range(2))},
+        )
+        third = (F(1, 3),) * 3
+        records = [
+            # differs from the next record in block 1 only: the difference
+            # vanishes on blocks 0 and 2, and at z_1 = 0 its free part is (-, -)
+            ExperimentRecord(((F(1, 2),) * 2, third, (F(1, 4), F(3, 4))), (F(0),)),
+            ExperimentRecord(
+                ((F(1, 2),) * 2, (F(1, 2), F(1, 4), F(1, 4)), (F(1, 4), F(3, 4))),
+                (F(0),),
+            ),
+            # collides with the others only within eps = 1/8
+            ExperimentRecord(((F(3, 4), F(1, 4)), third, (F(1, 2),) * 2), (F(1, 8),)),
+        ]
+        scores, bound = sensitivity._collision_scores(records, expand(gate), eps, F(0))
+        expected = oracles.collision_scores(
+            gate.arities, [(r.point, r.output) for r in records], eps
+        )
+        assert {z: s.value for z, s in scores.items()} == expected
+        assert bound.collisions == (1 if eps == 0 else 3)
+
+    def test_caps_fire_before_any_sign_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("sign work ran before the caps were checked")
+
+        monkeypatch.setattr(sensitivity, "_collision_pairs", fail)
+        monkeypatch.setattr(sensitivity, "_total_signs", fail)
+        expansion = expand(boolean_gate([0] * 16, 4))  # N = 4, 16 base points
+        records = [
+            ExperimentRecord(((F(1, 2),) * 2,) * 4, (F(0),)),
+            ExperimentRecord(((F(1, 4), F(3, 4)),) * 4, (F(0),)),
+        ]
+        for name, value in (("SIGNELIM_MAX_N", "3"), ("SIGNELIM_BASE_POINT_CAP", "8")):
+            with monkeypatch.context() as env:
+                env.setenv(name, value)
+                for call in (
+                    lambda: data_upper_bound(records, expansion),
+                    lambda: analyze_gate(expansion, records=records),
+                    lambda: analyze_gate(expansion),
+                    lambda: reversibility_certificate(expansion),
+                ):
+                    with pytest.raises(ResourceLimitError, match=name):
+                        call()
 
     def test_boundary_records_are_rejected(self):
         bad = ExperimentRecord(
