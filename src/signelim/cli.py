@@ -337,14 +337,19 @@ def _family_for(args, gate) -> ProjectionFamily:
     return default_family(gate.output_dim)
 
 
+def _rational_flag(args, name: str) -> Fraction:
+    """The rational value of --eps or --delta; parse errors name the flag."""
+    return parse_rational_vector([getattr(args, name)], f"--{name}")[0]
+
+
 def _cmd_gate_analyze(args) -> int:
     started = time.perf_counter()
     gate = load_gate(args.gate)
     expansion = expand(gate)
     family = _family_for(args, gate)
     records = None
-    eps = Fraction(args.eps)
-    delta = Fraction(args.delta)
+    eps = _rational_flag(args, "eps")
+    delta = _rational_flag(args, "delta")
     if args.data is not None:
         records = parse_experiment_csv(args.data, gate)
     analysis = analyze_gate(
@@ -384,7 +389,10 @@ def _cmd_data_bound(args) -> int:
     expansion = expand(gate)
     records = parse_experiment_csv(args.data, gate)
     bound = data_upper_bound(
-        records, expansion, eps=Fraction(args.eps), delta=Fraction(args.delta)
+        records,
+        expansion,
+        eps=_rational_flag(args, "eps"),
+        delta=_rational_flag(args, "delta"),
     )
     if bound is None:
         _emit({"bound": None, "collisions": 0, "records": len(records)})

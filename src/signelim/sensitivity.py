@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -66,7 +68,6 @@ from .signvec import (
     enumeration_cap,
     enumeration_key,
     is_canonical,
-    sign_of,
     table,
     vector_count,
 )
@@ -145,7 +146,7 @@ class ProjectionFamily:
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], output_dim: int) -> "ProjectionFamily":
         """Normalize sign (first nonzero component positive) and deduplicate."""
-        seen = []
+        seen = {}  # a dict keeps first-occurrence order
         for raw in vectors:
             w = tuple(Fraction(v) for v in raw)
             lead = next((c for c in w if c != 0), None)
@@ -153,8 +154,7 @@ class ProjectionFamily:
                 raise DomainError("functionals must be nonzero")
             if lead < 0:
                 w = tuple(-c for c in w)
-            if w not in seen:
-                seen.append(w)
+            seen.setdefault(w)
         return cls(functionals=tuple(seen), output_dim=output_dim)
 
 
@@ -443,6 +443,16 @@ class ExperimentRecord:
     output: Vector
 
 
+def _scaled_block(block: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The block times the lcm of its denominators, as Python ints, and the lcm.
+
+    The block sums to 1 exactly when the ints sum to the lcm, and each int has
+    the sign of its coordinate.
+    """
+    scale = math.lcm(*(c.denominator for c in block))
+    return [c.numerator * (scale // c.denominator) for c in block], scale
+
+
 def _validate_records(
     records: Sequence[ExperimentRecord],
     expansion: MultilinearExpansion,
@@ -461,13 +471,13 @@ def _validate_records(
                 raise ValidationError(
                     f"record {pos}: block {i} must have {expansion.arities[i]} coordinates"
                 )
-            if sum(block) != 1:
+            ints, scale = _scaled_block(block)
+            if sum(ints) != scale:
                 raise ValidationError(
                     f"record {pos}: block {i} coordinates must sum to 1"
                 )
-            if any(c <= 0 for c in block) or (
-                delta > 0 and any(c < delta for c in block)
-            ):
+            # c < delta  <=>  c * scale * delta.denominator < delta.numerator * scale
+            if min(ints) <= 0 or min(ints) * delta.denominator < delta.numerator * scale:
                 rejected.append(pos)
                 break
         if len(record.output) != expansion.output_dim:
@@ -475,27 +485,53 @@ def _validate_records(
                 f"record {pos}: output must have {expansion.output_dim} components"
             )
     if rejected:
+        margin = f" and >= {delta}" if delta > 0 else ""
         raise ValidationError(
-            "records not strictly interior (every coordinate must exceed "
-            f"{delta if delta > 0 else 0}): positions {rejected}"
+            f"records not strictly interior (every coordinate must be > 0{margin}): "
+            f"positions {rejected}"
         )
 
 
 def _collision_pairs(
     records: Sequence[ExperimentRecord], eps: Fraction
-) -> list[tuple[ExperimentRecord, ExperimentRecord]]:
+) -> list[tuple[int, int]]:
+    """Colliding records as index pairs (a, b), a < b.
+
+    Two records collide when their points differ and every output component
+    differs by at most eps. For eps = 0 the records are bucketed by output and
+    pairs are formed only inside a bucket. For eps > 0 the outputs and eps are
+    scaled by one lcm to Python ints, the records are sorted by their first
+    output component, and each record is paired with the later ones inside a
+    window of width eps on that component, the other components checked
+    exactly (sort and sweep). The cost is the number of records plus the
+    number of candidate pairs (one bucket's, or one window's), not the square
+    of the record count.
+    """
     if eps < 0:
         raise DomainError("eps must be >= 0")
-    pairs = []
-    for a, b in combinations(records, 2):
-        if a.point == b.point:
-            continue
-        if eps == 0:
-            if a.output == b.output:
-                pairs.append((a, b))
-        elif all(abs(p - q) <= eps for p, q in zip(a.output, b.output)):
-            pairs.append((a, b))
-    return pairs
+    if eps == 0:
+        buckets: dict[Vector, list[int]] = {}
+        for k, record in enumerate(records):
+            buckets.setdefault(record.output, []).append(k)
+        candidates = [
+            pair for bucket in buckets.values() for pair in combinations(bucket, 2)
+        ]
+    else:
+        *outputs, (width,) = _cleared([r.output for r in records] + [(eps,)])
+        order = sorted(range(len(outputs)), key=lambda k: outputs[k][0])
+        firsts = [outputs[k][0] for k in order]
+        candidates = []
+        for pos, a in enumerate(order):
+            end = bisect_right(firsts, firsts[pos] + width, lo=pos + 1)
+            candidates.extend(
+                (min(a, b), max(a, b))
+                for b in order[pos + 1 : end]
+                if all(
+                    abs(p - q) <= width
+                    for p, q in zip(outputs[a][1:], outputs[b][1:])
+                )
+            )
+    return [(a, b) for a, b in candidates if records[a].point != records[b].point]
 
 
 def _collision_scores(
@@ -517,24 +553,23 @@ def _collision_scores(
         return {}, None
     n_reduced = reduced_dimension(expansion)
     rows = table(n_reduced)
-    # sign(b - a) of every pair on every input coordinate, block by block
-    width = sum(expansion.arities)
-    signs = np.fromiter(
-        (
-            sign_of(q - p)
-            for a, b in pairs
-            for pa, pb in zip(a.point, b.point)
-            for p, q in zip(pa, pb)
-        ),
-        dtype=np.int8,
-        count=len(pairs) * width,
-    ).reshape(len(pairs), width)
+    # sign(b - a) of every pair on every input coordinate, block by block, from
+    # the points scaled by one positive lcm to Python ints
+    points = np.array(
+        _cleared([[c for block in r.point for c in block] for r in records]),
+        dtype=object,
+    )
+    a, b = np.array(pairs).T
+    signs = (points[b] > points[a]).astype(np.int8) - (points[b] < points[a])
+    # Projecting the distinct rows gives the same row set as projecting all.
+    distinct = np.unique(signs, axis=0)
     starts = np.cumsum((0,) + expansion.arities[:-1])
     scores = {}
     for z in base_points(expansion):
         # The rows are neither canonicalized nor filtered: t and -t eliminate
-        # the same vectors, and a zero row eliminates none.
-        free = np.delete(signs, starts + z, axis=1)
+        # the same vectors, and a zero row eliminates none. Distinct rows can
+        # coincide once projected; the small unique below removes those.
+        free = np.delete(distinct, starts + z, axis=1)
         count = eliminated_any_mask(rows, np.unique(free, axis=0)).sum()
         scores[z] = _score(n_reduced, int(count))
     z = max(scores, key=lambda z: scores[z].value)
@@ -552,8 +587,8 @@ def data_upper_bound(
     """Upper bound on the gate sensitivity from output collisions.
 
     Two records with (near-)equal outputs witness a direction the gate cannot
-    separate; the canonical signs of their reduced-coordinate differences are
-    collected per base point, and the reported bound is the maximum of the
+    separate; the signs of their reduced-coordinate differences are collected
+    per base point, and the reported bound is the maximum of the
     per-base-point scores, matching the gate score's maximum over base
     points. Exact for eps = 0; eps > 0 marks the bound heuristic. Returns
     None when no two records collide at distinct points.
@@ -686,6 +721,8 @@ def experiment_header(arities: Sequence[int], output_dim: int) -> list[str]:
 def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[ExperimentRecord]:
     """Read experiment records; exact rationals, header checked strictly."""
     expected = experiment_header(gate.arities, gate.output_dim)
+    # grid coordinates repeat, so each distinct cell text is parsed once
+    parse = lru_cache(maxsize=None)(parse_rational)
     records = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -706,7 +743,7 @@ def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[Experi
                     f"{path}:{line}: expected {len(expected)} fields, got {len(row)}"
                 )
             try:
-                values = [parse_rational(cell.strip()) for cell in row]
+                values = [parse(cell.strip()) for cell in row]
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{line}: {exc}")
             blocks = []
@@ -716,11 +753,12 @@ def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[Experi
                 cursor += arity
             output = tuple(values[cursor:])
             for i, block in enumerate(blocks):
-                if sum(block) != 1:
+                ints, scale = _scaled_block(block)
+                if sum(ints) != scale:
                     raise ValidationError(
                         f"{path}:{line}: block {i + 1} coordinates must sum to 1"
                     )
-                if any(c < 0 for c in block):
+                if min(ints) < 0:
                     raise ValidationError(
                         f"{path}:{line}: block {i + 1} has a negative coordinate"
                     )

@@ -115,20 +115,28 @@ def total_sign(arities, table, z, w):
     )
 
 
+def collision_pairs(records, eps):
+    """Index pairs (i, j), i < j, of colliding records, by scanning every pair.
+
+    records are (point, output) pairs; two records collide when their points
+    differ and every output component differs by at most eps.
+    """
+    return [
+        (i, j)
+        for i, a in enumerate(records)
+        for j in range(i + 1, len(records))
+        if a[0] != records[j][0]
+        and all(abs(p - q) <= eps for p, q in zip(a[1], records[j][1]))
+    ]
+
+
 def collision_scores(arities, records, eps):
     """{base point: 3**N - 2 * |eliminated set|} of the collision signs.
 
-    records are (point, output) pairs; two records collide when their points
-    differ and every output component differs by at most eps. Each pair
-    contributes the canonical sign of its difference on the free coordinates.
-    Empty when nothing collides.
+    Each pair of collision_pairs contributes the canonical sign of its
+    difference on the free coordinates. Empty when nothing collides.
     """
-    pairs = [
-        (a, b)
-        for k, a in enumerate(records)
-        for b in records[k + 1 :]
-        if a[0] != b[0] and all(abs(p - q) <= eps for p, q in zip(a[1], b[1]))
-    ]
+    pairs = [(records[i], records[j]) for i, j in collision_pairs(records, eps)]
     if not pairs:
         return {}
     n = sum(a - 1 for a in arities)

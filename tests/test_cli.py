@@ -404,6 +404,21 @@ class TestDataCommands:
         assert code == 0
         assert payload == {"bound": None, "collisions": 0, "records": 2}
 
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    @pytest.mark.parametrize("value", ["1/0", "abc", "0.1.2"])
+    @pytest.mark.parametrize("command", ["bound", "analyze"])
+    def test_bad_rational_flag_exits_one(
+        self, capsys, first_gate_path, projection_csv, command, flag, value
+    ):
+        argv = ["data", "bound", str(first_gate_path), str(projection_csv)]
+        if command == "analyze":
+            argv = ["gate", "analyze", str(first_gate_path), "--data", str(projection_csv)]
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag}: cannot parse rational from {value!r}")
+        assert err.count("\n") == 1
+
     def test_bad_csv_exits_one(self, capsys, first_gate_path, tmp_path):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("b1_0,b1_1\n")

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signelim import (
@@ -114,6 +114,24 @@ def seeded_records(seed, gate, count=12):
         output = tuple(F(rng.randint(0, 4), 4) for _ in range(gate.output_dim))
         records.append(ExperimentRecord(point=tuple(point), output=output))
     return records
+
+
+# Few points, so identical points recur; outputs with mixed denominators and
+# signs, many of them exactly 1/12, 1/6, 1/4 or 1/2 apart.
+PAIR_POINTS = [
+    ((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4))),
+    ((F(1, 3), F(2, 3)), (F(1, 4), F(3, 4))),
+    ((F(1, 2), F(1, 2)), (F(2, 3), F(1, 3))),
+]
+PAIR_OUTPUTS = [F(-1, 2), F(-1, 3), F(-1, 4), F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2)]
+
+
+@st.composite
+def record_sets(draw):
+    dim = draw(st.integers(1, 3))
+    output = st.tuples(*[st.sampled_from(PAIR_OUTPUTS)] * dim)
+    record = st.builds(ExperimentRecord, st.sampled_from(PAIR_POINTS), output)
+    return draw(st.lists(record, max_size=12))
 
 
 # The four mixing-gate projections that jointly certify reversibility,
@@ -321,6 +339,22 @@ def functionals(dim):
     return st.lists(
         st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=4
     )
+
+
+class TestProjectionFamily:
+    @pytest.mark.parametrize("dim", range(1, 6))
+    def test_default_family_is_the_canonical_enumeration(self, dim):
+        expected = tuple(
+            tuple(F(c) for c in v) for v in oracles.canonical_vectors(dim)
+        )
+        assert default_family(dim).functionals == expected
+
+    def test_duplicates_keep_their_first_occurrence(self):
+        family = ProjectionFamily.from_vectors(
+            [(1, -2), (-1, 2), (0, 3), ("2", 1), (0, -3), (1, -2), (-2, -1), (0, 1)],
+            2,
+        )
+        assert family.functionals == ((1, -2), (0, 3), (2, 1), (0, 1))
 
 
 class TestTotalSignsAgainstTheOracle:
@@ -661,12 +695,20 @@ class TestDataBounds:
     @pytest.mark.parametrize("seed", range(len(SWEEP_GATES)))
     def test_collision_scores_match_the_oracle(self, seed, eps):
         gate = SWEEP_GATES[seed]
-        records = seeded_records(seed, gate, count=16)
-        scores, _ = sensitivity._collision_scores(records, expand(gate), eps, F(0))
-        expected = oracles.collision_scores(
-            gate.arities, [(r.point, r.output) for r in records], eps
-        )
-        assert {z: s.value for z, s in scores.items()} == expected
+        for count in (16, 64):
+            records = seeded_records(seed, gate, count=count)
+            scores, _ = sensitivity._collision_scores(records, expand(gate), eps, F(0))
+            plain = [(r.point, r.output) for r in records]
+            expected = oracles.collision_scores(gate.arities, plain, eps)
+            assert {z: s.value for z, s in scores.items()} == expected
+        # at 64 records many pairs share a sign row, so the deduplication has
+        # work to do
+        pairs = oracles.collision_pairs(plain, eps)
+        rows = {
+            tuple((q > p) - (q < p) for p, q in zip(sum(a, ()), sum(b, ())))
+            for a, b in ((plain[i][0], plain[j][0]) for i, j in pairs)
+        }
+        assert len(rows) < len(pairs)
 
     @pytest.mark.parametrize("eps", [F(0), F(1, 8)])
     def test_shared_blocks_and_negative_leads_match_the_oracle(self, eps):
@@ -693,6 +735,32 @@ class TestDataBounds:
         )
         assert {z: s.value for z, s in scores.items()} == expected
         assert bound.collisions == (1 if eps == 0 else 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_sets(), st.sampled_from([F(0), F(1, 12), F(1, 6), F(1, 4), F(1, 2)]))
+    @example([], F(0))
+    @example(projection_records()[:1], F(1, 4))
+    @example(projection_records()[:1] * 2, F(0))
+    @example(projection_records()[:1] * 2, F(1, 4))
+    def test_collision_pairs_match_the_oracle(self, records, eps):
+        pairs = sensitivity._collision_pairs(records, eps)
+        expected = oracles.collision_pairs([(r.point, r.output) for r in records], eps)
+        assert sorted(pairs) == sorted(expected)
+
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_a_difference_of_exactly_eps_collides(self, component):
+        point = projection_records()[0].point
+        other = projection_records()[1].point
+        eps = F(1, 6)
+        near = [F(1, 3), F(-1, 2)]
+        near[component] += eps
+        records = [
+            ExperimentRecord(point, (F(1, 3), F(-1, 2))),
+            ExperimentRecord(other, tuple(near)),
+        ]
+        assert sensitivity._collision_pairs(records, eps) == [(0, 1)]
+        assert sensitivity._collision_pairs(records, eps - F(1, 1000)) == []
+        assert sensitivity._collision_pairs(records, F(0)) == []
 
     def test_caps_fire_before_any_sign_work(self, monkeypatch):
         def fail(*args):
@@ -725,12 +793,17 @@ class TestDataBounds:
             data_upper_bound([projection_records()[0], bad], expand(FIRST))
 
     def test_interior_margin_is_enforced(self):
+        # every projection record has a coordinate equal to 1/4: at delta it
+        # is accepted, below delta it is rejected
         records = projection_records()
         with pytest.raises(ValidationError):
             data_upper_bound(records, expand(FIRST), delta=F(1, 3))
         assert (
             data_upper_bound(records, expand(FIRST), delta=F(1, 4)) is not None
         )
+        message = r"must be > 0 and >= 250001/1000000\): positions \[1, 2, 3, 4\]"
+        with pytest.raises(ValidationError, match=message):
+            data_upper_bound(records, expand(FIRST), delta=F(1, 4) + F(1, 10**6))
 
     def test_malformed_records_are_rejected(self):
         with pytest.raises(ValidationError):
