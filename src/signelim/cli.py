@@ -11,8 +11,12 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .backend import backend_name
@@ -42,11 +46,11 @@ from .sensitivity import (
     Certificate,
     GateAnalysis,
     ProjectionFamily,
+    _read_experiment_csv,
     analyze_gate,
     data_upper_bound,
     default_family,
     format_log3,
-    parse_experiment_csv,
     reversibility_certificate,
     sorted_signs,
     verify_certificate,
@@ -56,6 +60,8 @@ from .signvec import (
     eliminated_set,
     parse_sign_string,
     sign_string,
+    table,
+    table_strings,
 )
 
 USAGE_ERROR = 1
@@ -113,34 +119,51 @@ def _load_family(path, output_dim) -> ProjectionFamily:
 def _analysis_document(
     analysis: GateAnalysis, gate, family: ProjectionFamily, started: float
 ) -> tuple[dict, bool]:
-    """Assemble the analysis document; returns (document, crosscheck_ok)."""
+    """Assemble the analysis document; returns (document, crosscheck_ok).
+
+    Every report's lower set arrives as its mask over table(N), and the
+    document reads it from there:
+
+    * the counting cross-check takes the lower set and its complement; a
+      subset whose size (a popcount of the mask or of its negation) is 1 to
+      6 is turned into tuples and its closed-form union count compared with
+      the oracle, every other subset is counted as skipped;
+    * the ``sens_lower`` strings are the mask's entries of the per-N cached
+      string column ``table_strings(N)``, already in enumeration order;
+    * each functional is rendered once: the report witnesses come in family
+      order, so they share the family's strings by position, and each
+      distinct total sign is rendered once.
+    """
     checked = passed = failed = skipped = 0
     n_reduced = analysis.n_reduced
+    rows = table(n_reduced)
     for report in analysis.reports:
-        for subset in (
-            report.sens_lower,
-            frozenset(canonical_sign_vectors(n_reduced)) - report.sens_lower,
-        ):
-            if 1 <= len(subset) <= 6:
+        for subset in (report.mask, ~report.mask):
+            if 1 <= np.count_nonzero(subset) <= 6:
                 checked += 1
-                closed = count_eliminated_union(subset)
-                oracle = count_eliminated_oracle(subset, n_reduced)
+                vectors = rows[subset].tolist()
+                closed = count_eliminated_union(vectors)
+                oracle = count_eliminated_oracle(vectors, n_reduced)
                 if closed == oracle:
                     passed += 1
                 else:
                     failed += 1
             else:
                 skipped += 1
+    strings = table_strings(n_reduced)
+    family_json = [[rational_string(v) for v in w] for w in family.functionals]
+    total_sign_string = lru_cache(maxsize=None)(sign_string)
     reports_json = []
     for report in analysis.reports:
         reports_json.append(
             {
                 "base_point": list(report.base_point),
-                "witnesses": _witnesses_json(report.witnesses),
-                "sens_lower": [
-                    sign_string(v) for v in sorted_signs(report.sens_lower)
+                "witnesses": [
+                    {"w": w, "total_sign": total_sign_string(ts)}
+                    for w, (_, ts) in zip(family_json, report.witnesses)
                 ],
-                "sens_lower_size": len(report.sens_lower),
+                "sens_lower": strings[report.mask].astype(str).tolist(),
+                "sens_lower_size": int(np.count_nonzero(report.mask)),
                 "cs_lower": _score_json(report.score),
                 "certificate": _certificate_json(report.certificate),
                 "data_upper": (
@@ -160,7 +183,7 @@ def _analysis_document(
             "reduced_dimension": n_reduced,
             "base_point_count": len(analysis.reports),
         },
-        "family": [[rational_string(v) for v in w] for w in family.functionals],
+        "family": family_json,
         "reports": reports_json,
         "cs_lower": {
             **_score_json(analysis.lower),
@@ -342,19 +365,35 @@ def _rational_flag(args, name: str) -> Fraction:
     return parse_rational_vector([getattr(args, name)], f"--{name}")[0]
 
 
+def _csv_records(path, gate) -> list:
+    """The CSV's records, blocks unchecked: the bound or analysis checks them."""
+    return [record for _, record in _read_experiment_csv(path, gate)]
+
+
+@contextmanager
+def _naming_records(path):
+    """Prefix a record validation error with the CSV path."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _cmd_gate_analyze(args) -> int:
     started = time.perf_counter()
     gate = load_gate(args.gate)
     expansion = expand(gate)
     family = _family_for(args, gate)
-    records = None
     eps = _rational_flag(args, "eps")
     delta = _rational_flag(args, "delta")
-    if args.data is not None:
-        records = parse_experiment_csv(args.data, gate)
-    analysis = analyze_gate(
-        expansion, family=family, records=records, eps=eps, delta=delta
-    )
+    if args.data is None:
+        analysis = analyze_gate(expansion, family=family)
+    else:
+        records = _csv_records(args.data, gate)
+        with _naming_records(args.data):
+            analysis = analyze_gate(
+                expansion, family=family, records=records, eps=eps, delta=delta
+            )
     document, crosscheck_ok = _analysis_document(analysis, gate, family, started)
     _emit(document)
     if not crosscheck_ok:
@@ -387,13 +426,11 @@ def _cmd_gate_certify(args) -> int:
 def _cmd_data_bound(args) -> int:
     gate = load_gate(args.gate)
     expansion = expand(gate)
-    records = parse_experiment_csv(args.data, gate)
-    bound = data_upper_bound(
-        records,
-        expansion,
-        eps=_rational_flag(args, "eps"),
-        delta=_rational_flag(args, "delta"),
-    )
+    records = _csv_records(args.data, gate)
+    eps = _rational_flag(args, "eps")
+    delta = _rational_flag(args, "delta")
+    with _naming_records(args.data):
+        bound = data_upper_bound(records, expansion, eps=eps, delta=delta)
     if bound is None:
         _emit({"bound": None, "collisions": 0, "records": len(records)})
         return 0

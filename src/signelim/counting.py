@@ -19,13 +19,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, ResourceLimitError, env_cap
 from .signvec import (
-    canonical_sign_vectors,
     eliminated_count,
     enumeration_key,
     is_canonical,
     jointly_eliminated_count,
+    table,
     zero_count,
 )
 
@@ -46,6 +48,10 @@ __all__ = [
 
 DEFAULT_SUBSET_CAP = 20
 ENV_SUBSET_CAP = "SIGNELIM_SUBSET_CAP"
+
+# Row-sign assignments per broadcast in _intersection_count; one chunk covers
+# every assignment up to m = 9 rows.
+_ALPHA_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -128,15 +134,33 @@ def aligned_columns(matrix: SignMatrix, alpha: Sequence[int]) -> frozenset[int]:
 
 @lru_cache(maxsize=1 << 16)
 def _intersection_count(rows: tuple[tuple[int, ...], ...]) -> int:
+    """The aligned_columns sum over every assignment alpha, as array work.
+
+    Entry [alpha, j] of a broadcast says whether nonzero column j is aligned
+    with alpha. The weights z(alpha) + aligned count are small ints, so their
+    bincount, split by the parity of z(alpha), times Python-int powers of 2
+    keeps the sum exact. Assignments go in chunks to bound the temporaries.
+    """
     matrix = SignMatrix(rows)
     m = matrix.m
-    z_shared = matrix.zero_columns()
+    cols = np.array(matrix.rows, dtype=np.int8)
+    cols = cols[:, cols.any(axis=0)]
+    blank = cols == 0
+    size = 2 * (m + cols.shape[1] + 1)
+    tally = np.zeros(size, dtype=np.int64)  # at 2 * weight + parity of z(alpha)
+    assignments = table(m)
+    for start in range(0, assignments.shape[0], _ALPHA_CHUNK):
+        alphas = assignments[start : start + _ALPHA_CHUNK, :, None]
+        aligned = (blank | (cols == alphas)).all(axis=1) | (
+            blank | (cols == -alphas)
+        ).all(axis=1)
+        z_alpha = (alphas == 0).sum(axis=(1, 2))
+        weights = z_alpha + aligned.sum(axis=1)
+        tally += np.bincount(2 * weights + z_alpha % 2, minlength=size)
+    even, odd = tally[0::2].tolist(), tally[1::2].tolist()
     acc = -((-2) ** (m - 1))
-    for alpha in canonical_sign_vectors(m):
-        z_alpha = zero_count(alpha)
-        weight = z_alpha + len(aligned_columns(matrix, alpha))
-        acc += (-1) ** z_alpha * 2**weight
-    return 3**z_shared * acc
+    acc += sum((e - o) << w for w, (e, o) in enumerate(zip(even, odd)))
+    return 3 ** (matrix.n - cols.shape[1]) * acc
 
 
 def count_eliminated_intersection(matrix: SignMatrix) -> int:

@@ -39,9 +39,9 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -63,13 +63,11 @@ from .signvec import (
     ENV_MAX_N,
     UNDETERMINED,
     canonical_sign_vectors,
-    eliminated_mask,
     eliminated_set,
     enumeration_cap,
     enumeration_key,
     is_canonical,
     table,
-    vector_count,
 )
 
 __all__ = [
@@ -361,24 +359,32 @@ def _greedy_certificate(
     signs: Sequence[tuple[Vector, tuple[int, ...]]],
     n_reduced: int,
 ) -> Certificate:
-    """Pruned greedy cover; the witnesses must jointly eliminate everything."""
-    pool = [(w, ts, eliminated_mask([ts], n_reduced)) for w, ts in signs]
-    covered = np.zeros(vector_count(n_reduced), dtype=bool)
+    """Pruned greedy cover; the witnesses must jointly eliminate everything.
+
+    Row k of one mask matrix is witness k's eliminated set, from one kernel
+    call per distinct total sign. Each step takes the first witness of
+    largest gain; pruning then drops, in the order chosen, every witness the
+    others still cover without.
+    """
+    rows = table(n_reduced)
+    codes = np.array([ts for _, ts in signs], dtype=np.int8)
+    distinct, inverse = np.unique(codes, axis=0, return_inverse=True)
+    masks = np.array([eliminated_any_mask(rows, t[None]) for t in distinct])
+    masks = masks[inverse.reshape(-1)]
+    covered = np.zeros(rows.shape[0], dtype=bool)
     chosen = []
     while not covered.all():
-        # max keeps the first of equal gains
-        best = max(pool, key=lambda item: np.count_nonzero(item[2] & ~covered))
+        best = int(np.argmax((masks & ~covered).sum(axis=1)))  # first maximum
         chosen.append(best)
-        covered |= best[2]
-    # prune to an irredundant witness list, keeping insertion order
+        covered |= masks[best]
     pruned = list(chosen)
-    for item in chosen:
-        trial = [other for other in pruned if other is not item]
-        if trial and np.any([t[2] for t in trial], axis=0).all():
+    for k in chosen:
+        trial = [j for j in pruned if j != k]
+        if trial and masks[trial].any(axis=0).all():
             pruned = trial
     return Certificate(
         base_point=z,
-        witnesses=tuple((w, ts) for w, ts, _ in pruned),
+        witnesses=tuple(signs[k] for k in pruned),
         n_reduced=n_reduced,
     )
 
@@ -403,14 +409,26 @@ def verify_certificate(
 
 @dataclass(frozen=True)
 class BasePointReport:
-    """Everything computed at one base point."""
+    """Everything computed at one base point.
+
+    ``mask`` marks, over the length-N enumeration ``table(N)``, the vectors
+    some witness eliminates; it is read-only and, being determined by the
+    witnesses, takes no part in equality or hashing. ``sens_lower`` is the
+    same set as a frozenset of tuples, built on first access.
+    """
 
     base_point: Index
     witnesses: tuple[tuple[Vector, tuple[int, ...]], ...]
-    sens_lower: frozenset
+    mask: np.ndarray = field(compare=False, repr=False)
     score: ScorePair
     certificate: Optional[Certificate]
     data_upper: Optional[ScorePair]
+
+    @cached_property
+    def sens_lower(self) -> frozenset[tuple[int, ...]]:
+        """The vectors ``mask`` marks, as tuples."""
+        rows = table(len(self.witnesses[0][1]))[self.mask]
+        return frozenset(map(tuple, rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -466,10 +484,10 @@ def _validate_records(
             raise ValidationError(
                 f"record {pos}: expected {expansion.block_count} blocks"
             )
-        for i, block in enumerate(record.point):
-            if len(block) != expansion.arities[i]:
+        for i, (block, arity) in enumerate(zip(record.point, expansion.arities), 1):
+            if len(block) != arity:
                 raise ValidationError(
-                    f"record {pos}: block {i} must have {expansion.arities[i]} coordinates"
+                    f"record {pos}: block {i} must have {arity} coordinates"
                 )
             ints, scale = _scaled_block(block)
             if sum(ints) != scale:
@@ -603,7 +621,9 @@ def _sweep(expansion: MultilinearExpansion, family: ProjectionFamily):
     for z in base_points(expansion):
         codes = signs[z]
         witnesses = tuple(zip(family.functionals, map(tuple, codes.tolist())))
-        yield z, witnesses, eliminated_any_mask(rows, codes)
+        mask = eliminated_any_mask(rows, codes)
+        mask.setflags(write=False)
+        yield z, witnesses, mask
 
 
 def analyze_gate(
@@ -625,7 +645,7 @@ def analyze_gate(
         BasePointReport(
             base_point=z,
             witnesses=signs,
-            sens_lower=frozenset(map(tuple, table(n_reduced)[mask].tolist())),
+            mask=mask,
             score=_lower_score(n_reduced, mask),
             certificate=(
                 _greedy_certificate(z, signs, n_reduced) if mask.all() else None
@@ -718,8 +738,14 @@ def experiment_header(arities: Sequence[int], output_dim: int) -> list[str]:
     return head
 
 
-def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[ExperimentRecord]:
-    """Read experiment records; exact rationals, header checked strictly."""
+def _read_experiment_csv(
+    path, gate: Gate | MultilinearExpansion
+) -> list[tuple[int, ExperimentRecord]]:
+    """(line number, record) per CSV row; exact rationals, header checked.
+
+    Blocks are not checked here: parse_experiment_csv checks their sums and
+    signs, and data_upper_bound and analyze_gate validate every record.
+    """
     expected = experiment_header(gate.arities, gate.output_dim)
     # grid coordinates repeat, so each distinct cell text is parsed once
     parse = lru_cache(maxsize=None)(parse_rational)
@@ -752,17 +778,29 @@ def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[Experi
                 blocks.append(tuple(values[cursor : cursor + arity]))
                 cursor += arity
             output = tuple(values[cursor:])
-            for i, block in enumerate(blocks):
-                ints, scale = _scaled_block(block)
-                if sum(ints) != scale:
-                    raise ValidationError(
-                        f"{path}:{line}: block {i + 1} coordinates must sum to 1"
-                    )
-                if min(ints) < 0:
-                    raise ValidationError(
-                        f"{path}:{line}: block {i + 1} has a negative coordinate"
-                    )
-            records.append(ExperimentRecord(point=tuple(blocks), output=output))
+            records.append((line, ExperimentRecord(point=tuple(blocks), output=output)))
+    return records
+
+
+def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[ExperimentRecord]:
+    """Read experiment records; exact rationals, header checked strictly.
+
+    Every block must sum to 1 and have no negative coordinate; errors name
+    the file and the line.
+    """
+    records = []
+    for line, record in _read_experiment_csv(path, gate):
+        for i, block in enumerate(record.point, start=1):
+            ints, scale = _scaled_block(block)
+            if sum(ints) != scale:
+                raise ValidationError(
+                    f"{path}:{line}: block {i} coordinates must sum to 1"
+                )
+            if min(ints) < 0:
+                raise ValidationError(
+                    f"{path}:{line}: block {i} has a negative coordinate"
+                )
+        records.append(record)
     return records
 
 

@@ -22,6 +22,7 @@ String form uses the alphabet "+", "0", "-", "u", one character per entry.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "negate_column",
     "enumeration_key",
     "sign_string",
+    "table_strings",
     "parse_sign_string",
 ]
 
@@ -262,6 +264,22 @@ def sign_string(v: Sequence[int]) -> str:
     """Serialize a sign or total-sign vector with the "+0-u" alphabet."""
     vec = _validate_sign_vector(v, total=True)
     return "".join(_CHAR_OF[e] for e in vec)
+
+
+# sign_string's characters indexed by the int8 code mod 4 (-1 mod 4 is 3)
+_CHARS = np.frombuffer(b"0+u-", dtype="S1")
+
+
+@lru_cache(maxsize=4)
+def table_strings(n: int) -> np.ndarray:
+    """sign_string of every row of table(n), in table order, as bytes.
+
+    A read-only "S<n>" array: select rows with a mask, then decode, e.g.
+    ``table_strings(n)[mask].astype(str).tolist()``.
+    """
+    column = _CHARS[table(n) % 4].view(f"S{n}").reshape(-1)
+    column.setflags(write=False)
+    return column
 
 
 def parse_sign_string(text: str, *, total: bool = True) -> tuple[int, ...]:

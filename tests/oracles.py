@@ -155,3 +155,25 @@ def collision_scores(arities, records, eps):
                 signs.add(canonical(diff))
         scores[z] = 3**n - 2 * len(eliminated(signs, n))
     return scores
+
+
+def greedy_cover(rows, n):
+    """Positions of the pruned greedy cover of canonical_vectors(n) by rows.
+
+    Each step takes the first row whose eliminated set adds the most uncovered
+    vectors; pruning then drops, in the order chosen, every row the other
+    kept rows still cover without. The rows must cover everything together.
+    """
+    universe = set(canonical_vectors(n))
+    sets = [eliminated([t], n) for t in rows]
+    covered, chosen = set(), []
+    while covered != universe:
+        best = max(range(len(rows)), key=lambda k: len(sets[k] - covered))
+        chosen.append(best)
+        covered |= sets[best]
+    kept = list(chosen)
+    for k in chosen:
+        trial = [j for j in kept if j != k]
+        if trial and set().union(*(sets[j] for j in trial)) == universe:
+            kept = trial
+    return kept

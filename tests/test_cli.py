@@ -218,6 +218,16 @@ class TestGateCommands:
         assert payload["data_upper"]["heuristic"] is False
         assert all(r["data_upper"] is not None for r in payload["reports"])
 
+    def test_failed_crosscheck_exits_three(self, capsys, monkeypatch):
+        union = cli.count_eliminated_union
+        monkeypatch.setattr(cli, "count_eliminated_union", lambda X: union(X) + 1)
+        code, out, err = run(capsys, "gate", "analyze", str(FIXTURE_PATH))
+        assert code == 3
+        assert "counting cross-check failed" in err
+        crosscheck = json.loads(out)["counting_crosscheck"]
+        assert crosscheck["failed"] == crosscheck["checked"] > 0
+        assert crosscheck["passed"] == 0
+
     def test_certify_fixture(self, capsys):
         code, payload, _ = run_json(capsys, "gate", "certify", str(FIXTURE_PATH))
         assert code == 0
@@ -417,6 +427,33 @@ class TestDataCommands:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {flag}: cannot parse rational from {value!r}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("3/4,1/2,1/4,3/4,1/4", "record 2: block 1 coordinates must sum to 1"),
+            ("3/4,1/4,-1/4,5/4,1/4", "not strictly interior"),
+            ("3/4,1/4,0,1,1/4", "not strictly interior"),
+        ],
+        ids=["bad-sum", "negative", "zero"],
+    )
+    @pytest.mark.parametrize("command", ["bound", "analyze"])
+    def test_bad_block_exits_one_naming_file_and_record(
+        self, capsys, first_gate_path, tmp_path, command, row, message
+    ):
+        csv_path = tmp_path / "records.csv"
+        csv_path.write_text("b1_0,b1_1,b2_0,b2_1,y1\n3/4,1/4,3/4,1/4,1/4\n" + row + "\n")
+        argv = ["data", "bound", str(first_gate_path), str(csv_path)]
+        if command == "analyze":
+            argv = ["gate", "analyze", str(first_gate_path), "--data", str(csv_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {csv_path}: ")
+        assert message in err
+        if "interior" in message:
+            assert "positions [2]" in err
         assert err.count("\n") == 1
 
     def test_bad_csv_exits_one(self, capsys, first_gate_path, tmp_path):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signelim import (
@@ -30,6 +30,43 @@ def matrices(max_n=4, max_rows=3):
         ).map(SignMatrix.from_rows)
 
     return st.integers(1, max_n).flatmap(build)
+
+
+@st.composite
+def column_matrices(draw):
+    """1-6 distinct canonical rows of length 1-6, built column by column.
+
+    Each column is fresh, all zero, or a copy of an earlier one; rows are
+    canonicalized and deduplicated afterwards, which keeps zero columns zero
+    and copies equal.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("fresh", "zero", "copy")))
+        if kind == "copy" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        elif kind == "zero":
+            columns.append((0,) * m)
+        else:
+            columns.append(tuple(draw(st.sampled_from((-1, 0, 1))) for _ in range(m)))
+    rows = {oracles.canonical(row) for row in zip(*columns) if any(row)}
+    assume(rows)
+    return SignMatrix.from_rows(sorted(rows, key=oracles.order_key))
+
+
+# six rows of length 6: columns 1 and 5 are zero, column 2 copies column 0
+WIDE_MATRIX = SignMatrix.from_rows(
+    [
+        (1, 0, 1, 1, -1, 0),
+        (1, 0, 1, 0, 1, 0),
+        (0, 0, 0, 1, 1, 0),
+        (1, 0, 1, -1, 0, 0),
+        (0, 0, 0, 0, 1, 0),
+        (1, 0, 1, 1, 1, 0),
+    ]
+)
 
 
 class TestSignMatrix:
@@ -132,6 +169,12 @@ class TestIntersection:
     def test_matches_the_packaged_oracle(self, m):
         assert count_eliminated_intersection(m) == count_intersection_oracle(m)
 
+    @settings(max_examples=200, deadline=None)
+    @given(column_matrices())
+    @example(WIDE_MATRIX)
+    def test_zero_and_repeated_columns_match_the_oracle(self, m):
+        assert count_eliminated_intersection(m) == count_intersection_oracle(m)
+
 
 class TestUnion:
     def test_frozen_examples(self):
@@ -150,6 +193,12 @@ class TestUnion:
         assert count_eliminated_union(m.rows) == len(
             oracles.eliminated(m.rows, m.n)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(column_matrices())
+    @example(WIDE_MATRIX)
+    def test_zero_and_repeated_columns_match_the_oracle(self, m):
+        assert count_eliminated_union(m.rows) == count_eliminated_oracle(m.rows, m.n)
 
     @settings(max_examples=40, deadline=None)
     @given(matrices(max_n=4, max_rows=2), st.data())

@@ -457,7 +457,47 @@ class TestScore:
             sensitivity_score(2, [(1, 1, 1)])
 
 
+@st.composite
+def covering_witness_rows(draw):
+    """(n, total sign rows) that jointly eliminate every vector of length n.
+
+    Rows draw from {-1, 0, +1}, with or without u; every vector the drawn
+    rows leave uneliminated is inserted at a drawn position, since a sign
+    vector eliminates itself.
+    """
+    n = draw(st.integers(1, 4))
+    alphabet = (-1, 0, 1, 2) if draw(st.booleans()) else (-1, 0, 1)
+    rows = draw(
+        st.lists(st.tuples(*[st.sampled_from(alphabet)] * n), min_size=1, max_size=12)
+    )
+    covered = oracles.eliminated(rows, n)
+    for s in oracles.canonical_vectors(n):
+        if s not in covered:
+            rows.insert(draw(st.integers(0, len(rows))), s)
+    return n, rows
+
+
 class TestCertificates:
+    @settings(max_examples=200, deadline=None)
+    @given(covering_witness_rows())
+    @example((2, [(2, 1), (1, 0), (1, 1), (0, 1), (1, 1), (1, -1)]))
+    @example(  # the greedy takes rows 0, 4, 8, 1, 3 and pruning drops row 0
+        (
+            4,
+            [
+                (1, 0, -1, -1), (1, -1, -1, 0), (2, 0, 1, -1), (1, 1, 0, -1),
+                (-1, -1, 0, -1), (1, 1, 1, -1), (1, -1, -1, 1), (2, 0, 0, 1),
+                (1, -1, 1, 0), (1, 1, -1, -1), (1, -1, -1, -1),
+            ],
+        )
+    )
+    def test_greedy_matches_the_set_oracle(self, case):
+        n, rows = case
+        signs = tuple(((F(k),), row) for k, row in enumerate(rows))
+        cert = sensitivity._greedy_certificate((0,), signs, n)
+        assert cert.witnesses == tuple(signs[k] for k in oracles.greedy_cover(rows, n))
+        assert cert.n_reduced == n
+
     def test_mixing_gate_is_certified(self, color_gate):
         expansion = expand(color_gate)
         cert = reversibility_certificate(expansion)
@@ -547,6 +587,23 @@ class TestAnalyzeGate:
         assert analysis.certificate is not None
         by_base = {r.base_point: r for r in analysis.reports}
         assert len(by_base[(0, 0, 0)].sens_lower) == 13
+
+    def test_reports_carry_read_only_masks(self, color_gate):
+        expansion = expand(color_gate)
+        analysis = analyze_gate(expansion)
+        again = analyze_gate(expansion)
+        # the mask takes no part in equality or hashing
+        assert analysis.reports == again.reports
+        assert hash(analysis.reports) == hash(again.reports)
+        vectors = canonical_sign_vectors(analysis.n_reduced)
+        for report in analysis.reports:
+            assert not report.mask.flags.writeable
+            assert report.sens_lower == frozenset(
+                v for v, hit in zip(vectors, report.mask) if hit
+            )
+            assert report.sens_lower == sensitivity_lower_set(
+                expansion, report.base_point, default_family(4)
+            )
 
     def test_conjunction_summary(self):
         analysis = analyze_gate(expand(AND))

@@ -22,6 +22,7 @@ from signelim import (
     zero_count,
 )
 from signelim.errors import ResourceLimitError
+from signelim.signvec import table_strings
 
 import oracles
 
@@ -274,6 +275,14 @@ class TestSerialization:
             parse_sign_string("+x")
         with pytest.raises(DomainError):
             parse_sign_string("+u", total=False)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_strings_render_the_table_in_order(self, n):
+        column = table_strings(n)
+        assert not column.flags.writeable
+        assert column.astype(str).tolist() == [
+            sign_string(v) for v in canonical_sign_vectors(n)
+        ]
 
     @given(total_signs())
     def test_round_trip(self, t):
