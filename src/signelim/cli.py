@@ -33,9 +33,7 @@ from .counting import (
 from .covers import cover_reports
 from .errors import SignElimError, ValidationError
 from .gates import (
-    dumps_gate,
     expand,
-    gate_to_json,
     load_gate,
     parse_rational_vector,
     rational_string,
@@ -249,6 +247,8 @@ def _verified(value: int, oracle: Optional[int], verify: bool) -> int:
 
 
 def _cmd_count_single(args) -> int:
+    if len(args.x) != 1:
+        raise SignElimError(f"count single takes one --x, got {len(args.x)}")
     x = parse_sign_string(args.x[0], total=False)
     value = count_eliminated_single(x)
     oracle = count_eliminated_oracle([x], len(x)) if args.verify else None

@@ -21,8 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, env_cap
+from .errors import DomainError, check_cap
 from .signvec import (
+    DEFAULT_MAX_N,
+    ENV_MAX_N,
     eliminated_count,
     enumeration_key,
     is_canonical,
@@ -186,16 +188,16 @@ def _distinct_rows(X: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
 def count_eliminated_union(X: Iterable[Sequence[int]]) -> int:
     """|union of eliminated sets| by inclusion-exclusion over row subsets.
 
-    Cost is 2**m intersection evaluations for m distinct vectors; guarded by
-    the subset cap (default 20, env SIGNELIM_SUBSET_CAP).
+    For m distinct vectors there are 2**m - 1 subsets, and a subset of k rows
+    enumerates its (3**k - 1) // 2 canonical row-sign assignments, so the
+    cost grows as (4**m - 2**m) / 2 assignments in all. The row count is
+    checked before any subset is counted, against the subset cap (default 20,
+    env SIGNELIM_SUBSET_CAP) and, because the full subset enumerates the
+    assignments of all m rows, against SIGNELIM_MAX_N (default 16).
     """
     rows = _distinct_rows(X)
-    cap = env_cap(ENV_SUBSET_CAP, DEFAULT_SUBSET_CAP)
-    if len(rows) > cap:
-        raise ResourceLimitError(
-            f"{len(rows)} vectors exceed the inclusion-exclusion cap {cap}; "
-            f"set {ENV_SUBSET_CAP} to raise it"
-        )
+    check_cap(len(rows), ENV_SUBSET_CAP, DEFAULT_SUBSET_CAP, "union row count")
+    check_cap(len(rows), ENV_MAX_N, DEFAULT_MAX_N, "union row count")
     total = 0
     for size in range(1, len(rows) + 1):
         sign = 1 if size % 2 else -1

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import backend
 from .counting import SignMatrix
-from .errors import DomainError, ResourceLimitError, env_cap
+from .errors import DomainError, check_cap
 from .signvec import (
     as_fraction_dot,
     canonicalize,
@@ -89,8 +89,8 @@ def is_minimal_cover(X: Iterable[Sequence[int]], n: int) -> bool:
     if not is_eliminating_cover(rows, n):
         raise DomainError("is_minimal_cover requires an eliminating cover")
     if len(rows) == 1:
-        # A single vector never eliminates itself and everything else
-        # simultaneously only for n = 1, where {(1,)} covers.
+        # Dropping the only member leaves the empty set, which eliminates
+        # nothing. (A single vector covers only at n = 1: {(1,)}.)
         return True
     for drop in range(len(rows)):
         rest = rows[:drop] + rows[drop + 1 :]
@@ -165,16 +165,11 @@ def _cover_search(n: int, max_size: int):
     """Yield (members, minimal) for every cover of size <= max_size."""
     if max_size < 1:
         raise DomainError(f"max_size must be >= 1, got {max_size}")
-    vectors, masks, full = _element_bitmasks(n)
-    count = len(vectors)
+    count = vector_count(n)
     max_size = min(max_size, count)
-    cap = env_cap(ENV_SEARCH_CAP, DEFAULT_SEARCH_CAP)
     nodes = sum(comb(count, k) for k in range(1, max_size + 1))
-    if nodes > cap:
-        raise ResourceLimitError(
-            f"cover search over {nodes} subsets exceeds the cap {cap}; "
-            f"lower max_size or set {ENV_SEARCH_CAP}"
-        )
+    check_cap(nodes, ENV_SEARCH_CAP, DEFAULT_SEARCH_CAP, "cover search subset count")
+    vectors, masks, full = _element_bitmasks(n)
     for size in range(1, max_size + 1):
         for combo in combinations(range(count), size):
             union = 0

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the env-var cap parser."""
+"""Exception types shared across the library, and the env-var cap check."""
 
 import os
 
@@ -35,3 +35,16 @@ def env_cap(name: str, default: int) -> int:
     if cap < 1:
         raise ResourceLimitError(f"{name} must be >= 1, got {cap}")
     return cap
+
+
+def check_cap(work: int, name: str, default: int, what: str) -> None:
+    """Reject a job before it starts when ``work`` exceeds the cap ``name``.
+
+    The cap is read with env_cap; the message names the quantity ``what``,
+    its value, the cap and the variable that raises it.
+    """
+    cap = env_cap(name, default)
+    if work > cap:
+        raise ResourceLimitError(
+            f"{what} {work} exceeds the cap {cap}; set {name} to raise it"
+        )

@@ -48,7 +48,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .backend import eliminated_any_mask
-from .errors import DomainError, ResourceLimitError, ValidationError, env_cap
+from .errors import DomainError, ValidationError, check_cap
 from .gates import (
     Gate,
     MultilinearExpansion,
@@ -60,11 +60,11 @@ from .gates import (
     validate_base_point,
 )
 from .signvec import (
+    DEFAULT_MAX_N,
     ENV_MAX_N,
     UNDETERMINED,
     canonical_sign_vectors,
     eliminated_set,
-    enumeration_cap,
     enumeration_key,
     is_canonical,
     table,
@@ -107,19 +107,9 @@ Vector = tuple[Fraction, ...]
 def _check_caps(expansion: MultilinearExpansion) -> None:
     """Reject a sweep whose base points or reduced dimension exceed their caps."""
     count = math.prod(expansion.arities)
-    cap = env_cap(ENV_BASE_POINT_CAP, DEFAULT_BASE_POINT_CAP)
-    if count > cap:
-        raise ResourceLimitError(
-            f"{count} base points exceed the cap {cap}; "
-            f"set {ENV_BASE_POINT_CAP} to raise it"
-        )
+    check_cap(count, ENV_BASE_POINT_CAP, DEFAULT_BASE_POINT_CAP, "base point count")
     n_reduced = reduced_dimension(expansion)
-    cap = enumeration_cap()
-    if n_reduced > cap:
-        raise ResourceLimitError(
-            f"reduced dimension {n_reduced} exceeds the enumeration cap {cap}; "
-            f"set {ENV_MAX_N} to raise it"
-        )
+    check_cap(n_reduced, ENV_MAX_N, DEFAULT_MAX_N, "reduced dimension")
 
 
 @dataclass(frozen=True)
@@ -199,10 +189,14 @@ def sign_over_region(form: MultilinearExpansion, base: Sequence[int]) -> int:
     return UNDETERMINED
 
 
-def _cleared(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Rows times the lcm of all their denominators, as Python ints."""
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rows times the lcm of all their denominators, as Python ints, and the lcm.
+
+    The positive scale keeps every sign and every comparison, and a row sums
+    to 1 exactly when its ints sum to the lcm.
+    """
     scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
 
 
 def _total_signs(
@@ -218,14 +212,14 @@ def _total_signs(
     for w in functionals:
         if len(w) != dim:
             raise DomainError(f"functional must have {dim} components, got {len(w)}")
-    # One positive scale for the table and one per functional keep every sign,
-    # and every comparison between values of one functional. Object arrays of
-    # Python ints keep the products exact at any size.
+    # One positive scale for the table and one for the functionals keep every
+    # sign, and every comparison between values of one functional. Object
+    # arrays of Python ints keep the products exact at any size.
     cells = product(*(range(a) for a in arities))
     tensor = np.array(
-        _cleared([expansion.coefficients[idx] for idx in cells]), dtype=object
+        _cleared([expansion.coefficients[idx] for idx in cells])[0], dtype=object
     )
-    scaled = [_cleared([[Fraction(v) for v in w]])[0] for w in functionals]
+    scaled, _ = _cleared([[Fraction(v) for v in w] for w in functionals])
     weights = np.array(scaled, dtype=object).reshape(len(scaled), dim)
     values = (tensor @ weights.T).reshape(arities + (len(scaled),))
     blocks = []
@@ -461,16 +455,6 @@ class ExperimentRecord:
     output: Vector
 
 
-def _scaled_block(block: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The block times the lcm of its denominators, as Python ints, and the lcm.
-
-    The block sums to 1 exactly when the ints sum to the lcm, and each int has
-    the sign of its coordinate.
-    """
-    scale = math.lcm(*(c.denominator for c in block))
-    return [c.numerator * (scale // c.denominator) for c in block], scale
-
-
 def _validate_records(
     records: Sequence[ExperimentRecord],
     expansion: MultilinearExpansion,
@@ -489,7 +473,7 @@ def _validate_records(
                 raise ValidationError(
                     f"record {pos}: block {i} must have {arity} coordinates"
                 )
-            ints, scale = _scaled_block(block)
+            (ints,), scale = _cleared([block])
             if sum(ints) != scale:
                 raise ValidationError(
                     f"record {pos}: block {i} coordinates must sum to 1"
@@ -535,7 +519,7 @@ def _collision_pairs(
             pair for bucket in buckets.values() for pair in combinations(bucket, 2)
         ]
     else:
-        *outputs, (width,) = _cleared([r.output for r in records] + [(eps,)])
+        (*outputs, (width,)), _ = _cleared([r.output for r in records] + [(eps,)])
         order = sorted(range(len(outputs)), key=lambda k: outputs[k][0])
         firsts = [outputs[k][0] for k in order]
         candidates = []
@@ -574,7 +558,7 @@ def _collision_scores(
     # sign(b - a) of every pair on every input coordinate, block by block, from
     # the points scaled by one positive lcm to Python ints
     points = np.array(
-        _cleared([[c for block in r.point for c in block] for r in records]),
+        _cleared([[c for block in r.point for c in block] for r in records])[0],
         dtype=object,
     )
     a, b = np.array(pairs).T
@@ -634,9 +618,9 @@ def analyze_gate(
     delta: Fraction = Fraction(0),
 ) -> GateAnalysis:
     """Full sweep over base points: witnesses, bounds, and certificates."""
+    _check_caps(expansion)
     if family is None:
         family = default_family(expansion.output_dim)
-    _check_caps(expansion)
     n_reduced = reduced_dimension(expansion)
     data_upper, data = {}, None
     if records is not None:
@@ -676,9 +660,9 @@ def reversibility_certificate(
     The sweep stops at the first base point where the family eliminates
     every sign vector, and scores nothing.
     """
+    _check_caps(expansion)
     if family is None:
         family = default_family(expansion.output_dim)
-    _check_caps(expansion)
     n_reduced = reduced_dimension(expansion)
     for z, signs, mask in _sweep(expansion, family):
         if mask.all():
@@ -791,7 +775,7 @@ def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[Experi
     records = []
     for line, record in _read_experiment_csv(path, gate):
         for i, block in enumerate(record.point, start=1):
-            ints, scale = _scaled_block(block)
+            (ints,), scale = _cleared([block])
             if sum(ints) != scale:
                 raise ValidationError(
                     f"{path}:{line}: block {i} coordinates must sum to 1"

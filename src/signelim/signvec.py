@@ -29,13 +29,12 @@ import numpy as np
 
 from . import backend
 from .backend import UNDETERMINED
-from .errors import DomainError, ResourceLimitError, env_cap
+from .errors import DomainError, check_cap
 
 __all__ = [
     "UNDETERMINED",
     "DEFAULT_MAX_N",
     "ENV_MAX_N",
-    "enumeration_cap",
     "vector_count",
     "canonical_sign_vectors",
     "is_canonical",
@@ -64,20 +63,10 @@ _CHAR_OF = {1: "+", 0: "0", -1: "-", UNDETERMINED: "u"}
 _VALUE_OF = {"+": 1, "0": 0, "-": -1, "u": UNDETERMINED}
 
 
-def enumeration_cap() -> int:
-    """Largest length n for which enumeration-backed operations may run."""
-    return env_cap(ENV_MAX_N, DEFAULT_MAX_N)
-
-
 def _check_length(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"vector length must be a positive int, got {n!r}")
-    cap = enumeration_cap()
-    if n > cap:
-        raise ResourceLimitError(
-            f"length {n} exceeds the enumeration cap {cap}; "
-            f"set {ENV_MAX_N} to raise it"
-        )
+    check_cap(n, ENV_MAX_N, DEFAULT_MAX_N, "length")
 
 
 def vector_count(n: int) -> int:

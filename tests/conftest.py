@@ -37,3 +37,8 @@ def write_gate(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
+
+
+def fail_if_called(*args, **kwargs):
+    """Stand-in for a worker that a cap must stop before it starts."""
+    raise AssertionError("work ran before its cap was checked")

@@ -3,10 +3,10 @@ import json
 import pytest
 
 from signelim import boolean_gate, dumps_gate
-from signelim import cli
+from signelim import cli, covers
 from signelim.cli import main
 
-from conftest import FIXTURE_PATH
+from conftest import FIXTURE_PATH, fail_if_called
 
 
 def run(capsys, *argv):
@@ -148,6 +148,14 @@ class TestCountCommands:
         assert code == 1
         assert "error" in err
 
+    def test_single_rejects_a_second_vector(self, capsys):
+        code, out, err = run(
+            capsys, "count", "single", "--x", "+0", "--x", "++", "--verify"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestCoversCommand:
     def test_dimension_two_search(self, capsys):
@@ -166,6 +174,14 @@ class TestCoversCommand:
         code, _, err = run(capsys, "covers", "--n", "3", "--max-size", "3")
         assert code == 1
         assert "cap" in err
+
+    def test_cap_exits_one_before_any_bitmask(self, capsys, monkeypatch):
+        monkeypatch.setattr(covers, "_element_bitmasks", fail_if_called)
+        code, out, err = run(capsys, "covers", "--n", "9", "--max-size", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "SIGNELIM_SEARCH_CAP" in err
 
 
 class TestGateCommands:

@@ -17,9 +17,11 @@ from signelim import (
     count_pair,
     pair_profile,
 )
+from signelim import counting
 from signelim.errors import ResourceLimitError
 
 import oracles
+from conftest import fail_if_called
 
 
 def matrices(max_n=4, max_rows=3):
@@ -213,6 +215,13 @@ class TestUnion:
         with pytest.raises(ResourceLimitError):
             count_eliminated_union([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert count_eliminated_union([(1, 0), (0, 1)]) == 4
+
+    def test_row_count_is_capped_before_any_subset(self, monkeypatch):
+        # the four-row subset would enumerate table(4), past SIGNELIM_MAX_N = 3
+        monkeypatch.setattr(counting, "_intersection_count", fail_if_called)
+        monkeypatch.setenv("SIGNELIM_MAX_N", "3")
+        with pytest.raises(ResourceLimitError, match="SIGNELIM_MAX_N"):
+            count_eliminated_union([(1, 0), (0, 1), (1, 1), (1, -1)])
 
 
 class TestPairFormulas:

@@ -18,7 +18,10 @@ from signelim import (
     orthogonality_implication_holds,
     unit_vectors,
 )
+from signelim import covers
 from signelim.errors import ResourceLimitError
+
+from conftest import fail_if_called
 
 ZS_2 = [(0, 1), (1, 0), (1, 1), (1, -1)]
 
@@ -110,6 +113,11 @@ class TestCoverSearch:
         monkeypatch.setenv("SIGNELIM_SEARCH_CAP", "10")
         with pytest.raises(ResourceLimitError):
             minimal_covers(3, 3)
+
+    def test_search_cap_fires_before_any_bitmask(self, monkeypatch):
+        monkeypatch.setattr(covers, "_element_bitmasks", fail_if_called)
+        with pytest.raises(ResourceLimitError, match="SIGNELIM_SEARCH_CAP"):
+            minimal_covers(9, 2)
 
     def test_rejects_zero_max_size(self):
         with pytest.raises(DomainError):

@@ -42,6 +42,7 @@ from signelim import sensitivity
 from signelim.errors import ResourceLimitError
 
 import oracles
+from conftest import fail_if_called
 
 F = Fraction
 
@@ -623,6 +624,13 @@ class TestAnalyzeGate:
         gate = boolean_gate([0] * 8, 3)
         with pytest.raises(ResourceLimitError):
             analyze_gate(expand(gate))
+
+    @pytest.mark.parametrize("sweep", [analyze_gate, reversibility_certificate])
+    def test_base_point_cap_fires_before_the_default_family(self, monkeypatch, sweep):
+        monkeypatch.setattr(sensitivity, "default_family", fail_if_called)
+        monkeypatch.setenv("SIGNELIM_BASE_POINT_CAP", "4")
+        with pytest.raises(ResourceLimitError, match="SIGNELIM_BASE_POINT_CAP"):
+            sweep(expand(boolean_gate([0] * 8, 3)))
 
 
 class TestBooleanSensitivity:
