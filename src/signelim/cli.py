@@ -50,13 +50,13 @@ from .sensitivity import (
     default_family,
     format_log3,
     reversibility_certificate,
-    sorted_signs,
     verify_certificate,
 )
 from .signvec import (
     canonical_sign_vectors,
-    eliminated_set,
+    eliminated_mask,
     parse_sign_string,
+    sign_rows,
     sign_string,
     table,
     table_strings,
@@ -215,22 +215,10 @@ def _cmd_zs(args) -> int:
     return 0
 
 
-def _shared_length(signs, expected: Optional[int], what: str) -> int:
-    """The one length of `signs`, checked against --n when it is given."""
-    lengths = {len(s) for s in signs}
-    if len(lengths) != 1:
-        raise SignElimError(f"all {what} must share one length")
-    n = lengths.pop()
-    if expected is not None and expected != n:
-        raise SignElimError(f"--n {expected} does not match sign length {n}")
-    return n
-
-
 def _cmd_ze(args) -> int:
-    signs = [parse_sign_string(t) for t in args.t]
-    n = _shared_length(signs, args.n, "total signs")
-    result = eliminated_set(signs, n)
-    _emit([sign_string(v) for v in sorted_signs(result)])
+    signs = sign_rows((parse_sign_string(t) for t in args.t), args.n, total=True)
+    n = len(signs[0])
+    _emit(table_strings(n)[eliminated_mask(signs, n)].astype(str).tolist())
     return 0
 
 
@@ -256,7 +244,7 @@ def _cmd_count_single(args) -> int:
 
 
 def _cmd_count_intersect(args) -> int:
-    rows = [parse_sign_string(t, total=False) for t in args.x]
+    rows = sign_rows(parse_sign_string(t, total=False) for t in args.x)
     matrix = SignMatrix.from_rows(rows)
     value = count_eliminated_intersection(matrix)
     oracle = count_intersection_oracle(matrix) if args.verify else None
@@ -306,9 +294,8 @@ def _cmd_count_pair(args) -> int:
 
 
 def _cmd_count_oracle(args) -> int:
-    signs = [parse_sign_string(t) for t in args.x]
-    n = _shared_length(signs, args.n, "vectors")
-    print(count_eliminated_oracle(signs, n))
+    signs = sign_rows((parse_sign_string(t) for t in args.x), args.n, total=True)
+    print(count_eliminated_oracle(signs, len(signs[0])))
     return 0
 
 

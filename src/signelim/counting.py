@@ -26,9 +26,9 @@ from .signvec import (
     DEFAULT_MAX_N,
     ENV_MAX_N,
     eliminated_count,
-    enumeration_key,
     is_canonical,
     jointly_eliminated_count,
+    sign_rows,
     table,
     zero_count,
 )
@@ -166,23 +166,13 @@ def _intersection_count(rows: tuple[tuple[int, ...], ...]) -> int:
 
 
 def count_eliminated_intersection(matrix: SignMatrix) -> int:
-    """Exact size of the intersection of the rows' eliminated sets."""
+    """Exact size of the intersection of the rows' eliminated sets.
+
+    The sum enumerates the canonical row-sign assignments, table(m), so the
+    row count m is checked against SIGNELIM_MAX_N (default 16) first.
+    """
+    check_cap(matrix.m, ENV_MAX_N, DEFAULT_MAX_N, "intersection row count")
     return _intersection_count(matrix.rows)
-
-
-def _distinct_rows(X: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    rows = set()
-    for x in X:
-        vec = tuple(x)
-        if not is_canonical(vec):
-            raise DomainError(f"{vec!r} is not canonical")
-        rows.add(vec)
-    if not rows:
-        raise DomainError("need at least one vector")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DomainError("vectors must share one length")
-    return sorted(rows, key=enumeration_key)
 
 
 def count_eliminated_union(X: Iterable[Sequence[int]]) -> int:
@@ -195,7 +185,9 @@ def count_eliminated_union(X: Iterable[Sequence[int]]) -> int:
     env SIGNELIM_SUBSET_CAP) and, because the full subset enumerates the
     assignments of all m rows, against SIGNELIM_MAX_N (default 16).
     """
-    rows = _distinct_rows(X)
+    rows = sign_rows(X)
+    if not rows:
+        raise DomainError("need at least one vector")
     check_cap(len(rows), ENV_SUBSET_CAP, DEFAULT_SUBSET_CAP, "union row count")
     check_cap(len(rows), ENV_MAX_N, DEFAULT_MAX_N, "union row count")
     total = 0

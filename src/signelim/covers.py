@@ -4,14 +4,16 @@ A set X of canonical sign vectors of length n is an eliminating cover when
 the union of its eliminated sets is the full canonical enumeration. Covers
 form an upward-closed family; the minimal ones are those that stop covering
 after removing any single member (single removal suffices because eliminated
-sets grow monotonically with X).
+sets grow monotonically with X), that is, those where every member alone
+eliminates some vector. Each member's eliminated set is held as a boolean
+mask over table(n), packed one bit per vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -21,12 +23,13 @@ from . import backend
 from .counting import SignMatrix
 from .errors import DomainError, check_cap
 from .signvec import (
+    DEFAULT_MAX_N,
+    ENV_MAX_N,
     as_fraction_dot,
     canonicalize,
-    eliminated_mask,
-    eliminated_set,
-    enumeration_key,
+    eliminates,
     is_canonical,
+    sign_rows,
     table,
     vector_count,
 )
@@ -48,6 +51,10 @@ __all__ = [
 DEFAULT_SEARCH_CAP = 200_000
 ENV_SEARCH_CAP = "SIGNELIM_SEARCH_CAP"
 
+# Bytes per chunk of the cover search: a combination of k members takes k
+# 8-byte indices and k gathered masks.
+_CHUNK_BYTES = 1 << 16
+
 
 @dataclass(frozen=True)
 class CoverReport:
@@ -63,40 +70,56 @@ class CoverReport:
     column_rank: int
 
 
-def _clean_set(X: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    rows = set()
-    for x in X:
-        vec = tuple(x)
-        if not is_canonical(vec):
-            raise DomainError(f"{vec!r} is not canonical")
-        if len(vec) != n:
-            raise DomainError(f"expected length {n}, got {vec!r}")
-        rows.add(vec)
+def _member_masks(rows: np.ndarray) -> np.ndarray:
+    """Each row's eliminated set over table(n), packed one bit per vector."""
+    grid = table(rows.shape[1])
+    out = np.empty((rows.shape[0], (grid.shape[0] + 7) // 8), dtype=np.uint8)
+    for i in range(rows.shape[0]):
+        out[i] = np.packbits(backend.eliminated_any_mask(grid, rows[i : i + 1]))
+    return out
+
+
+def _judge(members: np.ndarray, count: int):
+    """(packed union, is_cover, is_minimal) of each set of member masks.
+
+    ``members`` has shape (sets, k, bytes): k _member_masks rows per set, over
+    ``count`` vectors. A cover is minimal when every member alone eliminates
+    some vector. One pass over the members tracks the vectors eliminated once
+    and those eliminated twice; a member is needed when it eliminates a vector
+    outside the second.
+    """
+    once = np.zeros_like(members[:, 0])
+    twice = np.zeros_like(once)
+    for j in range(members.shape[1]):
+        twice |= once & members[:, j]
+        once |= members[:, j]
+    covers = (once == np.packbits(np.ones(count, dtype=bool))).all(axis=1)
+    minimal = covers & (members & ~twice[:, None]).any(axis=2).all(axis=1)
+    return once, covers, minimal
+
+
+def _judge_set(X: Iterable[Sequence[int]], n: int):
+    """(members, packed union, is_cover, is_minimal) of one candidate set."""
+    rows = sign_rows(X, n)
     if not rows:
         raise DomainError("a candidate cover must be nonempty")
-    return sorted(rows, key=enumeration_key)
+    masks = _member_masks(np.array(rows, dtype=np.int8))
+    union, covers, minimal = _judge(masks[None], vector_count(n))
+    return rows, union[0], bool(covers[0]), bool(minimal[0])
 
 
 def is_eliminating_cover(X: Iterable[Sequence[int]], n: int) -> bool:
     """Whether X eliminates every canonical vector of length n."""
-    rows = _clean_set(X, n)
-    return bool(eliminated_mask(rows, n).all())
+    _, _, covers, _ = _judge_set(X, n)
+    return covers
 
 
 def is_minimal_cover(X: Iterable[Sequence[int]], n: int) -> bool:
     """Whether X is a cover that stops covering after any single removal."""
-    rows = _clean_set(X, n)
-    if not is_eliminating_cover(rows, n):
+    _, _, covers, minimal = _judge_set(X, n)
+    if not covers:
         raise DomainError("is_minimal_cover requires an eliminating cover")
-    if len(rows) == 1:
-        # Dropping the only member leaves the empty set, which eliminates
-        # nothing. (A single vector covers only at n = 1: {(1,)}.)
-        return True
-    for drop in range(len(rows)):
-        rest = rows[:drop] + rows[drop + 1 :]
-        if eliminated_mask(rest, n).all():
-            return False
-    return True
+    return minimal
 
 
 def full_support_vectors(n: int) -> frozenset[tuple[int, ...]]:
@@ -146,48 +169,38 @@ def column_rank(matrix: SignMatrix) -> int:
     return rank
 
 
-def _element_bitmasks(n: int) -> tuple[list[tuple[int, ...]], list[int], int]:
-    """Per-vector elimination bitmasks over enumeration ranks."""
-    rows = table(n)
-    vectors = [tuple(r) for r in rows.tolist()]
-    masks = []
-    for i in range(rows.shape[0]):
-        mask = backend.eliminated_any_mask(rows, rows[i : i + 1])
-        bits = 0
-        for idx in np.nonzero(mask)[0]:
-            bits |= 1 << int(idx)
-        masks.append(bits)
-    full = (1 << rows.shape[0]) - 1
-    return vectors, masks, full
-
-
 def _cover_search(n: int, max_size: int):
-    """Yield (members, minimal) for every cover of size <= max_size."""
+    """Yield (members, minimal) for every cover of size <= max_size.
+
+    The length n is checked against SIGNELIM_MAX_N, then the subset count is
+    summed size by size until it passes SIGNELIM_SEARCH_CAP, before any mask
+    is built. Subsets of one size are judged in chunks of combinations of
+    about _CHUNK_BYTES each.
+    """
     if max_size < 1:
         raise DomainError(f"max_size must be >= 1, got {max_size}")
+    check_cap(n, ENV_MAX_N, DEFAULT_MAX_N, "length")
     count = vector_count(n)
     max_size = min(max_size, count)
-    nodes = sum(comb(count, k) for k in range(1, max_size + 1))
-    check_cap(nodes, ENV_SEARCH_CAP, DEFAULT_SEARCH_CAP, "cover search subset count")
-    vectors, masks, full = _element_bitmasks(n)
+    nodes = 0
+    what = "cover search subset count at least"
     for size in range(1, max_size + 1):
-        for combo in combinations(range(count), size):
-            union = 0
-            for idx in combo:
-                union |= masks[idx]
-            if union != full:
-                continue
-            minimal = True
-            if size > 1:
-                for drop in combo:
-                    rest = 0
-                    for idx in combo:
-                        if idx != drop:
-                            rest |= masks[idx]
-                    if rest == full:
-                        minimal = False
-                        break
-            yield tuple(vectors[idx] for idx in combo), minimal
+        nodes += comb(count, size)
+        check_cap(nodes, ENV_SEARCH_CAP, DEFAULT_SEARCH_CAP, what)
+    rows = table(n)
+    vectors = [tuple(r) for r in rows.tolist()]
+    masks = _member_masks(rows)
+    for size in range(1, max_size + 1):
+        combos = combinations(range(count), size)
+        step = max(1, _CHUNK_BYTES // (size * (8 + masks.shape[1])))
+        while True:
+            flat = chain.from_iterable(islice(combos, step))
+            chunk = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+            if not chunk.size:
+                break
+            _, covers, minimal = _judge(masks[chunk], count)
+            for combo, flag in zip(chunk[covers].tolist(), minimal[covers].tolist()):
+                yield tuple(vectors[idx] for idx in combo), flag
 
 
 def minimal_covers(n: int, max_size: int) -> list[frozenset[tuple[int, ...]]]:
@@ -223,17 +236,13 @@ def cover_reports(n: int, max_size: int) -> list[CoverReport]:
 
 def describe_cover(X: Iterable[Sequence[int]], n: int, *, check_minimal: bool = True) -> CoverReport:
     """Judge one explicit candidate set."""
-    rows = _clean_set(X, n)
-    covers = is_eliminating_cover(rows, n)
-    minimal: Optional[bool] = None
-    if covers and check_minimal:
-        minimal = is_minimal_cover(rows, n)
+    rows, _, covers, minimal = _judge_set(X, n)
     rank = column_rank(SignMatrix(tuple(rows)))
     return CoverReport(
         members=tuple(rows),
         n=n,
         is_cover=covers,
-        is_minimal=minimal,
+        is_minimal=minimal if covers and check_minimal else None,
         column_rank=rank,
     )
 
@@ -254,12 +263,12 @@ def orthogonality_implication_holds(x: Sequence[int], v: Sequence) -> bool:
     if all(Fraction(c) == 0 for c in values):
         raise DomainError("v must be nonzero")
     pattern, _ = canonicalize(values)
-    if pattern not in eliminated_set([vec], len(vec)):
+    if not eliminates(vec, pattern):
         return True
     return as_fraction_dot(values, vec) != 0
 
 
 def covered_fraction(X: Iterable[Sequence[int]], n: int) -> tuple[int, int]:
     """(eliminated, total) counts for a candidate set; diagnostic helper."""
-    rows = _clean_set(X, n)
-    return int(eliminated_mask(rows, n).sum()), vector_count(n)
+    _, union, _, _ = _judge_set(X, n)
+    return int(np.bitwise_count(union).sum()), vector_count(n)

@@ -66,7 +66,7 @@ from .signvec import (
     canonical_sign_vectors,
     eliminated_set,
     enumeration_key,
-    is_canonical,
+    sign_rows,
     table,
 )
 
@@ -322,14 +322,7 @@ def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> S
     S must consist of canonical vectors of length N. Monotone in S, 1 when S
     is empty, 3**N when S is everything, so log3 ranges over [0, N].
     """
-    subset = set()
-    for v in sens_subset:
-        vec = tuple(v)
-        if len(vec) != n_reduced or not is_canonical(vec):
-            raise DomainError(
-                f"{vec!r} is not a canonical vector of length {n_reduced}"
-            )
-        subset.add(vec)
+    subset = set(sign_rows(sens_subset, n_reduced))
     mask = np.array([v in subset for v in canonical_sign_vectors(n_reduced)])
     return _lower_score(n_reduced, mask)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "negate_coordinate",
     "negate_column",
     "enumeration_key",
+    "sign_rows",
     "sign_string",
     "table_strings",
     "parse_sign_string",
@@ -165,22 +166,35 @@ def eliminates(t: Sequence[int], s: Sequence[int]) -> bool:
     return pos != neg
 
 
-def _as_eliminator_matrix(vectors: Iterable[Sequence[int]], n: int) -> np.ndarray:
-    rows = []
+def sign_rows(
+    vectors: Iterable[Sequence[int]], n: Optional[int] = None, *, total: bool = False
+) -> list[tuple[int, ...]]:
+    """The distinct rows of a set of sign vectors, in enumeration order.
+
+    This is the one input rule for a sign-vector set. Every entry must be a
+    sign (or, with ``total``, a total sign), every row canonical unless
+    ``total`` is set, and all rows one length, equal to ``n`` when given;
+    otherwise DomainError. An empty input gives an empty list.
+    """
+    rows = set()
     for v in vectors:
-        vec = _validate_sign_vector(v, total=True)
-        if len(vec) != n:
+        if total:
+            vec = _validate_sign_vector(v, total=True)
+        else:
+            vec = _require_canonical(v)
+        if n is None:
+            n = len(vec)
+        elif len(vec) != n:
             raise DomainError(f"expected length {n}, got {vec!r}")
-        rows.append(vec)
-    if not rows:
-        return np.zeros((0, n), dtype=np.int8)
-    return np.asarray(sorted(set(rows)), dtype=np.int8)
+        rows.add(vec)
+    return sorted(rows, key=enumeration_key)
 
 
 def eliminated_mask(eliminators: Iterable[Sequence[int]], n: int) -> np.ndarray:
     """Mask over the length-n enumeration: eliminated by some member."""
-    elim = _as_eliminator_matrix(eliminators, n)
-    return backend.eliminated_any_mask(table(n), elim)
+    grid = table(n)
+    elim = np.array(sign_rows(eliminators, n, total=True), dtype=np.int8)
+    return backend.eliminated_any_mask(grid, elim.reshape(-1, n))
 
 
 def eliminated_set(
@@ -199,10 +213,11 @@ def eliminated_count(eliminators: Iterable[Sequence[int]], n: int) -> int:
 
 def jointly_eliminated_count(eliminators: Iterable[Sequence[int]], n: int) -> int:
     """Number of canonical vectors eliminated by every member (brute force)."""
-    elim = _as_eliminator_matrix(eliminators, n)
+    grid = table(n)
+    elim = np.array(sign_rows(eliminators, n, total=True), dtype=np.int8)
     if elim.shape[0] == 0:
         raise DomainError("need at least one eliminator for a joint count")
-    return int(backend.eliminated_all_mask(table(n), elim).sum())
+    return int(backend.eliminated_all_mask(grid, elim).sum())
 
 
 def apply_permutation(sigma: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:

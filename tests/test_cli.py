@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -131,6 +132,30 @@ class TestCountCommands:
         assert payload["union"] == 4
         assert payload["match"] is True
 
+    def test_intersect_deduplicates_rows(self, capsys):
+        code, out, _ = run(capsys, "count", "intersect", "--x", "+0", "--x", "+0")
+        assert (code, out.strip()) == (0, "3")
+        code, payload, _ = run_json(
+            capsys, "count", "intersect", "--x", "+0", "--x", "+0", "--verify"
+        )
+        assert code == 0
+        assert payload == {"value": 3, "oracle": 3, "match": True}
+
+    def test_pair_needs_two_distinct_rows(self, capsys):
+        code, out, err = run(capsys, "count", "pair", "--x", "+0", "--y", "+0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_intersect_caps_its_row_count(self, capsys, monkeypatch):
+        monkeypatch.setenv("SIGNELIM_MAX_N", "3")
+        rows = ["--x=+0", "--x=0+", "--x=++", "--x=+-"]
+        code, out, err = run(capsys, "count", "intersect", *rows)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: intersection row count 4 ")
+        assert "SIGNELIM_MAX_N" in err
+
     def test_oracle(self, capsys):
         code, out, _ = run(capsys, "count", "oracle", "--x", "+u0")
         assert code == 0
@@ -176,12 +201,27 @@ class TestCoversCommand:
         assert "cap" in err
 
     def test_cap_exits_one_before_any_bitmask(self, capsys, monkeypatch):
-        monkeypatch.setattr(covers, "_element_bitmasks", fail_if_called)
+        monkeypatch.setattr(covers, "_member_masks", fail_if_called)
         code, out, err = run(capsys, "covers", "--n", "9", "--max-size", "2")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
         assert "SIGNELIM_SEARCH_CAP" in err
+
+
+    @pytest.mark.parametrize(
+        "n, max_size, name",
+        [("20", "5000", "SIGNELIM_MAX_N"), ("16", "3000", "SIGNELIM_SEARCH_CAP")],
+    )
+    def test_oversized_search_exits_one_at_once(self, capsys, n, max_size, name):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "covers", "--n", n, "--max-size", max_size)
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert name in err
 
 
 class TestGateCommands:

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -21,9 +22,37 @@ from signelim import (
 from signelim import covers
 from signelim.errors import ResourceLimitError
 
+import oracles
 from conftest import fail_if_called
 
 ZS_2 = [(0, 1), (1, 0), (1, 1), (1, -1)]
+
+
+@lru_cache(maxsize=None)
+def brute_force_covers(n):
+    """(members, is_minimal) of every cover, by size then member positions.
+
+    Every subset of the enumeration is judged with the oracle; a cover is
+    minimal when no subset one member smaller covers.
+    """
+    universe = oracles.canonical_vectors(n)
+    full = set(universe)
+    covering = {
+        subset: oracles.eliminated(subset, n) == full
+        for size in range(1, len(universe) + 1)
+        for subset in combinations(universe, size)
+    }
+    return [
+        (
+            subset,
+            not any(
+                covering.get(subset[:i] + subset[i + 1 :], False)
+                for i in range(len(subset))
+            ),
+        )
+        for subset, covers in covering.items()
+        if covers
+    ]
 
 
 class TestVectorFamilies:
@@ -115,9 +144,23 @@ class TestCoverSearch:
             minimal_covers(3, 3)
 
     def test_search_cap_fires_before_any_bitmask(self, monkeypatch):
-        monkeypatch.setattr(covers, "_element_bitmasks", fail_if_called)
+        monkeypatch.setattr(covers, "_member_masks", fail_if_called)
         with pytest.raises(ResourceLimitError, match="SIGNELIM_SEARCH_CAP"):
             minimal_covers(9, 2)
+
+    @pytest.mark.parametrize(
+        "n, max_size", [(n, k) for n in (1, 2, 3) for k in range(1, (3**n + 1) // 2)]
+    )
+    def test_search_matches_brute_force(self, monkeypatch, n, max_size):
+        # column ranks are not compared; skipping them keeps the sweep fast
+        monkeypatch.setattr(covers, "column_rank", lambda matrix: 0)
+        found = [(r.members, r.is_minimal) for r in cover_reports(n, max_size)]
+        expected = [
+            (members, minimal)
+            for members, minimal in brute_force_covers(n)
+            if len(members) <= max_size
+        ]
+        assert found == expected
 
     def test_rejects_zero_max_size(self):
         with pytest.raises(DomainError):
