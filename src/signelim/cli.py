@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import INFINITY, encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from .counting import (
     pair_profile,
 )
 from .covers import cover_reports
-from .errors import SignElimError, ValidationError
+from .errors import DomainError, SignElimError, ValidationError
 from .gates import (
     expand,
     load_gate,
@@ -76,8 +77,93 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == INFINITY:
+        return "Infinity"
+    if value == -INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# Text of each JSON scalar, by exact type: json.dumps renders them the same.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _indented_json(payload) -> str:
+    """Exactly ``json.dumps(payload, indent=2)``, without its Python encoder.
+
+    With ``indent`` set, the standard library renders through a pure-Python
+    generator. This makes one recursive pass that appends pieces to one list
+    and joins once. A list of scalars is rendered with one join, and is
+    remembered by (id, depth) for the rest of the call: the analysis
+    document shares each functional's strings across all reports. Types
+    other than dict, list, tuple and the JSON scalars, and non-str keys,
+    raise TypeError.
+    """
+    parts = []
+    append = parts.append
+    flat = {}
+
+    def write(value, depth):
+        kind = type(value)
+        text = _SCALAR_TEXT.get(kind)
+        if text is not None:
+            append(text(value))
+        elif kind is dict:
+            if not value:
+                append("{}")
+                return
+            newline = "\n" + "  " * (depth + 1)
+            separator = "{" + newline
+            for key, item in value.items():
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                append(separator + encode_basestring_ascii(key) + ": ")
+                write(item, depth + 1)
+                separator = "," + newline
+            append("\n" + "  " * depth + "}")
+        elif kind is list or kind is tuple:
+            if not value:
+                append("[]")
+                return
+            key = (id(value), depth)
+            cached = flat.get(key)
+            if cached is not None:
+                append(cached)
+                return
+            newline = "\n" + "  " * (depth + 1)
+            try:
+                items = [_SCALAR_TEXT[type(item)](item) for item in value]
+            except KeyError:
+                separator = "[" + newline
+                for item in value:
+                    append(separator)
+                    write(item, depth + 1)
+                    separator = "," + newline
+                append("\n" + "  " * depth + "]")
+            else:
+                cached = flat[key] = (
+                    "[" + newline + ("," + newline).join(items)
+                    + "\n" + "  " * depth + "]"
+                )
+                append(cached)
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    write(payload, 0)
+    return "".join(parts)
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_indented_json(payload))
 
 
 def _score_json(score) -> dict:
@@ -209,6 +295,21 @@ def _analysis_document(
     return document, failed == 0
 
 
+def _flag_signs(text: str, flag: str, *, total: bool = True) -> tuple[int, ...]:
+    """parse_sign_string for one value of a sign flag.
+
+    argparse drops a value that is exactly ``--``, so the total sign -- (two
+    entries of -1) arrives as an empty string; the error names the flag and
+    the way round it.
+    """
+    if not text:
+        raise DomainError(
+            f"{flag}: empty sign string (argparse drops a literal '--'; "
+            "write its negation '++', which eliminates the same vectors)"
+        )
+    return parse_sign_string(text, total=total)
+
+
 def _cmd_zs(args) -> int:
     vectors = canonical_sign_vectors(args.n)
     _emit([sign_string(v) for v in vectors])
@@ -216,7 +317,7 @@ def _cmd_zs(args) -> int:
 
 
 def _cmd_ze(args) -> int:
-    signs = sign_rows((parse_sign_string(t) for t in args.t), args.n, total=True)
+    signs = sign_rows((_flag_signs(t, "--t") for t in args.t), args.n, total=True)
     n = len(signs[0])
     _emit(table_strings(n)[eliminated_mask(signs, n)].astype(str).tolist())
     return 0
@@ -237,14 +338,14 @@ def _verified(value: int, oracle: Optional[int], verify: bool) -> int:
 def _cmd_count_single(args) -> int:
     if len(args.x) != 1:
         raise SignElimError(f"count single takes one --x, got {len(args.x)}")
-    x = parse_sign_string(args.x[0], total=False)
+    x = _flag_signs(args.x[0], "--x", total=False)
     value = count_eliminated_single(x)
     oracle = count_eliminated_oracle([x], len(x)) if args.verify else None
     return _verified(value, oracle, args.verify)
 
 
 def _cmd_count_intersect(args) -> int:
-    rows = sign_rows(parse_sign_string(t, total=False) for t in args.x)
+    rows = sign_rows(_flag_signs(t, "--x", total=False) for t in args.x)
     matrix = SignMatrix.from_rows(rows)
     value = count_eliminated_intersection(matrix)
     oracle = count_intersection_oracle(matrix) if args.verify else None
@@ -252,7 +353,7 @@ def _cmd_count_intersect(args) -> int:
 
 
 def _cmd_count_set(args) -> int:
-    rows = [parse_sign_string(t, total=False) for t in args.x]
+    rows = [_flag_signs(t, "--x", total=False) for t in args.x]
     value = count_eliminated_union(rows)
     oracle = (
         count_eliminated_oracle(rows, len(rows[0])) if args.verify else None
@@ -261,8 +362,8 @@ def _cmd_count_set(args) -> int:
 
 
 def _cmd_count_pair(args) -> int:
-    x = parse_sign_string(args.x, total=False)
-    y = parse_sign_string(args.y, total=False)
+    x = _flag_signs(args.x, "--x", total=False)
+    y = _flag_signs(args.y, "--y", total=False)
     matrix = SignMatrix.from_rows([x, y])
     profile = pair_profile(matrix)
     intersection, union = count_pair(profile)
@@ -294,7 +395,7 @@ def _cmd_count_pair(args) -> int:
 
 
 def _cmd_count_oracle(args) -> int:
-    signs = sign_rows((parse_sign_string(t) for t in args.x), args.n, total=True)
+    signs = sign_rows((_flag_signs(t, "--x") for t in args.x), args.n, total=True)
     print(count_eliminated_oracle(signs, len(signs[0])))
     return 0
 
@@ -453,7 +554,16 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else INVARIANT_VIOLATION
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    Building it costs milliseconds of argparse formatter setup per call, and
+    ``parse_args`` leaves it unchanged, so in-process callers of ``main``
+    share one. The ``set_defaults(func=...)`` handlers are bound at that first
+    build: a ``_cmd_*`` function replaced later (say, by a test monkeypatch)
+    is not the one the parser dispatches to.
+    """
     parser = _Parser(
         prog="signelim",
         description="Exact sign-vector elimination calculus for multi-valued gates.",

@@ -148,21 +148,29 @@ def unit_vectors(n: int, positions: Optional[Iterable[int]] = None) -> frozenset
 
 
 def column_rank(matrix: SignMatrix) -> int:
-    """Exact rank of the matrix over the rationals (= rank of its columns)."""
-    work = [[Fraction(v) for v in row] for row in matrix.rows]
+    """Exact rank of the matrix over the rationals (= rank of its columns).
+
+    Fraction-free (Bareiss) elimination: after k pivots every remaining entry
+    is a (k + 1)-minor of the matrix, so each step divides exactly by the
+    previous pivot and the work stays in integers.
+    """
+    work = [list(row) for row in matrix.rows]
     n_rows, n_cols = matrix.m, matrix.n
     rank = 0
+    previous = 1
     for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if work[r][col] != 0), None)
+        pivot = next((r for r in range(rank, n_rows) if work[r][col]), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for r in range(rank + 1, n_rows):
-            if work[r][col] != 0:
-                factor = work[r][col] / lead
-                for c in range(col, n_cols):
-                    work[r][c] -= factor * work[rank][c]
+        lead = work[rank]
+        p = lead[col]
+        for row in work[rank + 1 :]:
+            f = row[col]
+            for c in range(col + 1, n_cols):
+                row[c] = (p * row[c] - f * lead[c]) // previous
+            row[col] = 0
+        previous = p
         rank += 1
         if rank == n_rows:
             break

@@ -90,6 +90,8 @@ def parse_rational_vector(values: Sequence, where: str) -> Vector:
 
 def rational_string(value) -> str:
     """Canonical string form of a rational ("p/q", integers without /q)."""
+    if type(value) is Fraction:
+        return str(value)
     return str(Fraction(value))
 
 

@@ -47,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .backend import eliminated_any_mask
+from .backend import _base3_index, _canonical_index, eliminated_any_mask
 from .errors import DomainError, ValidationError, check_cap
 from .gates import (
     Gate,
@@ -146,8 +146,13 @@ class ProjectionFamily:
         return cls(functionals=tuple(seen), output_dim=output_dim)
 
 
+@lru_cache(maxsize=8, typed=True)
 def default_family(output_dim: int) -> ProjectionFamily:
-    """All {-1, 0, +1} functionals, one per +- class, in enumeration order."""
+    """All {-1, 0, +1} functionals, one per +- class, in enumeration order.
+
+    Cached per output_dim (typed, so 1.0 and True still fail the length
+    check): the family is frozen and holds only tuples.
+    """
     vectors = canonical_sign_vectors(output_dim)
     return ProjectionFamily.from_vectors(vectors, output_dim)
 
@@ -322,8 +327,12 @@ def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> S
     S must consist of canonical vectors of length N. Monotone in S, 1 when S
     is empty, 3**N when S is everything, so log3 ranges over [0, N].
     """
-    subset = set(sign_rows(sens_subset, n_reduced))
-    mask = np.array([v in subset for v in canonical_sign_vectors(n_reduced)])
+    rows = sign_rows(sens_subset, n_reduced)
+    mask = np.zeros(table(n_reduced).shape[0], dtype=bool)  # table checks N
+    if rows:
+        # table(N) is in ascending order of its rows' base-3 codes
+        codes = _base3_index(np.array(rows, dtype=np.int8))
+        mask[np.searchsorted(_canonical_index(n_reduced), codes)] = True
     return _lower_score(n_reduced, mask)
 
 

@@ -177,3 +177,19 @@ def greedy_cover(rows, n):
         if trial and set().union(*(sets[j] for j in trial)) == universe:
             kept = trial
     return kept
+
+
+def column_rank(rows):
+    """Rank over the rationals, by Gaussian elimination on Fractions."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] / work[rank][col]
+            work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank

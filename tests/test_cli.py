@@ -1,7 +1,10 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signelim import boolean_gate, dumps_gate
 from signelim import cli, covers
@@ -87,6 +90,23 @@ class TestEnumerationCommands:
     def test_ze_explicit_length_check(self, capsys):
         code, _, err = run(capsys, "ze", "--t", "++", "--n", "3")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("ze", "--t=--"), "--t"),
+            (("count", "oracle", "--x=--"), "--x"),
+            (("count", "pair", "--x=++", "--y=--"), "--y"),
+        ],
+    )
+    def test_dropped_double_minus_names_the_flag_and_the_way_round(
+        self, capsys, argv, flag
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag}: empty sign string (")
+        assert "literal '--'" in err and "'++'" in err
 
 
 class TestCountCommands:
@@ -535,6 +555,20 @@ class TestSelftestCommand:
 
 
 class TestParsing:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_cached_parser_keeps_no_values_between_calls(self, capsys):
+        code, out, _ = run(capsys, "count", "intersect", "--x", "+0", "--x", "0+")
+        assert (code, out) == (0, "2\n")
+        # a leaked --x would give single two vectors, which it rejects
+        code, out, _ = run(capsys, "count", "single", "--x", "++")
+        assert (code, out) == (0, "3\n")
+        code, payload, _ = run_json(capsys, "ze", "--t", "+0")
+        assert (code, payload) == (0, ["+0", "++", "+-"])
+        code, payload, _ = run_json(capsys, "ze", "--t", "0+")
+        assert (code, payload) == (0, ["0+", "++", "+-"])
+
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
@@ -551,3 +585,63 @@ class TestParsing:
     def test_no_arguments_exits_one(self, capsys):
         code, _, _ = run(capsys)
         assert code == 1
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e-300, float("nan"), float("inf"), -float("inf")]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t", "caf\u00e9", "\u2028", "\U0001f600", ""]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@st.composite
+def documents_with_shared_lists(draw):
+    """A value holding one list of scalars at three depths, as the analysis
+    document holds each functional's strings in every report."""
+    shared = draw(st.lists(json_scalars, max_size=4))
+    return {
+        "value": draw(json_values),
+        "shared": shared,
+        "nested": [shared, {"again": shared, "tuple": (shared, shared)}],
+    }
+
+
+class TestIndentedJson:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(json_values, documents_with_shared_lists()))
+    def test_matches_json_dumps(self, value):
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [{}, [], (), [[]], {"a": {}}, [{}, []], "", 0, None]
+    )
+    def test_empty_containers_and_bare_scalars(self, value):
+        assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": Fraction(1, 2)},
+            [1, Fraction(1, 2)],
+            Fraction(1, 2),
+            {1: "int key"},
+            {"a": [{2: "nested int key"}]},
+        ],
+    )
+    def test_other_types_and_non_str_keys_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._indented_json(value)

@@ -2,6 +2,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from signelim import (
     DomainError,
@@ -182,7 +184,35 @@ class TestDescribeCover:
         assert report.members == ((0, 1), (1, 0))
 
 
+@st.composite
+def sign_matrices(draw):
+    """Distinct canonical rows (m <= 8, n <= 6) whose n columns are picked,
+    with repeats, from k <= n drawn columns: k < n forces duplicate columns
+    and a rank below n."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    row = st.lists(st.sampled_from((-1, 0, 1)), min_size=k, max_size=k)
+    source = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    rows = {
+        oracles.canonical(r)
+        for r in ([s[j] for j in picks] for s in source)
+        if any(r)
+    }
+    if not rows:
+        rows = {(1,) * n}
+    return SignMatrix.from_rows(sorted(rows))
+
+
 class TestColumnRank:
+    @settings(max_examples=300, deadline=None)
+    @given(sign_matrices())
+    @example(SignMatrix.from_rows([(1, 1, 0), (0, 0, 1), (1, 1, 1)]))
+    @example(SignMatrix.from_rows([(0, 1, 1), (1, 0, 0), (1, 1, 1), (1, -1, -1)]))
+    @example(SignMatrix.from_rows([(0, 0, 1, 1), (0, 1, 0, 0), (0, 1, 1, 1)]))
+    def test_matches_the_fraction_oracle(self, matrix):
+        assert column_rank(matrix) == oracles.column_rank(matrix.rows)
+
     def test_examples(self):
         assert column_rank(SignMatrix.from_rows([(1, 0, 0), (0, 1, 0)])) == 2
         assert column_rank(SignMatrix.from_rows([(1, 1), (1, -1)])) == 2

@@ -67,6 +67,23 @@ class TestRationalParsing:
         for text in ("0", "1", "-2", "1/3", "-7/12"):
             assert rational_string(parse_rational(text)) == text
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (0, "0"),
+            (5, "5"),
+            (-3, "-3"),
+            ("6/4", "3/2"),
+            ("-2/6", "-1/3"),
+            ("4/2", "2"),
+            (F(-7, 12), "-7/12"),
+            (F(9, 3), "3"),
+            (F(0), "0"),
+        ],
+    )
+    def test_renders_ints_strings_and_fractions(self, value, text):
+        assert rational_string(value) == text
+
 
 class TestGateValidation:
     def test_accepts_a_complete_table(self):

@@ -1,9 +1,10 @@
-"""Exact stdout bytes of `gate analyze` and `gate certify`.
+"""Exact stdout bytes of every command that prints JSON.
 
-The expected files under tests/golden/ were written by the CLI before the
-document assembly worked from masks, with the value of "timing_seconds"
-replaced by 0. Any change to a byte of the output, other than the timing,
-fails here.
+The expected files under tests/golden/ were written by the CLI, with the
+value of "timing_seconds" replaced by 0: those of `gate analyze` and
+`gate certify` before the document assembly worked from masks, the others
+while the output still went through `json.dumps(payload, indent=2)`. Any
+change to a byte of the output, other than the timing, fails here.
 """
 
 import pathlib
@@ -31,12 +32,43 @@ EXIT_CODES = {
     ("random", "analyze"): 0,
     ("random", "certify"): 2,
 }
+# every other command that prints JSON; each exits 0
+COMMANDS = {
+    "zs": ["zs", "--n", "3"],
+    "ze": ["ze", "--t", "+u-", "--t", "0+-"],
+    "count_single": ["count", "single", "--x", "+0-", "--verify"],
+    "count_intersect": [
+        "count", "intersect", "--x", "+0-", "--x", "++0", "--x", "0+-", "--verify"
+    ],
+    "count_set": ["count", "set", "--x", "+0-", "--x", "++0", "--x", "0+-", "--verify"],
+    "count_pair": ["count", "pair", "--x", "+0-+", "--y", "++0-", "--verify"],
+    "covers": ["covers", "--n", "2", "--max-size", "4"],
+    "gate_expand": ["gate", "expand", str(GATES["additive"])],
+    # records at the additive gate's exact values on a 4 x 3 interior grid
+    "data_bound": [
+        "data", "bound", str(GATES["additive"]),
+        str(GOLDEN / "additive_records.csv"), "--eps", "1/12",
+    ],
+    "selftest": ["selftest", "--quick"],
+}
+
+
+def _masked_stdout(capsys) -> str:
+    out = capsys.readouterr().out
+    return re.sub(r'"timing_seconds": [^\n,}]+', '"timing_seconds": 0', out)
 
 
 @pytest.mark.parametrize("gate, command", sorted(EXIT_CODES))
 def test_stdout_matches_the_recorded_bytes(capsys, gate, command):
     code = main(["gate", command, str(GATES[gate])])
-    out = capsys.readouterr().out
-    masked = re.sub(r'"timing_seconds": [^\n,}]+', '"timing_seconds": 0', out)
+    masked = _masked_stdout(capsys)
     assert code == EXIT_CODES[gate, command]
     assert masked == (GOLDEN / f"{gate}_{command}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_json_command_stdout_matches_the_recorded_bytes(capsys, name):
+    code = main(COMMANDS[name])
+    masked = _masked_stdout(capsys)
+    assert code == 0
+    assert masked == (GOLDEN / f"{name}.out").read_text()

@@ -350,6 +350,13 @@ class TestProjectionFamily:
         )
         assert default_family(dim).functionals == expected
 
+    def test_default_family_is_built_once_per_output_dim(self):
+        assert default_family(3) is default_family(3)
+        assert default_family(3) is not default_family(4)
+        for bad in (True, 3.0):  # a typed cache: these fail as unbuilt ones do
+            with pytest.raises((DomainError, TypeError)):
+                default_family(bad)
+
     def test_duplicates_keep_their_first_occurrence(self):
         family = ProjectionFamily.from_vectors(
             [(1, -2), (-1, 2), (0, 3), ("2", 1), (0, -3), (1, -2), (-2, -1), (0, 1)],
@@ -450,6 +457,25 @@ class TestScore:
             complement = [v for v in universe if v not in subset]
             eliminated = oracles.eliminated(complement, n)
             assert sensitivity_score(n, subset).value == 3**n - 2 * len(eliminated)
+
+    @pytest.mark.parametrize(
+        "member", [(1,) + (0,) * 8, (0,) * 8 + (1,), (1, -1) * 4 + (1,)]
+    )
+    def test_singleton_and_its_complement_at_nine(self, member):
+        universe = oracles.canonical_vectors(9)
+        others = [t for t in universe if t != member]
+        # E(complement) holds the complement; it holds the member too when
+        # some other vector eliminates it
+        eliminated = len(others) + any(oracles.eliminates(t, member) for t in others)
+        assert sensitivity_score(9, [member]).value == 3**9 - 2 * eliminated
+        # every vector but the member: each one's position in the mask counts
+        eliminated = len(oracles.eliminated([member], 9))
+        assert sensitivity_score(9, others).value == 3**9 - 2 * eliminated
+
+    def test_length_cap_fires_before_the_index(self, monkeypatch):
+        monkeypatch.setenv("SIGNELIM_MAX_N", "3")
+        with pytest.raises(ResourceLimitError):
+            sensitivity_score(4, [])
 
     def test_rejects_non_canonical_members(self):
         with pytest.raises(DomainError):
