@@ -77,7 +77,6 @@ from .sensitivity import (
     sensitivity_lower_set,
     sensitivity_score,
     sign_over_region,
-    sorted_signs,
     total_sign,
     verify_certificate,
     witness_signs,

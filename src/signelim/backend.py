@@ -4,8 +4,12 @@ Two kernels compute which table rows an eliminator matrix eliminates; both
 return the same masks and ``tests/test_kernels.py`` checks them against the
 brute-force oracles.
 
-* The chunked scan: one vectorized numpy pass over the table per eliminator
-  row, chunked so temporaries stay bounded on large tables. It costs about
+* The scan: one per-row rule, ``_row_masks``, evaluated for a block of
+  eliminator rows against a block of table rows at once (a per-coordinate
+  product and its running maximum and minimum, so the temporaries are a few
+  eliminators x rows int8 arrays), then OR-ed or AND-ed over the
+  eliminators. Blocks hold at most ``_CHUNK_ROWS`` eliminator-row pairs, so
+  temporaries stay bounded on large tables. It costs about
   len(elim) * rows * n.
 * The transform: let C+- be the eliminator rows together with their
   negations (-u = u), as a multiset. For a sign vector s let f(s) count the
@@ -14,14 +18,18 @@ brute-force oracles.
   eliminator rows that eliminate s, so the any-mask is f - g > 0 and the
   all-mask is f - g == len(elim). f and g are Kronecker-product (Yates, fast
   zeta) transforms of C+-'s indicator on a k**n grid, k = 4 when a u entry
-  is present and 3 otherwise, with one 3 x k 0/1 matrix per axis. They cost
+  is present and 3 otherwise, with one 3 x k 0/1 matrix per axis; the
+  indicator is one ``np.bincount`` of the members' grid cells. They cost
   about n * k**n whatever the eliminator count.
 
 ``eliminated_any_mask`` and ``eliminated_all_mask`` take the transform when a
 fixed cost model of the two, fed by the table's and the eliminator matrix's
 sizes, rates it cheaper, and never when its grid exceeds a fixed cell budget,
 so peak memory stays bounded at every n. A single eliminator row always
-takes the scan. ``benchmarks/bench_kernels.py`` times both paths.
+takes the scan. ``benchmarks/bench_kernels.py`` times both paths. Callers
+that need one mask per eliminator row (the certificate's mask matrix, the
+cover search's member masks) call ``_row_masks`` directly, in bounded
+blocks.
 
 Encoding: sign entries are int8 values -1, 0, +1. Total-sign rows may also
 contain UNDETERMINED (2), the "u" entry that forbids any nonzero coordinate
@@ -37,8 +45,8 @@ import numpy as np
 #: int8 code for the undetermined total-sign entry, serialized as "u".
 UNDETERMINED = 2
 
-# The scan materializes (rows x n) temporaries per eliminator; chunking keeps
-# peak memory bounded on large tables.
+# The scan materializes (eliminators x rows) int8 temporaries; blocks of at
+# most this many cells keep peak memory bounded on large tables.
 _CHUNK_ROWS = 1 << 18
 
 
@@ -109,25 +117,41 @@ def sign_vector_table(n: int) -> np.ndarray:
 #     +1 or all -1, and at least one such index exists.
 
 
-def _single_mask(table: np.ndarray, row: np.ndarray) -> np.ndarray:
-    undet_bad = ((row == UNDETERMINED) & (table != 0)).any(axis=1)
-    shared = (row != 0) & (row != UNDETERMINED) & (table != 0)
-    prod = table * row
-    pos = (shared & (prod > 0)).any(axis=1)
-    neg = (shared & (prod < 0)).any(axis=1)
-    return ~undet_bad & (pos ^ neg)
+def _row_masks(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
+    """Mask [k, i]: whether eliminator row k eliminates table row i.
+
+    Per coordinate take the product p = t * s, where u * s is +-2 for s != 0.
+    Then t eliminates s exactly when max(0, p) - min(0, p) == 1 over the
+    coordinates: the products are all in {0, 1} or all in {0, -1}, some are
+    nonzero, and no u meets a nonzero of s. The temporaries are a few int8
+    arrays of the output's (len(elim), rows) shape.
+    """
+    shape = (elim.shape[0], table.shape[0])
+    hi = np.zeros(shape, dtype=np.int8)
+    lo = np.zeros(shape, dtype=np.int8)
+    for j in range(table.shape[1]):
+        prod = np.multiply.outer(elim[:, j], table[:, j])
+        np.maximum(hi, prod, out=hi)
+        np.minimum(lo, prod, out=lo)
+    hi -= lo
+    return hi == 1
 
 
 def _scan_masks(table: np.ndarray, elim: np.ndarray, every: bool) -> np.ndarray:
-    """OR of the per-eliminator masks, or their AND when ``every`` is set."""
+    """OR of the per-eliminator masks, or their AND when ``every`` is set.
+
+    Reduces _row_masks over blocks of at most _CHUNK_ROWS eliminator-row
+    pairs (or one table row against _CHUNK_ROWS eliminators).
+    """
     combine = np.logical_and if every else np.logical_or
-    out = np.zeros(table.shape[0], dtype=bool)
-    for start in range(0, table.shape[0], _CHUNK_ROWS):
-        chunk = table[start : start + _CHUNK_ROWS]
-        acc = np.full(chunk.shape[0], every, dtype=bool)
-        for row in elim:
-            combine(acc, _single_mask(chunk, row), out=acc)
-        out[start : start + _CHUNK_ROWS] = acc
+    out = np.full(table.shape[0], every, dtype=bool)
+    step = max(1, min(elim.shape[0], _CHUNK_ROWS))
+    width = max(1, _CHUNK_ROWS // step)
+    for start in range(0, table.shape[0], width):
+        acc = out[start : start + width]
+        for first in range(0, elim.shape[0], step):
+            masks = _row_masks(table[start : start + width], elim[first : first + step])
+            combine(acc, masks.all(axis=0) if every else masks.any(axis=0), out=acc)
     return out
 
 
@@ -183,8 +207,8 @@ def _elimination_counts(table: np.ndarray, elim: np.ndarray, has_u: bool) -> np.
     k = 4 if has_u else 3
     digits = _DIGIT[elim % 4]
     powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    grid = np.zeros(k**n, dtype=np.int32)
-    np.add.at(grid, np.concatenate((digits @ powers, _NEGATED[digits] @ powers)), 1)
+    cells = np.concatenate((digits @ powers, _NEGATED[digits] @ powers))
+    grid = np.bincount(cells, minlength=k**n).astype(np.int32)
     f = _axis_transform(grid, n, k, conformal=True)
     g = _axis_transform(grid, n, k, conformal=False)
     if n <= 12 and table is _cached_table(n):

@@ -71,11 +71,17 @@ class CoverReport:
 
 
 def _member_masks(rows: np.ndarray) -> np.ndarray:
-    """Each row's eliminated set over table(n), packed one bit per vector."""
+    """Each row's eliminated set over table(n), packed one bit per vector.
+
+    One _row_masks call per block of members, a block holding at most
+    backend._CHUNK_ROWS member-vector pairs (at least one member).
+    """
     grid = table(rows.shape[1])
     out = np.empty((rows.shape[0], (grid.shape[0] + 7) // 8), dtype=np.uint8)
-    for i in range(rows.shape[0]):
-        out[i] = np.packbits(backend.eliminated_any_mask(grid, rows[i : i + 1]))
+    step = max(1, backend._CHUNK_ROWS // grid.shape[0])
+    for start in range(0, rows.shape[0], step):
+        block = backend._row_masks(grid, rows[start : start + step])
+        out[start : start + step] = np.packbits(block, axis=1)
     return out
 
 

@@ -47,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .backend import _base3_index, _canonical_index, eliminated_any_mask
+from .backend import _base3_index, _canonical_index, _row_masks, eliminated_any_mask
 from .errors import DomainError, ValidationError, check_cap
 from .gates import (
     Gate,
@@ -65,7 +65,6 @@ from .signvec import (
     UNDETERMINED,
     canonical_sign_vectors,
     eliminated_set,
-    enumeration_key,
     sign_rows,
     table,
 )
@@ -211,6 +210,7 @@ def _total_signs(
 
     Entry [z][f] is the total sign of functionals[f] at base point z, in
     reduced_coordinates order; the shape is arities + (len(functionals), N).
+    Entries must be Fractions or ints; the public callers convert theirs.
     """
     arities = expansion.arities
     dim = expansion.output_dim
@@ -224,7 +224,7 @@ def _total_signs(
     tensor = np.array(
         _cleared([expansion.coefficients[idx] for idx in cells])[0], dtype=object
     )
-    scaled, _ = _cleared([[Fraction(v) for v in w] for w in functionals])
+    scaled, _ = _cleared(functionals)
     weights = np.array(scaled, dtype=object).reshape(len(scaled), dim)
     values = (tensor @ weights.T).reshape(arities + (len(scaled),))
     blocks = []
@@ -255,6 +255,7 @@ def total_sign(
 ) -> tuple[int, ...]:
     """Region signs of the N reduced partials of w composed with the expansion."""
     base = validate_base_point(expansion, z)
+    w = tuple(Fraction(v) for v in w)
     return tuple(_total_signs(expansion, [w])[base][0].tolist())
 
 
@@ -316,9 +317,49 @@ def _score(n_reduced: int, eliminated: int) -> ScorePair:
 
 
 def _lower_score(n_reduced: int, mask: np.ndarray) -> ScorePair:
-    """Score of the set `mask` marks over the length-N enumeration."""
+    """Score of the set `mask` marks over the length-N enumeration.
+
+    An empty set scores 1, since every vector eliminates itself and so the
+    complement eliminates everything, and a full set scores 3**N, since its
+    empty complement eliminates nothing; neither calls the kernel.
+    """
+    if not mask.any():
+        return _score(n_reduced, mask.size)
+    if mask.all():
+        return _score(n_reduced, 0)
     rows = table(n_reduced)
     return _score(n_reduced, int(eliminated_any_mask(rows, rows[~mask]).sum()))
+
+
+def _witness_score(
+    n_reduced: int, mask: np.ndarray, witnesses: Sequence[tuple[Vector, tuple[int, ...]]]
+) -> ScorePair:
+    """Score of the set `mask` marks, which the witnesses' total signs eliminate.
+
+    Elimination is symmetric and reflexive on sign vectors, so the score of
+    a set S is also 1 + 2 * #{s in S : E(s) within S}. When the live total
+    signs (those with a +-1 entry) are one t up to sign, that count is known.
+    Up to sign, an s in S = E(t) equals t on a nonempty part A of t's +-1
+    positions P, is 0 on the rest of P and on t's "u" positions, and is free
+    on t's 0 positions. E(s) lies within S exactly when s = +-t and t has no
+    "u"; otherwise s eliminates a vector that t does not:
+
+    * s_j e_j, for a nonzero s_j at a 0 position j of t;
+    * s - t_k e_k, for k in P outside A;
+    * s + e_j, for a "u" position j of t.
+
+    So the score is 3 when t has no "u" and 1 when it has one, with no
+    kernel call; any other set goes to _lower_score.
+    """
+    live = set()
+    for _, ts in witnesses:
+        lead = next((e for e in ts if e in (1, -1)), 0)
+        if lead:
+            live.add(tuple(e if e == UNDETERMINED else e * lead for e in ts))
+    if len(live) == 1:
+        value = 1 if UNDETERMINED in live.pop() else 3
+        return ScorePair(value=value, log3=log3_value(value))
+    return _lower_score(n_reduced, mask)
 
 
 def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> ScorePair:
@@ -357,16 +398,13 @@ def _greedy_certificate(
 ) -> Certificate:
     """Pruned greedy cover; the witnesses must jointly eliminate everything.
 
-    Row k of one mask matrix is witness k's eliminated set, from one kernel
-    call per distinct total sign. Each step takes the first witness of
-    largest gain; pruning then drops, in the order chosen, every witness the
-    others still cover without.
+    Row k of one mask matrix, built in one _row_masks call, is witness k's
+    eliminated set. Each step takes the first witness of largest gain;
+    pruning then drops, in the order chosen, every witness the others still
+    cover without.
     """
     rows = table(n_reduced)
-    codes = np.array([ts for _, ts in signs], dtype=np.int8)
-    distinct, inverse = np.unique(codes, axis=0, return_inverse=True)
-    masks = np.array([eliminated_any_mask(rows, t[None]) for t in distinct])
-    masks = masks[inverse.reshape(-1)]
+    masks = _row_masks(rows, np.array([ts for _, ts in signs], dtype=np.int8))
     covered = np.zeros(rows.shape[0], dtype=bool)
     chosen = []
     while not covered.all():
@@ -397,7 +435,8 @@ def verify_certificate(
     except DomainError:
         return False
     witnesses = certificate.witnesses
-    codes = _total_signs(expansion, [w for w, _ in witnesses])[z]
+    functionals = [tuple(Fraction(v) for v in w) for w, _ in witnesses]
+    codes = _total_signs(expansion, functionals)[z]
     if codes.tolist() != [list(ts) for _, ts in witnesses]:
         return False
     return bool(eliminated_any_mask(table(n_reduced), codes).all())
@@ -408,8 +447,9 @@ class BasePointReport:
     """Everything computed at one base point.
 
     ``mask`` marks, over the length-N enumeration ``table(N)``, the vectors
-    some witness eliminates; it is read-only and, being determined by the
-    witnesses, takes no part in equality or hashing. ``sens_lower`` is the
+    some witness eliminates; it is read-only, reports of one analysis with
+    equal witness signs share one array, and, being determined by the
+    witnesses, it takes no part in equality or hashing. ``sens_lower`` is the
     same set as a frozenset of tuples, built on first access.
     """
 
@@ -546,7 +586,10 @@ def _collision_scores(
 ) -> tuple[dict[Index, ScorePair], Optional[DataBound]]:
     """Collision score at every base point, and the first maximum as a bound.
 
-    Returns ({}, None) when no two records collide at distinct points.
+    The pair signs are projected onto each base point's free coordinates;
+    each distinct projected row set is scored once per call, and a set with
+    no nonzero row scores 3**N without a kernel call. Returns ({}, None) when
+    no two records collide at distinct points.
     """
     eps = Fraction(eps)
     delta = Fraction(delta)
@@ -568,14 +611,18 @@ def _collision_scores(
     # Projecting the distinct rows gives the same row set as projecting all.
     distinct = np.unique(signs, axis=0)
     starts = np.cumsum((0,) + expansion.arities[:-1])
+    counts: dict[bytes, int] = {}  # sorted projected rows -> eliminated count
     scores = {}
     for z in base_points(expansion):
-        # The rows are neither canonicalized nor filtered: t and -t eliminate
-        # the same vectors, and a zero row eliminates none. Distinct rows can
-        # coincide once projected; the small unique below removes those.
-        free = np.delete(distinct, starts + z, axis=1)
-        count = eliminated_any_mask(rows, np.unique(free, axis=0)).sum()
-        scores[z] = _score(n_reduced, int(count))
+        # The rows are not canonicalized (t and -t eliminate the same
+        # vectors); zero rows eliminate none and are dropped. Distinct rows
+        # can coincide once projected; the small unique below removes those.
+        free = np.unique(np.delete(distinct, starts + z, axis=1), axis=0)
+        free = free[free.any(axis=1)]
+        key = free.tobytes()
+        if key not in counts:
+            counts[key] = int(eliminated_any_mask(rows, free).sum()) if free.size else 0
+        scores[z] = _score(n_reduced, counts[key])
     z = max(scores, key=lambda z: scores[z].value)
     return scores, DataBound(
         score=scores[z], base_point=z, collisions=len(pairs), heuristic=eps > 0
@@ -601,15 +648,38 @@ def data_upper_bound(
 
 
 def _sweep(expansion: MultilinearExpansion, family: ProjectionFamily):
-    """Lazily yield (z, witness signs, eliminated mask) per base point."""
+    """Lazily yield (z, witness signs, eliminated mask) per base point.
+
+    A total sign with no +-1 entry eliminates nothing (its eliminated
+    vectors agree with it on a nonempty set of +-1 positions), so only the
+    live rows reach the kernel, and a base point without one gets an
+    all-false mask without a kernel call. Masks are memoized for the length
+    of the sweep by the set of live rows up to sign (t and -t eliminate the
+    same vectors): base points with equal sets share one read-only array.
+    """
     rows = table(reduced_dimension(expansion))
     signs = _total_signs(expansion, family.functionals)
+    nonzero = (signs == 1) | (signs == -1)
+    live = nonzero.any(axis=-1)
+    # Each row times the sign of its first +-1 entry ("u" stays "u"), as one
+    # base-4 code: equal codes are equal rows up to sign.
+    lead = np.take_along_axis(signs, nonzero.argmax(axis=-1)[..., None], axis=-1)
+    unsigned = np.where(signs == UNDETERMINED, UNDETERMINED, signs * lead) % 4
+    ids = unsigned @ 4 ** np.arange(signs.shape[-1], dtype=np.int64)
+    masks: dict[frozenset[int], np.ndarray] = {}
     for z in base_points(expansion):
         codes = signs[z]
         witnesses = tuple(zip(family.functionals, map(tuple, codes.tolist())))
-        mask = eliminated_any_mask(rows, codes)
-        mask.setflags(write=False)
-        yield z, witnesses, mask
+        key = frozenset(ids[z][live[z]].tolist())
+        if key not in masks:
+            kept = codes[live[z]]
+            if kept.size:
+                mask = eliminated_any_mask(rows, kept)
+            else:
+                mask = np.zeros(rows.shape[0], dtype=bool)
+            mask.setflags(write=False)
+            masks[key] = mask
+        yield z, witnesses, masks[key]
 
 
 def analyze_gate(
@@ -627,12 +697,21 @@ def analyze_gate(
     data_upper, data = {}, None
     if records is not None:
         data_upper, data = _collision_scores(records, expansion, eps, delta)
+    # The sweep hands out equal masks as one array and keeps each alive while
+    # it runs, so a mask's id names its score for the whole analysis.
+    scores: dict[int, ScorePair] = {}
+
+    def score(mask: np.ndarray, witnesses) -> ScorePair:
+        if id(mask) not in scores:
+            scores[id(mask)] = _witness_score(n_reduced, mask, witnesses)
+        return scores[id(mask)]
+
     reports = tuple(
         BasePointReport(
             base_point=z,
             witnesses=signs,
             mask=mask,
-            score=_lower_score(n_reduced, mask),
+            score=score(mask, signs),
             certificate=(
                 _greedy_certificate(z, signs, n_reduced) if mask.all() else None
             ),
@@ -788,8 +867,3 @@ def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[Experi
                 )
         records.append(record)
     return records
-
-
-def sorted_signs(vectors: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Deterministic listing order for sets of sign vectors."""
-    return sorted((tuple(v) for v in vectors), key=enumeration_key)

@@ -57,6 +57,16 @@ def jointly_eliminated(X, n):
     }
 
 
+def lower_score(S, n):
+    """3**n - 2 * |eliminated set of the canonical vectors not in S|.
+
+    The complement route of the score, vector by vector.
+    """
+    members = {tuple(s) for s in S}
+    complement = [s for s in canonical_vectors(n) if s not in members]
+    return 3**n - 2 * len(eliminated(complement, n))
+
+
 def evaluate_table(arities, table, point):
     """Multilinear interpolation of a table, written directly from scratch."""
     total = None

@@ -304,6 +304,24 @@ class TestGateCommands:
         assert crosscheck["failed"] == crosscheck["checked"] > 0
         assert crosscheck["passed"] == 0
 
+    def test_crosscheck_counts_both_sides_of_a_shared_mask(
+        self, capsys, monkeypatch, first_gate_path
+    ):
+        # The four reports share one mask of three vectors; its one-vector
+        # complement is the side the closed form now gets wrong.
+        union = cli.count_eliminated_union
+        monkeypatch.setattr(
+            cli, "count_eliminated_union", lambda X: union(X) + (len(X) == 1)
+        )
+        code, out, _ = run(capsys, "gate", "analyze", str(first_gate_path))
+        assert code == 3
+        assert json.loads(out)["counting_crosscheck"] == {
+            "checked": 8,
+            "passed": 4,
+            "failed": 4,
+            "skipped": 0,
+        }
+
     def test_certify_fixture(self, capsys):
         code, payload, _ = run_json(capsys, "gate", "certify", str(FIXTURE_PATH))
         assert code == 0

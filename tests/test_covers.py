@@ -1,6 +1,7 @@
 from functools import lru_cache
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -111,6 +112,17 @@ class TestCoverPredicates:
     def test_covered_fraction(self):
         assert covered_fraction([(1, 1)], 2) == (3, 4)
         assert covered_fraction(ZS_2, 2) == (4, 4)
+
+
+    @pytest.mark.parametrize("chunk", [1, 13, 40, 1 << 18])
+    def test_member_masks_in_blocks(self, monkeypatch, chunk):
+        # one member per block, a few, and every member in one block
+        monkeypatch.setattr(covers.backend, "_CHUNK_ROWS", chunk)
+        members = covers.table(3)
+        masks = np.unpackbits(covers._member_masks(members), axis=1)[:, :13]
+        for t, row in zip(members.tolist(), masks.tolist()):
+            hit = oracles.eliminated([t], 3)
+            assert row == [int(s in hit) for s in oracles.canonical_vectors(3)]
 
 
 class TestCoverSearch:

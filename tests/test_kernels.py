@@ -136,12 +136,50 @@ class TestBackendParity:
             assert 0 < expect.sum() < expect.size
             assert np.array_equal(chunked, expect)
 
+    def test_eliminator_blocks_are_invisible(self, rng, monkeypatch):
+        # More eliminators than _CHUNK_ROWS: each table row meets the
+        # eliminators in several blocks.
+        monkeypatch.setattr(backend, "_CHUNK_ROWS", 2)
+        table = sign_vector_table(4)
+        elim = random_eliminators(rng, 4, 5, allow_undetermined=False)
+        X = [tuple(t) for t in elim.tolist()]
+        for every, reduce in ((False, any), (True, all)):
+            expect = [reduce(oracles.eliminates(t, tuple(s)) for t in X) for s in table.tolist()]
+            assert backend._scan_masks(table, elim, every).tolist() == expect
+
     def test_empty_eliminator_matrix(self):
         table = sign_vector_table(3)
         empty = np.zeros((0, 3), dtype=np.int8)
         assert not eliminated_any_mask(table, empty).any()
         with pytest.raises(ValueError, match="at least one row"):
             eliminated_all_mask(table, empty)
+
+
+class TestRowMasks:
+    def assert_rows_match_oracle(self, table, elim):
+        masks = backend._row_masks(table, elim)
+        assert masks.shape == (elim.shape[0], table.shape[0])
+        for t, row in zip(elim.tolist(), masks.tolist()):
+            assert row == [oracles.eliminates(tuple(t), tuple(s)) for s in table.tolist()]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_blank_duplicate_and_negated_rows(self, rng, n):
+        table = sign_vector_table(n)
+        elim = random_eliminators(rng, n, 4)
+        blank = np.asarray([[0] * n, [UNDETERMINED] * n], dtype=np.int8)
+        rows = np.concatenate([blank, elim, elim[:2], with_negations(elim)])
+        self.assert_rows_match_oracle(table, rows)
+        assert not backend._row_masks(table, blank).any()
+
+    def test_random_rows_on_partial_tables(self, rng):
+        for n in range(1, 8):
+            full = sign_vector_table(n)
+            picks = rng.sample(range(full.shape[0]), rng.randint(1, min(full.shape[0], 40)))
+            elim = random_eliminators(rng, n, rng.randint(1, 6))
+            self.assert_rows_match_oracle(full[picks], elim)
+
+    def test_no_rows(self):
+        assert backend._row_masks(sign_vector_table(3), np.zeros((0, 3), np.int8)).shape == (0, 13)
 
 
 class TestDispatch:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -482,6 +483,108 @@ class TestScore:
             sensitivity_score(2, [(-1, 1)])
         with pytest.raises(DomainError):
             sensitivity_score(2, [(1, 1, 1)])
+
+
+@st.composite
+def scored_masks(draw):
+    """(n, mask over table(n), witnesses or None) for the score routes.
+
+    Masks are empty, full, one vector, a random subset, or the set that a
+    few total signs eliminate, drawn mostly from "u" (the witnesses are then
+    returned as (functional, total sign) pairs, dead rows included).
+    """
+    n = draw(st.integers(1, 4))
+    size = len(oracles.canonical_vectors(n))
+    kind = draw(st.sampled_from(["empty", "full", "singleton", "random", "witnesses"]))
+    witnesses = None
+    if kind == "empty":
+        mask = np.zeros(size, dtype=bool)
+    elif kind == "full":
+        mask = np.ones(size, dtype=bool)
+    elif kind == "singleton":
+        mask = np.zeros(size, dtype=bool)
+        mask[draw(st.integers(0, size - 1))] = True
+    elif kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    else:
+        u_heavy = st.sampled_from((UNDETERMINED,) * 3 + (-1, 0, 1))
+        rows = draw(st.lists(st.tuples(*[u_heavy] * n), min_size=1, max_size=4))
+        witnesses = [((k,), t) for k, t in enumerate(rows)]
+        hit = oracles.eliminated(rows, n)
+        mask = np.array([s in hit for s in oracles.canonical_vectors(n)])
+    return n, mask, witnesses
+
+
+class TestScoreRoutes:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_masks())
+    @example((3, np.zeros(13, dtype=bool), None))
+    @example((3, np.ones(13, dtype=bool), None))
+    @example((2, np.array([True, False, False, False]), None))
+    @example((3, np.zeros(13, dtype=bool), [((0,), (2, 2, 2)), ((1,), (0, 0, 0))]))
+    def test_scores_match_the_complement_route(self, case):
+        n, mask, witnesses = case
+        members = [s for s, hit in zip(oracles.canonical_vectors(n), mask) if hit]
+        expect = oracles.lower_score(members, n)
+        assert sensitivity._lower_score(n, mask).value == expect
+        if witnesses is not None:
+            assert sensitivity._witness_score(n, mask, witnesses).value == expect
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_one_live_sign_scores_three_or_one(self, n):
+        # every total sign of length n with a +-1 entry, alone and with its
+        # negation and a dead row beside it
+        for t in product((-1, 0, 1, UNDETERMINED), repeat=n):
+            if not any(e in (-1, 1) for e in t):
+                continue
+            negated = tuple(e if e == UNDETERMINED else -e for e in t)
+            hit = oracles.eliminated([t], n)
+            mask = np.array([s in hit for s in oracles.canonical_vectors(n)])
+            witnesses = [((1,), t), ((2,), negated), ((3,), (UNDETERMINED,) * n)]
+            score = sensitivity._witness_score(n, mask, witnesses)
+            assert score.value == (1 if UNDETERMINED in t else 3)
+            if n <= 3:
+                assert score.value == oracles.lower_score(hit, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_analysis_scores_match_the_complement_route(self, data):
+        gate = data.draw(gates())
+        analysis = analyze_gate(expand(gate))
+        for report in analysis.reports:
+            assert report.score.value == oracles.lower_score(
+                report.sens_lower, analysis.n_reduced
+            )
+
+    def test_reports_with_equal_masks_share_one_read_only_array(self):
+        # FIRST ignores its second input, so its total signs at (0, z) and
+        # (1, z) are one sign vector up to sign: every report has one mask.
+        reports = analyze_gate(expand(FIRST)).reports
+        assert len(reports) == 4
+        assert all(r.mask is reports[0].mask for r in reports)
+        assert not reports[0].mask.flags.writeable
+        assert reports[0].mask.tolist() == [False, True, True, True]
+        assert {r.score.value for r in reports} == {3}
+
+    def test_random_gate_needs_no_score_or_sweep_kernel_call(self, monkeypatch):
+        calls = []
+
+        def counted(kernel):
+            def wrapper(*args):
+                calls.append(kernel.__name__)
+                return kernel(*args)
+
+            return wrapper
+
+        for name in ("eliminated_any_mask", "_row_masks"):
+            monkeypatch.setattr(sensitivity, name, counted(getattr(sensitivity, name)))
+        gate = seeded_gate(11, (2,) * 6, 2, "random")
+        analysis = analyze_gate(expand(gate))
+        assert calls == []
+        assert len({id(r.mask) for r in analysis.reports}) == 1
+        assert not analysis.reports[0].mask.any()
+        assert analysis.lower.value == 1
+        assert analysis.certificate is None
 
 
 @st.composite
