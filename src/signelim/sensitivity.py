@@ -47,7 +47,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .backend import _base3_index, _canonical_index, _row_masks, eliminated_any_mask
+from .backend import (
+    _base3_index,
+    _canonical_index,
+    _elimination_counts,
+    _row_masks,
+    eliminated_any_mask,
+)
 from .errors import DomainError, ValidationError, check_cap
 from .gates import (
     Gate,
@@ -321,14 +327,15 @@ def _lower_score(n_reduced: int, mask: np.ndarray) -> ScorePair:
 
     An empty set scores 1, since every vector eliminates itself and so the
     complement eliminates everything, and a full set scores 3**N, since its
-    empty complement eliminates nothing; neither calls the kernel.
+    empty complement eliminates nothing; neither calls the kernel. Any other
+    complement goes to the transform, whose cost does not grow with its size.
     """
     if not mask.any():
         return _score(n_reduced, mask.size)
     if mask.all():
         return _score(n_reduced, 0)
-    rows = table(n_reduced)
-    return _score(n_reduced, int(eliminated_any_mask(rows, rows[~mask]).sum()))
+    eliminated = np.count_nonzero(_elimination_counts(n_reduced, ~mask))
+    return _score(n_reduced, int(eliminated))
 
 
 def _witness_score(
@@ -578,6 +585,20 @@ def _collision_pairs(
     return [(a, b) for a, b in candidates if records[a].point != records[b].point]
 
 
+def _distinct_rows(signs: np.ndarray) -> np.ndarray:
+    """The distinct rows of a sign matrix, in ascending order of base-3 code.
+
+    The int64 codes are exact: a row has sum(arities) <= 2N columns, and
+    3**(2N) < 2**63 for every N whose table(N) fits in memory (N <= 19).
+    """
+    codes = _base3_index(signs)
+    order = np.argsort(codes)
+    codes = codes[order]
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return signs[order[first]]
+
+
 def _collision_scores(
     records: Sequence[ExperimentRecord],
     expansion: MultilinearExpansion,
@@ -609,15 +630,15 @@ def _collision_scores(
     a, b = np.array(pairs).T
     signs = (points[b] > points[a]).astype(np.int8) - (points[b] < points[a])
     # Projecting the distinct rows gives the same row set as projecting all.
-    distinct = np.unique(signs, axis=0)
+    distinct = _distinct_rows(signs)
     starts = np.cumsum((0,) + expansion.arities[:-1])
     counts: dict[bytes, int] = {}  # sorted projected rows -> eliminated count
     scores = {}
     for z in base_points(expansion):
         # The rows are not canonicalized (t and -t eliminate the same
         # vectors); zero rows eliminate none and are dropped. Distinct rows
-        # can coincide once projected; the small unique below removes those.
-        free = np.unique(np.delete(distinct, starts + z, axis=1), axis=0)
+        # can coincide once projected; _distinct_rows removes those again.
+        free = _distinct_rows(np.delete(distinct, starts + z, axis=1))
         free = free[free.any(axis=1)]
         key = free.tobytes()
         if key not in counts:

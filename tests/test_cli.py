@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -10,7 +13,7 @@ from signelim import boolean_gate, dumps_gate
 from signelim import cli, covers
 from signelim.cli import main
 
-from conftest import FIXTURE_PATH, fail_if_called
+from conftest import FIXTURE_PATH, REPO_ROOT, fail_if_called
 
 
 def run(capsys, *argv):
@@ -507,6 +510,26 @@ class TestDataCommands:
         )
         assert code == 0
         assert payload == {"bound": None, "collisions": 0, "records": 2}
+
+    def test_bound_leaves_numpy_ma_unimported(self):
+        # numpy imports numpy.ma (about 1 MB) on the first np.unique call
+        golden = REPO_ROOT / "tests" / "golden"
+        script = (
+            "import contextlib, io, sys\n"
+            "from signelim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        argv = ["data", "bound", str(golden / "additive_gate.json"),
+                str(golden / "additive_records.csv"), "--eps", "1/12"]
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.stdout.split() == ["0", "False"], result.stderr
 
     @pytest.mark.parametrize("flag", ["--eps", "--delta"])
     @pytest.mark.parametrize("value", ["1/0", "abc", "0.1.2"])

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from signelim import backend
+from signelim import backend, sensitivity
 from signelim.backend import (
     UNDETERMINED,
     eliminated_all_mask,
@@ -43,19 +45,33 @@ class TestTable:
 
 
 def transform_masks(table, elim, every):
-    has_u = bool((elim == UNDETERMINED).any())
-    counts = backend._elimination_counts(table, elim, has_u)
-    return counts == elim.shape[0] if every else counts > 0
+    """The transform of the set of elim's rows up to sign, read at table's rows.
+
+    The transform takes a set as a mask over the whole enumeration, so elim
+    must be free of "u" and of rows without a +-1 entry; ``table`` may be any
+    selection of the enumeration's rows, read from the full mask. A row and
+    its negation eliminate the same vectors, so the all-mask is the set of
+    vectors whose count equals the number of members.
+    """
+    n = table.shape[1]
+    full = [tuple(s) for s in sign_vector_table(n).tolist()]
+    rows = {oracles.canonical(t) for t in elim.tolist()}
+    members = np.array([s in rows for s in full])
+    counts = backend._elimination_counts(n, members)
+    mask = counts == members.sum() if every else counts > 0
+    position = {s: i for i, s in enumerate(full)}
+    return mask[[position[tuple(s)] for s in table.tolist()]]
 
 
-def dispatched_masks(table, elim, every):
+def public_masks(table, elim, every):
     return (eliminated_all_mask if every else eliminated_any_mask)(table, elim)
 
 
 KERNELS = {
     "scan": backend._scan_masks,
     "transform": transform_masks,
-    "dispatch": dispatched_masks,
+    # the public entry points, which take every eliminator-row job to the scan
+    "dispatch": public_masks,
 }
 
 
@@ -80,9 +96,8 @@ class TestBackendParity:
         for _ in range(30):
             n = rng.randint(1, 7)
             table = sign_vector_table(n)
-            elim = random_eliminators(
-                rng, n, rng.randint(1, 12), allow_undetermined=rng.random() < 0.5
-            )
+            allow_undetermined = rng.random() < 0.5 and kernel != "transform"
+            elim = random_eliminators(rng, n, rng.randint(1, 12), allow_undetermined)
             assert_masks_match_oracle(kernel, table, elim)
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -93,14 +108,19 @@ class TestBackendParity:
         assert_masks_match_oracle(kernel, table, table)
         assert_masks_match_oracle(kernel, table, table[: max(1, table.shape[0] // 3)])
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("allow_undetermined", [False, True])
+    @pytest.mark.parametrize(
+        "allow_undetermined, kernel",
+        [(False, kernel) for kernel in KERNELS]
+        + [(True, kernel) for kernel in KERNELS if kernel != "transform"],
+    )
     def test_duplicates_and_negations(self, rng, kernel, allow_undetermined):
         for n in range(1, 6):
             table = sign_vector_table(n)
             elim = random_eliminators(rng, n, 4, allow_undetermined)
             assert_masks_match_oracle(kernel, table, np.concatenate([elim, elim[:2]]))
             assert_masks_match_oracle(kernel, table, with_negations(elim))
+            if kernel == "transform":
+                continue  # a set holds no row without a +-1 entry
             # Rows with no +-1 entry equal their own negation and eliminate
             # nothing; all-zero and all-"u" rows must not shift the counts.
             blank = np.asarray([[0] * n, [UNDETERMINED] * n], dtype=np.int8)
@@ -108,13 +128,13 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_partial_table(self, rng, kernel):
-        # A shuffled subset of the enumeration, like the rows callers pass
-        # when the table is not the cached canonical one.
+        # A shuffled subset of the enumeration; the transform's masks are
+        # over the whole enumeration and are read at the subset's rows.
         for n in range(1, 8):
             full = sign_vector_table(n)
             picks = rng.sample(range(full.shape[0]), rng.randint(1, min(full.shape[0], 60)))
             rows = full[picks]
-            for allow_undetermined in (False, True):
+            for allow_undetermined in (False,) if kernel == "transform" else (False, True):
                 elim = random_eliminators(rng, n, rng.randint(1, 8), allow_undetermined)
                 assert_masks_match_oracle(kernel, rows, elim)
             assert_masks_match_oracle(kernel, rows, rows[:1])
@@ -124,8 +144,7 @@ class TestBackendParity:
         n = 6
         table = sign_vector_table(n)
         # Without "u" entries both masks are mixed, so either reducer would
-        # show a chunk written to the wrong rows. The scan is called directly:
-        # three rows at n = 6 dispatch to the transform.
+        # show a chunk written to the wrong rows.
         elim = random_eliminators(rng, n, 3, allow_undetermined=False)
         X = [tuple(t) for t in elim.tolist()]
         for every, reduce in ((False, any), (True, all)):
@@ -182,26 +201,43 @@ class TestRowMasks:
         assert backend._row_masks(sign_vector_table(3), np.zeros((0, 3), np.int8)).shape == (0, 13)
 
 
-class TestDispatch:
-    def test_one_eliminator_row_takes_the_scan(self):
-        for n in range(1, 17):
-            rows = (3**n - 1) // 2
-            assert not backend._use_transform(rows, n, 1, has_u=False)
-            assert not backend._use_transform(rows, n, 1, has_u=True)
+class TestTransform:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_axis_transform_matches_its_definition(self, rng, n):
+        # A grid that is not symmetric under negation, unlike every grid
+        # _elimination_counts builds, so a swap of the digits +1 and -1
+        # shows. Digits 0, 1, 2 stand for 0, +1, -1.
+        codes = list(itertools.product(range(3), repeat=n))
+        grid = np.array([rng.randint(0, 3) for _ in codes], dtype=np.int32)
+        sign = (0, 1, -1)
+        for conformal in (False, True):
+            expect = [
+                sum(
+                    int(count)
+                    for m, count in zip(codes, grid)
+                    if all(
+                        not sign[si] or not sign[mi] or (conformal and mi == si)
+                        for si, mi in zip(s, m)
+                    )
+                )
+                for s in codes
+            ]
+            assert backend._axis_transform(grid, n, conformal).tolist() == expect
 
-    def test_whole_complement_takes_the_transform(self):
-        rows = (3**6 - 1) // 2
-        assert backend._use_transform(rows, 6, rows, has_u=False)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_code_arrays_match_the_table(self, n):
+        table = sign_vector_table(n)
+        assert backend._canonical_index(n).tolist() == backend._base3_index(table).tolist()
+        assert backend._negated_index(n).tolist() == backend._base3_index(-table).tolist()
 
-    def test_over_budget_grid_takes_the_scan(self):
-        rows = (3**16 - 1) // 2
-        assert 4**16 > backend._GRID_BUDGET
-        assert not backend._use_transform(rows, 16, rows, has_u=True)
-
-    @pytest.mark.parametrize("has_u", [False, True])
-    def test_grid_never_exceeds_the_budget(self, has_u):
-        k = 4 if has_u else 3
-        for n in range(1, 17):
-            rows = (3**n - 1) // 2
-            if backend._use_transform(rows, n, rows, has_u):
-                assert k**n <= backend._GRID_BUDGET
+    def test_nothing_above_n_12_is_pinned(self):
+        caches = (
+            backend.sign_vector_table,
+            backend._canonical_index,
+            backend._negated_index,
+        )
+        before = [cache.cache_info() for cache in caches]
+        e1 = (1,) + (0,) * 12
+        assert sensitivity.sensitivity_score(13, [e1]).value == 1
+        assert [cache.cache_info() for cache in caches] == before
+        assert not sign_vector_table(13).flags.writeable

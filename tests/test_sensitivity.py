@@ -39,11 +39,12 @@ from signelim import (
     verify_certificate,
     witness_signs,
 )
-from signelim import sensitivity
+from signelim import backend, sensitivity
+from signelim.signvec import eliminated_mask, jointly_eliminated_count
 from signelim.errors import ResourceLimitError
 
 import oracles
-from conftest import fail_if_called
+from conftest import fail_if_called, random_total_sign
 
 F = Fraction
 
@@ -605,6 +606,54 @@ def covering_witness_rows(draw):
         if s not in covered:
             rows.insert(draw(st.integers(0, len(rows))), s)
     return n, rows
+
+
+def raise_if_called(*args, **kwargs):
+    raise AssertionError("the kernel of another job ran")
+
+
+class TestKernelRouting:
+    """Eliminator rows always take the scan; a set's complement the transform."""
+
+    @pytest.fixture()
+    def no_transform(self, monkeypatch):
+        for module in (backend, sensitivity):
+            monkeypatch.setattr(module, "_elimination_counts", raise_if_called)
+
+    @pytest.mark.parametrize("seed", range(len(SWEEP_GATES)))
+    def test_sweeps_certificates_and_collisions_take_the_scan(self, no_transform, seed):
+        gate = SWEEP_GATES[seed]
+        expansion = expand(gate)
+        family = default_family(gate.output_dim)
+        for _, _, mask in sensitivity._sweep(expansion, family):
+            assert mask.dtype == bool
+        certificate = reversibility_certificate(expansion, family)
+        if certificate is not None:
+            assert verify_certificate(expansion, certificate)
+        records = seeded_records(seed, gate, count=64)
+        sensitivity._collision_scores(records, expansion, F(1, 4), F(0))
+
+    def test_set_functions_take_the_scan(self, no_transform, rng):
+        # many rows: the whole enumeration, its negations and "u" rows
+        n = 5
+        rows = oracles.canonical_vectors(n)
+        rows += [tuple(-e for e in v) for v in rows]
+        rows += [random_total_sign(rng, n) for _ in range(20)]
+        assert eliminated_mask(rows, n).all()
+        assert jointly_eliminated_count(rows[:3], n) == len(
+            oracles.jointly_eliminated(rows[:3], n)
+        )
+
+    def test_a_mixed_mask_takes_the_transform(self, monkeypatch, rng):
+        for module in (backend, sensitivity):
+            monkeypatch.setattr(module, "_row_masks", raise_if_called)
+        monkeypatch.setattr(sensitivity, "eliminated_any_mask", raise_if_called)
+        n = 4
+        vectors = oracles.canonical_vectors(n)
+        mask = np.array([rng.random() < 0.5 for _ in vectors])
+        mask[:2] = (True, False)
+        chosen = [v for v, hit in zip(vectors, mask) if hit]
+        assert sensitivity._lower_score(n, mask).value == oracles.lower_score(chosen, n)
 
 
 class TestCertificates:
