@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -69,10 +68,12 @@ from .signvec import (
     DEFAULT_MAX_N,
     ENV_MAX_N,
     UNDETERMINED,
+    _check_length,
     canonical_sign_vectors,
     eliminated_set,
     sign_rows,
     table,
+    vector_count,
 )
 
 __all__ = [
@@ -376,7 +377,8 @@ def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> S
     is empty, 3**N when S is everything, so log3 ranges over [0, N].
     """
     rows = sign_rows(sens_subset, n_reduced)
-    mask = np.zeros(table(n_reduced).shape[0], dtype=bool)  # table checks N
+    _check_length(n_reduced)
+    mask = np.zeros(vector_count(n_reduced), dtype=bool)
     if rows:
         # table(N) is in ascending order of its rows' base-3 codes
         codes = _base3_index(np.array(rows, dtype=np.int8))
@@ -504,14 +506,57 @@ class ExperimentRecord:
     output: Vector
 
 
+def _int_matrix(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[np.ndarray, int]:
+    """_cleared(rows) as one (len(rows), width) object matrix of Python ints."""
+    ints, scale = _cleared(rows)
+    return np.array(ints, dtype=object).reshape(len(ints), width), scale
+
+
+def _record_points(
+    records: Sequence[ExperimentRecord], arities: Sequence[int]
+) -> tuple[np.ndarray, int]:
+    """Every record's coordinates, block by block, as one matrix of exact ints.
+
+    Row k is record k's point times the lcm of all the records' coordinate
+    denominators, returned with the matrix. The records must have the
+    arities' block lengths.
+    """
+    flat = [[c for block in r.point for c in block] for r in records]
+    return _int_matrix(flat, sum(arities))
+
+
+def _first_faults(
+    points: np.ndarray, scale: int, arities: Sequence[int], bad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's first faulty block, and whether its fault is the sum.
+
+    A block is faulty when its ints do not sum to ``scale`` (its coordinates
+    do not sum to 1) or ``bad`` marks one of its coordinates; the sum is
+    checked first. Blocks are 0-based, -1 where a record has no fault.
+    """
+    starts = np.cumsum((0,) + tuple(arities[:-1]))
+    off_sum = np.add.reduceat(points, starts, axis=1) != scale
+    faulty = off_sum | np.logical_or.reduceat(bad, starts, axis=1)
+    first = np.where(faulty.any(axis=1), faulty.argmax(axis=1), -1)
+    is_sum = off_sum[np.arange(first.size), first] & (first >= 0)
+    return first, is_sum
+
+
 def _validate_records(
     records: Sequence[ExperimentRecord],
     expansion: MultilinearExpansion,
     delta: Fraction,
-) -> None:
+) -> np.ndarray:
+    """The records' points as _record_points' exact int matrix, once checked.
+
+    Every record must have the expansion's block and output lengths, every
+    block must sum to 1, and every coordinate must be > 0 and >= delta. A
+    record is checked block by block up to its first faulty block: a sum
+    fault there raises at once, an interior fault rejects the record, and
+    the rejected positions are reported together.
+    """
     if delta < 0:
         raise DomainError("delta must be >= 0")
-    rejected = []
     for pos, record in enumerate(records, start=1):
         if len(record.point) != expansion.block_count:
             raise ValidationError(
@@ -522,67 +567,91 @@ def _validate_records(
                 raise ValidationError(
                     f"record {pos}: block {i} must have {arity} coordinates"
                 )
-            (ints,), scale = _cleared([block])
-            if sum(ints) != scale:
-                raise ValidationError(
-                    f"record {pos}: block {i} coordinates must sum to 1"
-                )
-            # c < delta  <=>  c * scale * delta.denominator < delta.numerator * scale
-            if min(ints) <= 0 or min(ints) * delta.denominator < delta.numerator * scale:
-                rejected.append(pos)
-                break
         if len(record.output) != expansion.output_dim:
             raise ValidationError(
                 f"record {pos}: output must have {expansion.output_dim} components"
             )
-    if rejected:
+    points, scale = _record_points(records, expansion.arities)
+    # c < delta  <=>  c * scale * delta.denominator < delta.numerator * scale
+    bad = (points <= 0) | (points * delta.denominator < delta.numerator * scale)
+    first, is_sum = _first_faults(points, scale, expansion.arities, bad)
+    if is_sum.any():
+        k = int(is_sum.argmax())
+        raise ValidationError(
+            f"record {k + 1}: block {first[k] + 1} coordinates must sum to 1"
+        )
+    if (first >= 0).any():
         margin = f" and >= {delta}" if delta > 0 else ""
         raise ValidationError(
             f"records not strictly interior (every coordinate must be > 0{margin}): "
-            f"positions {rejected}"
+            f"positions {(np.flatnonzero(first >= 0) + 1).tolist()}"
         )
+    return points
+
+
+def _row_ids(matrix: np.ndarray) -> np.ndarray:
+    """One id per row, equal exactly for equal rows, numbered by first occurrence."""
+    ids: dict[tuple, int] = {}
+    return np.array(
+        [ids.setdefault(row, len(ids)) for row in map(tuple, matrix.tolist())],
+        dtype=np.int64,
+    )
 
 
 def _collision_pairs(
-    records: Sequence[ExperimentRecord], eps: Fraction
-) -> list[tuple[int, int]]:
-    """Colliding records as index pairs (a, b), a < b.
+    points: np.ndarray, outputs: Sequence[Vector], eps: Fraction
+) -> tuple[np.ndarray, np.ndarray]:
+    """Colliding records as two index arrays (a, b), a < b elementwise.
 
     Two records collide when their points differ and every output component
-    differs by at most eps. For eps = 0 the records are bucketed by output and
-    pairs are formed only inside a bucket. For eps > 0 the outputs and eps are
-    scaled by one lcm to Python ints, the records are sorted by their first
-    output component, and each record is paired with the later ones inside a
-    window of width eps on that component, the other components checked
-    exactly (sort and sweep). The cost is the number of records plus the
-    number of candidate pairs (one bucket's, or one window's), not the square
-    of the record count.
+    differs by at most eps. Row k of ``points`` is record k's point in any
+    exact encoding (equal rows exactly for equal points); ``outputs`` are the
+    records' outputs. The outputs and eps are scaled by one lcm to Python
+    ints, the records are sorted by a key, and each is paired with the later
+    ones inside a window found by ``searchsorted``. For eps = 0 the key is
+    the record's output row, numbered, and the window is its bucket of equal
+    outputs. For eps > 0 the key is the first output component, the window
+    is a width of eps on it, and the other components are compared on object
+    arrays. The cost is the number of records plus the number of candidate
+    pairs (one bucket's, or one window's), not the square of the record
+    count.
     """
     if eps < 0:
         raise DomainError("eps must be >= 0")
-    if eps == 0:
-        buckets: dict[Vector, list[int]] = {}
-        for k, record in enumerate(records):
-            buckets.setdefault(record.output, []).append(k)
-        candidates = [
-            pair for bucket in buckets.values() for pair in combinations(bucket, 2)
-        ]
-    else:
-        (*outputs, (width,)), _ = _cleared([r.output for r in records] + [(eps,)])
-        order = sorted(range(len(outputs)), key=lambda k: outputs[k][0])
-        firsts = [outputs[k][0] for k in order]
-        candidates = []
-        for pos, a in enumerate(order):
-            end = bisect_right(firsts, firsts[pos] + width, lo=pos + 1)
-            candidates.extend(
-                (min(a, b), max(a, b))
-                for b in order[pos + 1 : end]
-                if all(
-                    abs(p - q) <= width
-                    for p, q in zip(outputs[a][1:], outputs[b][1:])
-                )
-            )
-    return [(a, b) for a, b in candidates if records[a].point != records[b].point]
+    none = np.zeros(0, dtype=np.int64)
+    if len(outputs) < 2:
+        return none, none
+    dim = len(outputs[0])
+    scaled, _ = _int_matrix([*outputs, (eps,) * dim], dim)
+    scaled, width = scaled[:-1], scaled[-1, 0]
+    key = _row_ids(scaled) if eps == 0 else scaled[:, 0]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    counts = np.searchsorted(key, key + width, side="right") - np.arange(1, key.size + 1)
+    # one candidate (left, right) per sorted position and each later position
+    # inside its window
+    left = np.repeat(np.arange(key.size), counts)
+    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = order[left], order[right]
+    ids = _row_ids(points)
+    keep = ids[a] != ids[b]
+    if eps > 0:
+        for c in range(1, dim):
+            keep &= abs(scaled[a, c] - scaled[b, c]) <= width
+    a, b = a[keep], b[keep]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _dense_ranks(matrix: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the matrix's distinct values, 0 for the least.
+
+    The ranks come from an exact sort of the Python ints, so they order and
+    equal exactly as the entries do, and sign(ranks[b] - ranks[a]) is the
+    sign of the entries' difference, in int64.
+    """
+    values = matrix.ravel().tolist()
+    rank = {v: k for k, v in enumerate(sorted(set(values)))}
+    return np.array([rank[v] for v in values], dtype=np.int64).reshape(matrix.shape)
 
 
 def _distinct_rows(signs: np.ndarray) -> np.ndarray:
@@ -607,28 +676,27 @@ def _collision_scores(
 ) -> tuple[dict[Index, ScorePair], Optional[DataBound]]:
     """Collision score at every base point, and the first maximum as a bound.
 
-    The pair signs are projected onto each base point's free coordinates;
+    The records' points are checked and scaled to exact ints once, then
+    replaced by their dense ranks: ranks order as the exact coordinates do,
+    so every pair's signs come from int64 differences, and equal rank rows
+    are equal points. The pair signs are projected onto each base point's
+    free coordinates;
     each distinct projected row set is scored once per call, and a set with
     no nonzero row scores 3**N without a kernel call. Returns ({}, None) when
     no two records collide at distinct points.
     """
     eps = Fraction(eps)
     delta = Fraction(delta)
-    _validate_records(records, expansion, delta)
+    points = _validate_records(records, expansion, delta)
     _check_caps(expansion)
-    pairs = _collision_pairs(records, eps)
-    if not pairs:
+    ranks = _dense_ranks(points)
+    a, b = _collision_pairs(ranks, [r.output for r in records], eps)
+    if not a.size:
         return {}, None
     n_reduced = reduced_dimension(expansion)
     rows = table(n_reduced)
-    # sign(b - a) of every pair on every input coordinate, block by block, from
-    # the points scaled by one positive lcm to Python ints
-    points = np.array(
-        _cleared([[c for block in r.point for c in block] for r in records])[0],
-        dtype=object,
-    )
-    a, b = np.array(pairs).T
-    signs = (points[b] > points[a]).astype(np.int8) - (points[b] < points[a])
+    # sign(b - a) of every pair on every input coordinate, block by block
+    signs = np.sign(ranks[b] - ranks[a]).astype(np.int8)
     # Projecting the distinct rows gives the same row set as projecting all.
     distinct = _distinct_rows(signs)
     starts = np.cumsum((0,) + expansion.arities[:-1])
@@ -646,7 +714,7 @@ def _collision_scores(
         scores[z] = _score(n_reduced, counts[key])
     z = max(scores, key=lambda z: scores[z].value)
     return scores, DataBound(
-        score=scores[z], base_point=z, collisions=len(pairs), heuristic=eps > 0
+        score=scores[z], base_point=z, collisions=a.size, heuristic=eps > 0
     )
 
 
@@ -874,17 +942,13 @@ def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[Experi
     Every block must sum to 1 and have no negative coordinate; errors name
     the file and the line.
     """
-    records = []
-    for line, record in _read_experiment_csv(path, gate):
-        for i, block in enumerate(record.point, start=1):
-            (ints,), scale = _cleared([block])
-            if sum(ints) != scale:
-                raise ValidationError(
-                    f"{path}:{line}: block {i} coordinates must sum to 1"
-                )
-            if min(ints) < 0:
-                raise ValidationError(
-                    f"{path}:{line}: block {i} has a negative coordinate"
-                )
-        records.append(record)
+    rows = _read_experiment_csv(path, gate)
+    records = [record for _, record in rows]
+    points, scale = _record_points(records, gate.arities)
+    first, is_sum = _first_faults(points, scale, gate.arities, points < 0)
+    faulty = np.flatnonzero(first >= 0)
+    if faulty.size:
+        k = faulty[0]
+        fault = "coordinates must sum to 1" if is_sum[k] else "has a negative coordinate"
+        raise ValidationError(f"{path}:{rows[k][0]}: block {first[k] + 1} {fault}")
     return records

@@ -203,3 +203,47 @@ def column_rank(rows):
             work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+def validate_records(records, arities, output_dim, delta):
+    """The first error of the record check, as (exception name, message), or None.
+
+    records are (point, output) pairs. Records are checked in order, and each
+    one block by block: a wrong block count or length, a block whose
+    coordinates do not sum to 1, or a wrong output length is an error at once;
+    a block with a coordinate <= 0 or < delta rejects its record and ends that
+    record's block checks. The rejected positions (1-based) are reported
+    together after the last record.
+    """
+    if delta < 0:
+        return "DomainError", "delta must be >= 0"
+    rejected = []
+    for pos, (point, output) in enumerate(records, start=1):
+        if len(point) != len(arities):
+            return "ValidationError", f"record {pos}: expected {len(arities)} blocks"
+        for i, (block, arity) in enumerate(zip(point, arities), start=1):
+            if len(block) != arity:
+                return (
+                    "ValidationError",
+                    f"record {pos}: block {i} must have {arity} coordinates",
+                )
+            if sum(block, Fraction(0)) != 1:
+                return (
+                    "ValidationError",
+                    f"record {pos}: block {i} coordinates must sum to 1",
+                )
+            if min(block) <= 0 or min(block) < delta:
+                rejected.append(pos)
+                break
+        if len(output) != output_dim:
+            return (
+                "ValidationError",
+                f"record {pos}: output must have {output_dim} components",
+            )
+    if rejected:
+        margin = f" and >= {delta}" if delta > 0 else ""
+        return "ValidationError", (
+            f"records not strictly interior (every coordinate must be > 0{margin}): "
+            f"positions {rejected}"
+        )
+    return None

@@ -511,25 +511,36 @@ class TestDataCommands:
         assert code == 0
         assert payload == {"bound": None, "collisions": 0, "records": 2}
 
-    def test_bound_leaves_numpy_ma_unimported(self):
-        # numpy imports numpy.ma (about 1 MB) on the first np.unique call
+    def test_bound_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy imports numpy.ma (about 1 MB) on the first np.unique call;
+        # every command runs the record checks, the collision window and the
+        # pair signs
         golden = REPO_ROOT / "tests" / "golden"
+        gate = str(golden / "additive_gate.json")
+        records = tmp_path / "records.csv"
+        # the golden records, plus one that collides with the first within 1/1000
+        lines = (golden / "additive_records.csv").read_text().splitlines()
+        records.write_text("\n".join(lines + ["1/4,1/2,1/4,3/4,1/4,7/6,7/6,3253/3000"]) + "\n")
+        commands = [
+            ["data", "bound", gate, str(records), "--eps", "1/12"],
+            ["data", "bound", gate, str(records), "--eps", "1/1000"],
+            ["gate", "analyze", gate, "--data", str(records), "--eps", "1/12"],
+        ]
         script = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, json, sys\n"
             "from signelim.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(sys.argv[1:])\n"
-            "print(code, 'numpy.ma' in sys.modules)\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    print(code, 'numpy.ma' in sys.modules)\n"
         )
-        argv = ["data", "bound", str(golden / "additive_gate.json"),
-                str(golden / "additive_records.csv"), "--eps", "1/12"]
         path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         result = subprocess.run(
-            [sys.executable, "-c", script, *argv],
+            [sys.executable, "-c", script, json.dumps(commands)],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert result.stdout.split() == ["0", "False"], result.stderr
+        assert result.stdout.split() == ["0", "False"] * len(commands), result.stderr
 
     @pytest.mark.parametrize("flag", ["--eps", "--delta"])
     @pytest.mark.parametrize("value", ["1/0", "abc", "0.1.2"])

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -420,6 +422,15 @@ class TestScore:
         full = canonical_sign_vectors(2)
         assert sensitivity_score(2, full).value == 9
         assert sensitivity_score(2, full).log3 == 2.0
+
+    def test_score_builds_no_table(self, monkeypatch):
+        # the length cap and the mask size need no enumeration; above N = 12
+        # a table would be built afresh on every call
+        monkeypatch.setattr(backend, "sign_vector_table", raise_if_called)
+        e1 = (1,) + (0,) * 12
+        assert sensitivity_score(13, [e1]).value == 1
+        with pytest.raises(DomainError, match="positive int"):
+            sensitivity_score(0, [])
 
     def test_frozen_conjunction_score(self):
         score = sensitivity_score(2, [(1, 1), (1, 0), (0, 1)])
@@ -852,6 +863,16 @@ class TestBooleanSensitivity:
             assert analysis.lower.log3 <= classical.value
 
 
+def collision_pairs(records, eps):
+    """_collision_pairs on the records' exact point matrix, as a list of (a, b)."""
+    arities = [len(block) for block in records[0].point] if records else [1]
+    points, _ = sensitivity._record_points(records, arities)
+    a, b = sensitivity._collision_pairs(points, [r.output for r in records], eps)
+    assert a.dtype == b.dtype == np.int64
+    assert (a < b).all()
+    return list(zip(a.tolist(), b.tolist()))
+
+
 def projection_records():
     """Interior observations of the first-input projection gate."""
     records = []
@@ -986,7 +1007,7 @@ class TestDataBounds:
     @example(projection_records()[:1] * 2, F(0))
     @example(projection_records()[:1] * 2, F(1, 4))
     def test_collision_pairs_match_the_oracle(self, records, eps):
-        pairs = sensitivity._collision_pairs(records, eps)
+        pairs = collision_pairs(records, eps)
         expected = oracles.collision_pairs([(r.point, r.output) for r in records], eps)
         assert sorted(pairs) == sorted(expected)
 
@@ -1001,9 +1022,9 @@ class TestDataBounds:
             ExperimentRecord(point, (F(1, 3), F(-1, 2))),
             ExperimentRecord(other, tuple(near)),
         ]
-        assert sensitivity._collision_pairs(records, eps) == [(0, 1)]
-        assert sensitivity._collision_pairs(records, eps - F(1, 1000)) == []
-        assert sensitivity._collision_pairs(records, F(0)) == []
+        assert collision_pairs(records, eps) == [(0, 1)]
+        assert collision_pairs(records, eps - F(1, 1000)) == []
+        assert collision_pairs(records, F(0)) == []
 
     def test_caps_fire_before_any_sign_work(self, monkeypatch):
         def fail(*args):
@@ -1070,6 +1091,205 @@ class TestDataBounds:
             )
 
 
+# A gate whose blocks have two and three coordinates; the check reads only
+# its shape.
+CHECKED = Gate(
+    arities=(2, 3),
+    output_dim=1,
+    table={idx: (F(0),) for idx in product(range(2), range(3))},
+)
+CHECK_COORDINATES = [F(-1, 4), F(0), F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]
+CHECK_DELTAS = [F(0), F(1, 8), F(1, 4), F(1, 3), F(-1, 8)]
+
+
+@st.composite
+def checked_blocks(draw, arity):
+    """A block that sums to 1 unless drawn otherwise; zero, negative and
+    delta-sized coordinates are common."""
+    head = draw(st.lists(st.sampled_from(CHECK_COORDINATES), min_size=arity - 1,
+                         max_size=arity - 1))
+    if draw(st.booleans()):
+        return tuple(head) + (1 - sum(head, F(0)),)
+    return tuple(head) + (draw(st.sampled_from(CHECK_COORDINATES)),)
+
+
+@st.composite
+def checked_record_sets(draw):
+    block = [checked_blocks(a) for a in CHECKED.arities]
+    record = st.builds(ExperimentRecord, st.tuples(*block), st.just((F(0),)))
+    return draw(st.lists(record, max_size=8))
+
+
+def validation_error(records, delta, gate=CHECKED):
+    """The error _validate_records raises, as (exception name, message)."""
+    try:
+        sensitivity._validate_records(records, expand(gate), delta)
+    except (DomainError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def oracle_validation_error(records, delta, gate=CHECKED):
+    plain = [(r.point, r.output) for r in records]
+    return oracles.validate_records(plain, gate.arities, gate.output_dim, delta)
+
+
+def record(*blocks, output=(F(0),)):
+    return ExperimentRecord(point=tuple(tuple(map(F, b)) for b in blocks), output=output)
+
+
+GOOD = record((F(1, 2), F(1, 2)), (F(1, 4), F(1, 4), F(1, 2)))
+# block 1 is not interior and block 2 does not sum to 1: the check stops at
+# block 1, so the record is rejected, not a sum error
+ZERO_THEN_BAD_SUM = record((0, 1), (F(1, 2), F(1, 2), F(1, 2)))
+
+
+class TestRecordValidation:
+    """The array check against the record-by-record oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(checked_record_sets(), st.sampled_from(CHECK_DELTAS))
+    @example([], F(0))
+    @example([], F(-1, 8))
+    @example([ZERO_THEN_BAD_SUM], F(0))
+    @example([ZERO_THEN_BAD_SUM, record((0, 1), (F(1, 2), F(1, 4), F(1, 4)))], F(0))
+    @example([ZERO_THEN_BAD_SUM, record((F(1, 2), F(1, 2)), (1, 1, -1))], F(1, 4))
+    @example([GOOD, record((F(3, 4), F(1, 4)), (F(1, 4), F(1, 4), F(1, 2)))], F(1, 4))
+    @example([GOOD, ZERO_THEN_BAD_SUM, GOOD, record((F(3, 2), F(-1, 2)), (1, 0, 0))],
+             F(0))
+    def test_matches_the_oracle(self, records, delta):
+        expected = oracle_validation_error(records, delta)
+        assert validation_error(records, delta) == expected
+        if expected is None:
+            points = sensitivity._validate_records(records, expand(CHECKED), delta)
+            assert points.shape == (len(records), 5)
+
+    def test_a_coordinate_equal_to_delta_is_accepted(self):
+        records = [GOOD, record((F(1, 4), F(3, 4)), (F(1, 4), F(1, 4), F(1, 2)))]
+        assert validation_error(records, F(1, 4)) is None
+        assert validation_error(records, F(1, 4) + F(1, 10**30)) == (
+            "ValidationError",
+            "records not strictly interior (every coordinate must be > 0 and "
+            ">= 250000000000000000000000000001/1000000000000000000000000000000): "
+            "positions [1, 2]",
+        )
+
+    def test_the_first_faulty_block_decides(self):
+        assert validation_error([ZERO_THEN_BAD_SUM, GOOD], F(0)) == (
+            "ValidationError",
+            "records not strictly interior (every coordinate must be > 0): "
+            "positions [1]",
+        )
+        # a later record's sum fault raises, whatever was rejected before it
+        late = record((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2), F(1, 2)))
+        assert validation_error([ZERO_THEN_BAD_SUM, late], F(0)) == (
+            "ValidationError",
+            "record 2: block 2 coordinates must sum to 1",
+        )
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            record((F(1, 2), F(1, 2))),
+            record((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
+            record((F(1, 2), F(1, 2)), (F(1, 4), F(1, 4), F(1, 2)), output=()),
+        ],
+    )
+    def test_length_faults_match_the_oracle(self, position, bad):
+        records = [GOOD, GOOD]
+        records.insert(position, bad)
+        expected = oracle_validation_error(records, F(0))
+        assert expected is not None
+        assert validation_error(records, F(0)) == expected
+
+    def test_length_faults_come_before_block_faults(self):
+        # The one ordering that differs from a record-by-record check: every
+        # length is checked first. CSV rows always have the gate's lengths.
+        records = [ZERO_THEN_BAD_SUM, record((1, 0), (1, 0, 0)),
+                   record((F(1, 2), F(1, 2)), (F(1, 2),) * 3), record((1, 0))]
+        assert validation_error(records, F(0)) == (
+            "ValidationError",
+            "record 4: expected 2 blocks",
+        )
+        assert oracle_validation_error(records, F(0)) == (
+            "ValidationError",
+            "record 3: block 2 coordinates must sum to 1",
+        )
+
+
+# Coordinates and outputs whose denominators multiply past 2**63: every
+# point rounds to (1/2, 1/2) blocks as floats, and the scaled ints overflow
+# int64. Outputs sit exactly eps apart, or eps plus a sliver.
+TINY, SLIVER, EPS = F(1, 3**41), F(1, 11**20), F(1, 7**23)
+HALF = F(1, 2)
+BIG_POINTS = [
+    ((HALF + TINY, HALF - TINY), (HALF, HALF)),
+    ((HALF, HALF), (HALF + F(1, 5**28), HALF - F(1, 5**28))),
+    ((HALF + TINY, HALF - TINY), (HALF + F(1, 5**28), HALF - F(1, 5**28))),
+    ((HALF - TINY, HALF + TINY), (HALF, HALF)),
+]
+BIG_OUTPUTS = [F(1, 3), F(1, 3) + EPS, F(1, 3) + EPS + SLIVER, F(1, 3) - EPS, F(2, 3)]
+
+
+@st.composite
+def big_record_sets(draw):
+    output = st.tuples(*[st.sampled_from(BIG_OUTPUTS)] * 2)
+    record = st.builds(ExperimentRecord, st.sampled_from(BIG_POINTS), output)
+    return draw(st.lists(record, min_size=2, max_size=10))
+
+
+class TestExactCollisions:
+    """Collision pairs and scores stay exact past int64 and float precision."""
+
+    def test_the_inputs_overflow_int64(self):
+        records = [ExperimentRecord(p, (o, o)) for p, o in zip(BIG_POINTS, BIG_OUTPUTS)]
+        points, scale = sensitivity._record_points(records, (2, 2))
+        assert scale > 2**63
+        assert max(points.ravel()) > 2**63
+        assert len({tuple(float(c) for c in p) for p in points.tolist()}) == 1
+        assert math.lcm(*(v.denominator for v in BIG_OUTPUTS + [EPS])) > 2**63
+
+    @settings(max_examples=150, deadline=None)
+    @given(big_record_sets(), st.sampled_from([F(0), EPS, EPS - SLIVER, EPS + SLIVER]))
+    def test_pairs_and_scores_match_the_oracle(self, records, eps):
+        plain = [(r.point, r.output) for r in records]
+        assert sorted(collision_pairs(records, eps)) == oracles.collision_pairs(plain, eps)
+        scores, _ = sensitivity._collision_scores(records, expand(OFF_ORIGIN), eps, F(0))
+        expected = oracles.collision_scores(OFF_ORIGIN.arities, plain, eps)
+        assert {z: s.value for z, s in scores.items()} == expected
+
+    @pytest.mark.parametrize("eps", [EPS, EPS - SLIVER])
+    def test_ties_at_the_window_edge(self, eps):
+        # first components V, V, V + EPS, V + EPS, V + EPS + SLIVER: the window
+        # of each V ends among tied values
+        v = F(1, 3)
+        firsts = [v + EPS, v, v + EPS + SLIVER, v + EPS, v]
+        records = [
+            ExperimentRecord(BIG_POINTS[k % 4], (first, F(2, 3)))
+            for k, first in enumerate(firsts)
+        ]
+        plain = [(r.point, r.output) for r in records]
+        pairs = collision_pairs(records, eps)
+        assert sorted(pairs) == oracles.collision_pairs(plain, eps)
+        assert ((1, 3) in pairs) == (eps == EPS)
+        assert (0, 2) in pairs and (1, 4) in pairs and (0, 4) not in pairs
+
+    @pytest.mark.parametrize("eps", [F(0), EPS])
+    def test_equal_points_with_equal_outputs_do_not_collide(self, eps):
+        out = (F(1, 3), F(1, 3) + EPS)
+        records = [
+            ExperimentRecord(BIG_POINTS[0], out),
+            ExperimentRecord(BIG_POINTS[3], out),
+            ExperimentRecord(BIG_POINTS[0], out),
+            ExperimentRecord(BIG_POINTS[0], out),
+        ]
+        assert collision_pairs(records, eps) == [(0, 1), (1, 2), (1, 3)]
+        bound = data_upper_bound(records, expand(OFF_ORIGIN), eps)
+        assert bound.collisions == 3
+        assert data_upper_bound(records[2:], expand(OFF_ORIGIN), eps) is None
+
+
 class TestExperimentCsv:
     def test_header_layout(self):
         assert experiment_header((2, 3), 2) == [
@@ -1120,6 +1340,41 @@ class TestExperimentCsv:
         )
         with pytest.raises(ValidationError, match=":2:"):
             parse_experiment_csv(path, FIRST)
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            # the first faulty line is reported; a blank line still counts
+            (["1/2,1/2,1/2,1/2,0", "", "3/2,-1/2,1/2,1/2,0", "1/2,1/2,1/2,1/4,0"],
+             ":4: block 1 has a negative coordinate"),
+            (["1/2,1/2,1/2,1/2,0", "1/2,1/2,1/2,1/4,0", "3/2,-1/2,1/2,1/2,0"],
+             ":3: block 2 coordinates must sum to 1"),
+            # a block with both faults reports its sum; an earlier block first
+            (["1/2,1/2,3/2,-1/4,0"], ":2: block 2 coordinates must sum to 1"),
+            (["3/2,-1/2,3/2,-1/4,0"], ":2: block 1 has a negative coordinate"),
+            (["1,0,3/2,-1/2,0"], ":2: block 2 has a negative coordinate"),
+        ],
+    )
+    def test_block_faults_name_the_first_line_and_block(self, tmp_path, rows, fault):
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join(["b1_0,b1_1,b2_0,b2_1,y1"] + rows) + "\n")
+        with pytest.raises(ValidationError) as info:
+            parse_experiment_csv(path, FIRST)
+        assert str(info.value) == f"{path}{fault}"
+
+    def test_field_faults_come_before_block_faults(self, tmp_path):
+        # every row is read, and its fields checked, before any block is
+        path = tmp_path / "records.csv"
+        path.write_text("b1_0,b1_1,b2_0,b2_1,y1\n1/2,1/2,1/2,1/4,0\n1/2,1/2,oops,1/2,0\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: "):
+            parse_experiment_csv(path, FIRST)
+
+    def test_zero_coordinates_and_no_rows_are_accepted(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("b1_0,b1_1,b2_0,b2_1,y1\n1,0,0,1,1/2\n")
+        assert parse_experiment_csv(path, FIRST)[0].point == ((1, 0), (0, 1))
+        path.write_text("b1_0,b1_1,b2_0,b2_1,y1\n")
+        assert parse_experiment_csv(path, FIRST) == []
 
     def test_rejects_empty_files(self, tmp_path):
         path = tmp_path / "records.csv"
