@@ -70,29 +70,14 @@ class CoverReport:
     column_rank: int
 
 
-def _member_masks(rows: np.ndarray) -> np.ndarray:
-    """Each row's eliminated set over table(n), packed one bit per vector.
-
-    One _row_masks call per block of members, a block holding at most
-    backend._CHUNK_ROWS member-vector pairs (at least one member).
-    """
-    grid = table(rows.shape[1])
-    out = np.empty((rows.shape[0], (grid.shape[0] + 7) // 8), dtype=np.uint8)
-    step = max(1, backend._CHUNK_ROWS // grid.shape[0])
-    for start in range(0, rows.shape[0], step):
-        block = backend._row_masks(grid, rows[start : start + step])
-        out[start : start + step] = np.packbits(block, axis=1)
-    return out
-
-
 def _judge(members: np.ndarray, count: int):
     """(packed union, is_cover, is_minimal) of each set of member masks.
 
-    ``members`` has shape (sets, k, bytes): k _member_masks rows per set, over
-    ``count`` vectors. A cover is minimal when every member alone eliminates
-    some vector. One pass over the members tracks the vectors eliminated once
-    and those eliminated twice; a member is needed when it eliminates a vector
-    outside the second.
+    ``members`` has shape (sets, k, bytes): k rows of backend.row_mask_bits
+    per set, over ``count`` vectors. A cover is minimal when every member
+    alone eliminates some vector. One pass over the members tracks the
+    vectors eliminated once and those eliminated twice; a member is needed
+    when it eliminates a vector outside the second.
     """
     once = np.zeros_like(members[:, 0])
     twice = np.zeros_like(once)
@@ -109,7 +94,7 @@ def _judge_set(X: Iterable[Sequence[int]], n: int):
     rows = sign_rows(X, n)
     if not rows:
         raise DomainError("a candidate cover must be nonempty")
-    masks = _member_masks(np.array(rows, dtype=np.int8))
+    masks = backend.row_mask_bits(table(n), np.array(rows, dtype=np.int8))
     union, covers, minimal = _judge(masks[None], vector_count(n))
     return rows, union[0], bool(covers[0]), bool(minimal[0])
 
@@ -203,7 +188,7 @@ def _cover_search(n: int, max_size: int):
         check_cap(nodes, ENV_SEARCH_CAP, DEFAULT_SEARCH_CAP, what)
     rows = table(n)
     vectors = [tuple(r) for r in rows.tolist()]
-    masks = _member_masks(rows)
+    masks = backend.row_mask_bits(rows, rows)
     for size in range(1, max_size + 1):
         combos = combinations(range(count), size)
         step = max(1, _CHUNK_BYTES // (size * (8 + masks.shape[1])))

@@ -95,24 +95,42 @@ def rational_string(value) -> str:
     return str(Fraction(value))
 
 
-def _validate_arities(arities: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(arities)
-    if not out:
-        raise ValidationError("a gate needs at least one input block")
-    for i, a in enumerate(out):
-        if not isinstance(a, int) or a < 2:
-            raise ValidationError(
-                f"arity of block {i} must be an int >= 2, got {a!r} "
-                "(single-valued inputs carry no information)"
-            )
-    return out
-
-
 def _validate_vector(values: Sequence, dim: int, where: str) -> Vector:
     vec = tuple(Fraction(v) for v in values)
     if len(vec) != dim:
         raise ValidationError(f"{where}: expected {dim} components, got {len(vec)}")
     return vec
+
+
+def _validate_tensor(
+    arities: tuple[int, ...], output_dim: int, entries: Mapping, name: str
+) -> dict[Index, Vector]:
+    """A gate's table or an expansion's coefficients (``name``), once checked.
+
+    Every arity is an int >= 2, output_dim an int >= 1, every index in range,
+    every entry a vector of output_dim rationals, and no index is missing.
+    """
+    for i, a in enumerate(arities):
+        if not isinstance(a, int) or a < 2:
+            raise ValidationError(
+                f"arity of block {i} must be an int >= 2, got {a!r} "
+                "(single-valued inputs carry no information)"
+            )
+    # type(), not isinstance: a JSON true is a bool, which subclasses int
+    if type(output_dim) is not int or output_dim < 1:
+        raise ValidationError(f"output_dim must be an int >= 1, got {output_dim!r}")
+    expected = set(product(*(range(a) for a in arities)))
+    out = {}
+    for idx, vec in entries.items():
+        key = tuple(idx)
+        if key not in expected:
+            raise ValidationError(f"{name} index {key!r} out of range for arities {arities}")
+        out[key] = _validate_vector(vec, output_dim, f"entry {key!r}")
+    missing = expected - set(out)
+    if missing:
+        shown = sorted(missing)[:8]
+        raise ValidationError(f"{name} is missing {len(missing)} entries, e.g. {shown}")
+    return out
 
 
 @dataclass(frozen=True, eq=True)
@@ -126,24 +144,11 @@ class Gate:
     output_labels: Optional[Mapping[Vector, str]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        arities = _validate_arities(self.arities)
+        arities = tuple(self.arities)
+        if not arities:
+            raise ValidationError("a gate needs at least one input block")
+        table = _validate_tensor(arities, self.output_dim, self.table, "table")
         object.__setattr__(self, "arities", arities)
-        # type(), not isinstance: a JSON true is a bool, which subclasses int
-        if type(self.output_dim) is not int or self.output_dim < 1:
-            raise ValidationError(f"output_dim must be an int >= 1, got {self.output_dim!r}")
-        expected = set(product(*(range(a) for a in arities)))
-        table = {}
-        for idx, out in self.table.items():
-            key = tuple(idx)
-            if key not in expected:
-                raise ValidationError(f"table index {key!r} out of range for arities {arities}")
-            table[key] = _validate_vector(out, self.output_dim, f"entry {key!r}")
-        missing = expected - set(table)
-        if missing:
-            shown = sorted(missing)[:8]
-            raise ValidationError(
-                f"table is missing {len(missing)} entries, e.g. {shown}"
-            )
         object.__setattr__(self, "table", table)
         if self.input_labels is not None:
             labels = tuple(tuple(block) for block in self.input_labels)
@@ -184,19 +189,8 @@ class MultilinearExpansion:
 
     def __post_init__(self) -> None:
         arities = tuple(self.arities)
-        for i, a in enumerate(arities):
-            if not isinstance(a, int) or a < 2:
-                raise ValidationError(f"arity of block {i} must be >= 2, got {a!r}")
+        coeffs = _validate_tensor(arities, self.output_dim, self.coefficients, "tensor")
         object.__setattr__(self, "arities", arities)
-        expected = set(product(*(range(a) for a in arities)))
-        coeffs = {}
-        for idx, vec in self.coefficients.items():
-            key = tuple(idx)
-            if key not in expected:
-                raise ValidationError(f"coefficient index {key!r} out of range")
-            coeffs[key] = _validate_vector(vec, self.output_dim, f"coefficient {key!r}")
-        if set(coeffs) != expected:
-            raise ValidationError("coefficient tensor must be complete")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -50,8 +50,8 @@ from .backend import (
     _base3_index,
     _canonical_index,
     _elimination_counts,
-    _row_masks,
     eliminated_any_mask,
+    row_mask_bits,
 )
 from .errors import DomainError, ValidationError, check_cap
 from .gates import (
@@ -340,13 +340,14 @@ def _lower_score(n_reduced: int, mask: np.ndarray) -> ScorePair:
 
 
 def _witness_score(
-    n_reduced: int, mask: np.ndarray, witnesses: Sequence[tuple[Vector, tuple[int, ...]]]
+    n_reduced: int, mask: np.ndarray, one_live: Optional[np.ndarray]
 ) -> ScorePair:
     """Score of the set `mask` marks, which the witnesses' total signs eliminate.
 
     Elimination is symmetric and reflexive on sign vectors, so the score of
     a set S is also 1 + 2 * #{s in S : E(s) within S}. When the live total
-    signs (those with a +-1 entry) are one t up to sign, that count is known.
+    signs (those with a +-1 entry) are one t up to sign, which _sweep passes
+    as ``one_live`` (else None), that count is known.
     Up to sign, an s in S = E(t) equals t on a nonempty part A of t's +-1
     positions P, is 0 on the rest of P and on t's "u" positions, and is free
     on t's 0 positions. E(s) lies within S exactly when s = +-t and t has no
@@ -359,13 +360,8 @@ def _witness_score(
     So the score is 3 when t has no "u" and 1 when it has one, with no
     kernel call; any other set goes to _lower_score.
     """
-    live = set()
-    for _, ts in witnesses:
-        lead = next((e for e in ts if e in (1, -1)), 0)
-        if lead:
-            live.add(tuple(e if e == UNDETERMINED else e * lead for e in ts))
-    if len(live) == 1:
-        value = 1 if UNDETERMINED in live.pop() else 3
+    if one_live is not None:
+        value = 1 if UNDETERMINED in one_live else 3
         return ScorePair(value=value, log3=log3_value(value))
     return _lower_score(n_reduced, mask)
 
@@ -407,23 +403,26 @@ def _greedy_certificate(
 ) -> Certificate:
     """Pruned greedy cover; the witnesses must jointly eliminate everything.
 
-    Row k of one mask matrix, built in one _row_masks call, is witness k's
-    eliminated set. Each step takes the first witness of largest gain;
-    pruning then drops, in the order chosen, every witness the others still
-    cover without.
+    Row k of row_mask_bits is witness k's eliminated set, packed. Each step
+    takes the first witness of largest gain, the popcount of the vectors it
+    adds, until no vector is left uncovered; pruning then drops, in the
+    order chosen, every witness the others still cover without.
     """
     rows = table(n_reduced)
-    masks = _row_masks(rows, np.array([ts for _, ts in signs], dtype=np.int8))
-    covered = np.zeros(rows.shape[0], dtype=bool)
-    chosen = []
-    while not covered.all():
-        best = int(np.argmax((masks & ~covered).sum(axis=1)))  # first maximum
+    elim = np.fromiter(chain.from_iterable(ts for _, ts in signs), np.int8)
+    masks = row_mask_bits(rows, elim.reshape(len(signs), n_reduced))
+    full = np.packbits(np.ones(rows.shape[0], dtype=bool))  # 0 past the table, as masks
+    uncovered, left, chosen = full.copy(), rows.shape[0], []
+    while left:
+        gains = np.bitwise_count(masks & uncovered).sum(axis=1)
+        best = int(np.argmax(gains))  # first maximum
         chosen.append(best)
-        covered |= masks[best]
+        left -= int(gains[best])
+        uncovered &= ~masks[best]
     pruned = list(chosen)
     for k in chosen:
         trial = [j for j in pruned if j != k]
-        if trial and masks[trial].any(axis=0).all():
+        if trial and np.bitwise_or.reduce(masks[trial]).tobytes() == full.tobytes():
             pruned = trial
     return Certificate(
         base_point=z,
@@ -737,14 +736,15 @@ def data_upper_bound(
 
 
 def _sweep(expansion: MultilinearExpansion, family: ProjectionFamily):
-    """Lazily yield (z, witness signs, eliminated mask) per base point.
+    """Lazily yield (z, witness signs, mask, one live row or None) per base point.
 
     A total sign with no +-1 entry eliminates nothing (its eliminated
     vectors agree with it on a nonempty set of +-1 positions), so only the
     live rows reach the kernel, and a base point without one gets an
     all-false mask without a kernel call. Masks are memoized for the length
     of the sweep by the set of live rows up to sign (t and -t eliminate the
-    same vectors): base points with equal sets share one read-only array.
+    same vectors): base points with equal sets share one read-only array,
+    and a set with one member also hands out one of its rows.
     """
     rows = table(reduced_dimension(expansion))
     signs = _total_signs(expansion, family.functionals)
@@ -755,7 +755,7 @@ def _sweep(expansion: MultilinearExpansion, family: ProjectionFamily):
     lead = np.take_along_axis(signs, nonzero.argmax(axis=-1)[..., None], axis=-1)
     unsigned = np.where(signs == UNDETERMINED, UNDETERMINED, signs * lead) % 4
     ids = unsigned @ 4 ** np.arange(signs.shape[-1], dtype=np.int64)
-    masks: dict[frozenset[int], np.ndarray] = {}
+    masks: dict[frozenset[int], tuple[np.ndarray, Optional[np.ndarray]]] = {}
     for z in base_points(expansion):
         codes = signs[z]
         witnesses = tuple(zip(family.functionals, map(tuple, codes.tolist())))
@@ -767,8 +767,8 @@ def _sweep(expansion: MultilinearExpansion, family: ProjectionFamily):
             else:
                 mask = np.zeros(rows.shape[0], dtype=bool)
             mask.setflags(write=False)
-            masks[key] = mask
-        yield z, witnesses, masks[key]
+            masks[key] = mask, kept[0] if len(key) == 1 else None
+        yield (z, witnesses, *masks[key])
 
 
 def analyze_gate(
@@ -790,9 +790,9 @@ def analyze_gate(
     # it runs, so a mask's id names its score for the whole analysis.
     scores: dict[int, ScorePair] = {}
 
-    def score(mask: np.ndarray, witnesses) -> ScorePair:
+    def score(mask: np.ndarray, one_live) -> ScorePair:
         if id(mask) not in scores:
-            scores[id(mask)] = _witness_score(n_reduced, mask, witnesses)
+            scores[id(mask)] = _witness_score(n_reduced, mask, one_live)
         return scores[id(mask)]
 
     reports = tuple(
@@ -800,13 +800,13 @@ def analyze_gate(
             base_point=z,
             witnesses=signs,
             mask=mask,
-            score=score(mask, signs),
+            score=score(mask, one_live),
             certificate=(
                 _greedy_certificate(z, signs, n_reduced) if mask.all() else None
             ),
             data_upper=data_upper.get(z),
         )
-        for z, signs, mask in _sweep(expansion, family)
+        for z, signs, mask, one_live in _sweep(expansion, family)
     )
     # max keeps the first of equal scores
     lower = max(reports, key=lambda r: r.score.value)
@@ -834,7 +834,7 @@ def reversibility_certificate(
     if family is None:
         family = default_family(expansion.output_dim)
     n_reduced = reduced_dimension(expansion)
-    for z, signs, mask in _sweep(expansion, family):
+    for z, signs, mask, _ in _sweep(expansion, family):
         if mask.all():
             return _greedy_certificate(z, signs, n_reduced)
     return None

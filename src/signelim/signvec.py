@@ -65,7 +65,8 @@ _VALUE_OF = {"+": 1, "0": 0, "-": -1, "u": UNDETERMINED}
 
 
 def _check_length(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    # type(), not isinstance: True is a bool, which subclasses int
+    if type(n) is not int or n < 1:
         raise DomainError(f"vector length must be a positive int, got {n!r}")
     check_cap(n, ENV_MAX_N, DEFAULT_MAX_N, "length")
 
@@ -217,7 +218,9 @@ def jointly_eliminated_count(eliminators: Iterable[Sequence[int]], n: int) -> in
     elim = np.array(sign_rows(eliminators, n, total=True), dtype=np.int8)
     if elim.shape[0] == 0:
         raise DomainError("need at least one eliminator for a joint count")
-    return int(backend.eliminated_all_mask(grid, elim).sum())
+    # the bits past the table are zero in every row, so they stay out
+    joint = np.bitwise_and.reduce(backend.row_mask_bits(grid, elim), axis=0)
+    return int(np.bitwise_count(joint).sum())
 
 
 def apply_permutation(sigma: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:

@@ -224,7 +224,7 @@ class TestCoversCommand:
         assert "cap" in err
 
     def test_cap_exits_one_before_any_bitmask(self, capsys, monkeypatch):
-        monkeypatch.setattr(covers, "_member_masks", fail_if_called)
+        monkeypatch.setattr(covers.backend, "row_mask_bits", fail_if_called)
         code, out, err = run(capsys, "covers", "--n", "9", "--max-size", "2")
         assert code == 1
         assert out == ""

@@ -116,10 +116,12 @@ class TestCoverPredicates:
 
     @pytest.mark.parametrize("chunk", [1, 13, 40, 1 << 18])
     def test_member_masks_in_blocks(self, monkeypatch, chunk):
-        # one member per block, a few, and every member in one block
+        # one member (or an 8-vector slice of one) per block, a few, and
+        # every member in one block
         monkeypatch.setattr(covers.backend, "_CHUNK_ROWS", chunk)
         members = covers.table(3)
-        masks = np.unpackbits(covers._member_masks(members), axis=1)[:, :13]
+        bits = covers.backend.row_mask_bits(members, members)
+        masks = np.unpackbits(bits, axis=1)[:, :13]
         for t, row in zip(members.tolist(), masks.tolist()):
             hit = oracles.eliminated([t], 3)
             assert row == [int(s in hit) for s in oracles.canonical_vectors(3)]
@@ -158,7 +160,7 @@ class TestCoverSearch:
             minimal_covers(3, 3)
 
     def test_search_cap_fires_before_any_bitmask(self, monkeypatch):
-        monkeypatch.setattr(covers, "_member_masks", fail_if_called)
+        monkeypatch.setattr(covers.backend, "row_mask_bits", fail_if_called)
         with pytest.raises(ResourceLimitError, match="SIGNELIM_SEARCH_CAP"):
             minimal_covers(9, 2)
 

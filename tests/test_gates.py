@@ -224,6 +224,26 @@ class TestExpansion:
                 arities=(2,), output_dim=1, coefficients={(0,): (F(0),)}
             )
 
+    @pytest.mark.parametrize(
+        "arities, output_dim, entries, message",
+        [
+            ((2, 2), True, None, "output_dim must be an int >= 1, got True"),
+            ((2, 2), 0, None, "output_dim must be an int >= 1, got 0"),
+            ((2, 2), "1", None, "output_dim must be an int >= 1"),
+            ((2, 1), 1, None, "arity of block 1 must be an int >= 2"),
+            ((2, 2), 1, {(0, 2): (F(0),)}, r"index \(0, 2\) out of range"),
+            ((2, 2), 1, {(0, 0): (F(0),)}, "is missing 3 entries"),
+            ((2, 2), 1, {(0, 0): (F(0), F(1))}, "expected 1 components, got 2"),
+        ],
+    )
+    def test_gates_and_expansions_share_one_rule(self, arities, output_dim, entries, message):
+        if entries is None:
+            entries = {idx: (F(0),) for idx in product(range(2), repeat=2)}
+        with pytest.raises(ValidationError, match=message):
+            Gate(arities, output_dim, entries)
+        with pytest.raises(ValidationError, match=message):
+            MultilinearExpansion(arities, output_dim, entries)
+
 
 class TestBasePoints:
     def test_lexicographic_order(self):

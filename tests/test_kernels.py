@@ -6,10 +6,11 @@ import pytest
 from signelim import backend, sensitivity
 from signelim.backend import (
     UNDETERMINED,
-    eliminated_all_mask,
     eliminated_any_mask,
+    row_mask_bits,
     sign_vector_table,
 )
+from signelim.signvec import jointly_eliminated_count
 
 import oracles
 
@@ -63,15 +64,24 @@ def transform_masks(table, elim, every):
     return mask[[position[tuple(s)] for s in table.tolist()]]
 
 
-def public_masks(table, elim, every):
-    return (eliminated_all_mask if every else eliminated_any_mask)(table, elim)
+def reduce_bits(table, elim, every):
+    """The OR (or, with ``every``, the AND) of row_mask_bits' rows, unpacked."""
+    reduce = np.bitwise_and if every else np.bitwise_or
+    joint = reduce.reduce(row_mask_bits(table, elim), axis=0)
+    return np.unpackbits(joint, count=table.shape[0]).astype(bool)
+
+
+def scan_masks(table, elim, every):
+    """The union scan; the all-mask is the AND of the packed per-row sets."""
+    return reduce_bits(table, elim, True) if every else eliminated_any_mask(table, elim)
 
 
 KERNELS = {
-    "scan": backend._scan_masks,
+    "scan": scan_masks,
     "transform": transform_masks,
-    # the public entry points, which take every eliminator-row job to the scan
-    "dispatch": public_masks,
+    # the packed per-row sets that the certificate, the cover search and
+    # jointly_eliminated_count read, OR-ed or AND-ed
+    "dispatch": reduce_bits,
 }
 
 
@@ -148,7 +158,7 @@ class TestBackendParity:
         elim = random_eliminators(rng, n, 3, allow_undetermined=False)
         X = [tuple(t) for t in elim.tolist()]
         for every, reduce in ((False, any), (True, all)):
-            chunked = backend._scan_masks(table, elim, every)
+            chunked = scan_masks(table, elim, every)
             expect = np.asarray(
                 [reduce(oracles.eliminates(t, tuple(s)) for t in X) for s in table.tolist()]
             )
@@ -164,14 +174,15 @@ class TestBackendParity:
         X = [tuple(t) for t in elim.tolist()]
         for every, reduce in ((False, any), (True, all)):
             expect = [reduce(oracles.eliminates(t, tuple(s)) for t in X) for s in table.tolist()]
-            assert backend._scan_masks(table, elim, every).tolist() == expect
+            assert scan_masks(table, elim, every).tolist() == expect
 
     def test_empty_eliminator_matrix(self):
         table = sign_vector_table(3)
         empty = np.zeros((0, 3), dtype=np.int8)
         assert not eliminated_any_mask(table, empty).any()
-        with pytest.raises(ValueError, match="at least one row"):
-            eliminated_all_mask(table, empty)
+        assert row_mask_bits(table, empty).shape == (0, 2)
+        with pytest.raises(ValueError, match="at least one eliminator"):
+            jointly_eliminated_count([], 3)
 
 
 class TestRowMasks:
@@ -199,6 +210,80 @@ class TestRowMasks:
 
     def test_no_rows(self):
         assert backend._row_masks(sign_vector_table(3), np.zeros((0, 3), np.int8)).shape == (0, 13)
+
+
+CHUNKS = [1, 2, 7, 8, 13, 40, 1 << 18]
+
+
+class TestRowMaskBits:
+    """The packed per-row producer against packbits of the unblocked rule."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_matches_packed_row_masks(self, rng, monkeypatch, chunk):
+        cases = []
+        for count in range(13):
+            n = rng.randint(1, 6)
+            full = sign_vector_table(n)
+            elim = random_eliminators(rng, n, count).reshape(count, n)
+            cases.append((full, elim))
+            # a shuffled partial table, mostly of a length that is not a
+            # multiple of 8
+            picks = rng.sample(range(full.shape[0]), rng.randint(1, full.shape[0]))
+            cases.append((full[picks], elim))
+        blank = np.asarray([[0] * 4, [UNDETERMINED] * 4], dtype=np.int8)
+        u_rows = np.concatenate([blank, random_eliminators(rng, 4, 6)])
+        cases.append((sign_vector_table(4), u_rows))
+        expected = [np.packbits(backend._row_masks(t, e), axis=1) for t, e in cases]
+        monkeypatch.setattr(backend, "_CHUNK_ROWS", chunk)
+        assert any(t.shape[0] % 8 for t, _ in cases)
+        for (table, elim), expect in zip(cases, expected):
+            bits = row_mask_bits(table, elim)
+            assert bits.dtype == np.uint8
+            assert bits.shape == (elim.shape[0], (table.shape[0] + 7) // 8)
+            assert np.array_equal(bits, expect)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_every_block_keeps_the_bound(self, rng, monkeypatch, chunk):
+        shapes = []
+        row_masks = backend._row_masks
+
+        def recorded(table, elim):
+            shapes.append((elim.shape[0], table.shape[0]))
+            return row_masks(table, elim)
+
+        monkeypatch.setattr(backend, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(backend, "_row_masks", recorded)
+        for n, count in ((3, 12), (4, 5), (5, 3), (6, 1)):
+            table = sign_vector_table(n)
+            shapes.clear()
+            row_mask_bits(table, random_eliminators(rng, n, count))
+            # whole eliminator rows, or a few eliminators against a slice of
+            # 8j table rows (only the last slice of the table may be shorter)
+            assert all(k * rows <= max(chunk, 8) for k, rows in shapes)
+            assert sum(k * rows for k, rows in shapes) == count * table.shape[0]
+            done = 0
+            for k, rows in shapes:
+                if rows < table.shape[0]:
+                    done += rows
+                    if done % table.shape[0]:  # not the table's last slice
+                        assert rows % 8 == 0
+
+    def test_joint_count_with_duplicate_negated_and_u_rows(self, rng):
+        for n in range(1, 6):
+            elim = [tuple(t) for t in random_eliminators(rng, n, 3).tolist()]
+            negated = [tuple(e if e == UNDETERMINED else -e for e in t) for t in elim]
+            cases = [
+                elim,
+                elim + elim[:2],
+                elim[:1] + negated[:1],
+                elim + negated,
+                elim[:2] + [(UNDETERMINED,) * n],
+                [(0,) * n],
+            ]
+            for rows in cases:
+                assert jointly_eliminated_count(rows, n) == len(
+                    oracles.jointly_eliminated(rows, n)
+                )
 
 
 class TestTransform:

@@ -102,6 +102,11 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             canonical_sign_vectors(64)
 
+    def test_rejects_a_boolean_length(self):
+        # True is a bool, which subclasses int: the gates' output_dim rule
+        with pytest.raises(DomainError, match="positive int, got True"):
+            canonical_sign_vectors(True)
+
     def test_length_cap_is_configurable(self, monkeypatch):
         monkeypatch.setenv("SIGNELIM_MAX_N", "3")
         with pytest.raises(ResourceLimitError):
