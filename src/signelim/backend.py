@@ -114,15 +114,18 @@ def sign_vector_table(n: int) -> np.ndarray:
 
     Rows are in ascending order of their base-3 codes, _canonical_index(n):
     entrywise by 0 < +1 < -1 with the leading coordinate most significant.
-    Read-only, and cached for n <= 12.
+    The block of 3**w rows whose leading +1 sits in column n - 1 - w is
+    written in place: column n - 1 - k after it cycles 0, +1, -1, each held
+    for 3**k rows. Read-only, and cached for n <= 12.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    codes = _canonical_index(n)
-    table = np.empty((codes.size, n), dtype=np.int8)
-    for j in range(n):
-        digit = codes // 3 ** (n - 1 - j) % 3
-        table[:, j] = np.where(digit == 2, -1, digit)
+    table = np.zeros(((3**n - 1) // 2, n), dtype=np.int8)
+    for w in range(n):
+        block = table[3**w // 2 : 3**w // 2 + 3**w]
+        block[:, n - 1 - w] = 1
+        for k in range(w):
+            block[:, n - 1 - k].reshape(-1, 3, 3**k)[:, 1:] = [[1], [-1]]
     return table
 
 

@@ -458,11 +458,6 @@ def _rational_flag(args, name: str) -> Fraction:
     return parse_rational_vector([getattr(args, name)], f"--{name}")[0]
 
 
-def _csv_records(path, gate) -> list:
-    """The CSV's records, blocks unchecked: the bound or analysis checks them."""
-    return [record for _, record in _read_experiment_csv(path, gate)]
-
-
 @contextmanager
 def _naming_records(path):
     """Prefix a record validation error with the CSV path."""
@@ -482,7 +477,7 @@ def _cmd_gate_analyze(args) -> int:
     if args.data is None:
         analysis = analyze_gate(expansion, family=family)
     else:
-        records = _csv_records(args.data, gate)
+        records = _read_experiment_csv(args.data, gate)
         with _naming_records(args.data):
             analysis = analyze_gate(
                 expansion, family=family, records=records, eps=eps, delta=delta
@@ -519,20 +514,20 @@ def _cmd_gate_certify(args) -> int:
 def _cmd_data_bound(args) -> int:
     gate = load_gate(args.gate)
     expansion = expand(gate)
-    records = _csv_records(args.data, gate)
+    records = _read_experiment_csv(args.data, gate)
     eps = _rational_flag(args, "eps")
     delta = _rational_flag(args, "delta")
     with _naming_records(args.data):
         bound = data_upper_bound(records, expansion, eps=eps, delta=delta)
     if bound is None:
-        _emit({"bound": None, "collisions": 0, "records": len(records)})
+        _emit({"bound": None, "collisions": 0, "records": len(records.ids)})
         return 0
     _emit(
         {
             "bound": _score_json(bound.score),
             "base_point": list(bound.base_point),
             "collisions": bound.collisions,
-            "records": len(records),
+            "records": len(records.ids),
             "heuristic": bound.heuristic,
             "reduced_dimension": reduced_dimension(expansion),
         }

@@ -505,48 +505,81 @@ class ExperimentRecord:
     output: Vector
 
 
-def _int_matrix(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[np.ndarray, int]:
-    """_cleared(rows) as one (len(rows), width) object matrix of Python ints."""
-    ints, scale = _cleared(rows)
-    return np.array(ints, dtype=object).reshape(len(ints), width), scale
+@dataclass(frozen=True)
+class _Coded:
+    """Experiment records as one matrix of value ids, with ``lines``, the
+    rows' CSV line numbers if read from a CSV.
 
-
-def _record_points(
-    records: Sequence[ExperimentRecord], arities: Sequence[int]
-) -> tuple[np.ndarray, int]:
-    """Every record's coordinates, block by block, as one matrix of exact ints.
-
-    Row k is record k's point times the lcm of all the records' coordinate
-    denominators, returned with the matrix. The records must have the
-    arities' block lengths.
+    Row k holds record k's coordinates, block by block, then its output, as
+    indices into ``values``, the distinct exact values in ascending order: an
+    id is its value's rank, whatever the spelling (1/2, 2/4, 0.5 share one).
     """
-    flat = [[c for block in r.point for c in block] for r in records]
-    return _int_matrix(flat, sum(arities))
+
+    ids: np.ndarray
+    values: tuple[Fraction, ...]
+    lines: tuple[int, ...] = ()
+
+    @classmethod
+    def ranked(cls, flat: list[int], values: list[Fraction], width: int, lines=()):
+        """From row-major ids into distinct ``values``, renumbered by value."""
+        order = np.argsort(_scaled(values, np.arange(len(values)))[0])
+        ids = np.argsort(order)[np.array(flat, dtype=np.intp).reshape(-1, width)]
+        return cls(ids, tuple(values[k] for k in order.tolist()), tuple(lines))
 
 
-def _first_faults(
-    points: np.ndarray, scale: int, arities: Sequence[int], bad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _coded(records, arities: Sequence[int], output_dim: int) -> _Coded:
+    """ExperimentRecords as one coded matrix, once the first record with a
+    wrong length has raised; a _Coded passes through."""
+    if isinstance(records, _Coded):
+        return records
+    for pos, record in enumerate(records, start=1):
+        if len(record.point) != len(arities):
+            raise ValidationError(f"record {pos}: expected {len(arities)} blocks")
+        for i, (block, arity) in enumerate(zip(record.point, arities), 1):
+            if len(block) != arity:
+                raise ValidationError(f"record {pos}: block {i} must have {arity} coordinates")
+        if len(record.output) != output_dim:
+            raise ValidationError(f"record {pos}: output must have {output_dim} components")
+    ids: dict[Fraction, int] = {}
+    flat = [ids.setdefault(v, len(ids)) for r in records for v in chain(*r.point, r.output)]
+    return _Coded.ranked(flat, list(ids), sum(arities) + output_dim)
+
+
+def _scaled(values: Sequence[Fraction], ids: np.ndarray, *extra: Fraction):
+    """The values under ``ids`` times the lcm of their and ``extra``'s
+    denominators, as a gathered object matrix of Python ints, and the lcm.
+
+    The positive scale keeps every sign and comparison, and a block sums to
+    1 exactly when its ints sum to the lcm.
+    """
+    present = np.flatnonzero(np.bincount(ids.ravel(), minlength=len(values))).tolist()
+    used = [values[k] for k in present]
+    scale = math.lcm(*(v.denominator for v in chain(used, extra)))
+    ints = np.zeros(len(values), dtype=object)
+    ints[present] = [v.numerator * (scale // v.denominator) for v in used]
+    return ints[ids], scale
+
+
+def _first_faults(coded: _Coded, arities: Sequence[int], bad) -> tuple[np.ndarray, np.ndarray]:
     """Each record's first faulty block, and whether its fault is the sum.
 
-    A block is faulty when its ints do not sum to ``scale`` (its coordinates
-    do not sum to 1) or ``bad`` marks one of its coordinates; the sum is
-    checked first. Blocks are 0-based, -1 where a record has no fault.
+    A block is faulty when its coordinates do not sum to 1 or ``bad`` holds
+    for one of them (asked once per distinct value); the sum is checked
+    first. Blocks are 0-based, -1 where a record has no fault.
     """
+    ids = coded.ids[:, : sum(arities)]
+    points, scale = _scaled(coded.values, ids)
+    marked = np.array([bad(v) for v in coded.values], dtype=bool)[ids]
     starts = np.cumsum((0,) + tuple(arities[:-1]))
     off_sum = np.add.reduceat(points, starts, axis=1) != scale
-    faulty = off_sum | np.logical_or.reduceat(bad, starts, axis=1)
+    faulty = off_sum | np.logical_or.reduceat(marked, starts, axis=1)
     first = np.where(faulty.any(axis=1), faulty.argmax(axis=1), -1)
     is_sum = off_sum[np.arange(first.size), first] & (first >= 0)
     return first, is_sum
 
 
-def _validate_records(
-    records: Sequence[ExperimentRecord],
-    expansion: MultilinearExpansion,
-    delta: Fraction,
-) -> np.ndarray:
-    """The records' points as _record_points' exact int matrix, once checked.
+def _validate_records(records, expansion: MultilinearExpansion, delta: Fraction) -> _Coded:
+    """The records as _coded's matrix, once checked.
 
     Every record must have the expansion's block and output lengths, every
     block must sum to 1, and every coordinate must be > 0 and >= delta. A
@@ -556,74 +589,53 @@ def _validate_records(
     """
     if delta < 0:
         raise DomainError("delta must be >= 0")
-    for pos, record in enumerate(records, start=1):
-        if len(record.point) != expansion.block_count:
-            raise ValidationError(
-                f"record {pos}: expected {expansion.block_count} blocks"
-            )
-        for i, (block, arity) in enumerate(zip(record.point, expansion.arities), 1):
-            if len(block) != arity:
-                raise ValidationError(
-                    f"record {pos}: block {i} must have {arity} coordinates"
-                )
-        if len(record.output) != expansion.output_dim:
-            raise ValidationError(
-                f"record {pos}: output must have {expansion.output_dim} components"
-            )
-    points, scale = _record_points(records, expansion.arities)
-    # c < delta  <=>  c * scale * delta.denominator < delta.numerator * scale
-    bad = (points <= 0) | (points * delta.denominator < delta.numerator * scale)
-    first, is_sum = _first_faults(points, scale, expansion.arities, bad)
+    coded = _coded(records, expansion.arities, expansion.output_dim)
+    first, is_sum = _first_faults(coded, expansion.arities, lambda v: v <= 0 or v < delta)
     if is_sum.any():
         k = int(is_sum.argmax())
-        raise ValidationError(
-            f"record {k + 1}: block {first[k] + 1} coordinates must sum to 1"
-        )
+        raise ValidationError(f"record {k + 1}: block {first[k] + 1} coordinates must sum to 1")
     if (first >= 0).any():
         margin = f" and >= {delta}" if delta > 0 else ""
         raise ValidationError(
             f"records not strictly interior (every coordinate must be > 0{margin}): "
             f"positions {(np.flatnonzero(first >= 0) + 1).tolist()}"
         )
-    return points
+    return coded
 
 
 def _row_ids(matrix: np.ndarray) -> np.ndarray:
     """One id per row, equal exactly for equal rows, numbered by first occurrence."""
     ids: dict[tuple, int] = {}
-    return np.array(
-        [ids.setdefault(row, len(ids)) for row in map(tuple, matrix.tolist())],
-        dtype=np.int64,
-    )
+    rows = map(tuple, matrix.tolist())
+    return np.array([ids.setdefault(row, len(ids)) for row in rows], dtype=np.int64)
 
 
 def _collision_pairs(
-    points: np.ndarray, outputs: Sequence[Vector], eps: Fraction
+    points: np.ndarray, values: Sequence[Fraction], outputs: np.ndarray, eps: Fraction
 ) -> tuple[np.ndarray, np.ndarray]:
     """Colliding records as two index arrays (a, b), a < b elementwise.
 
     Two records collide when their points differ and every output component
     differs by at most eps. Row k of ``points`` is record k's point in any
-    exact encoding (equal rows exactly for equal points); ``outputs`` are the
-    records' outputs. The outputs and eps are scaled by one lcm to Python
-    ints, the records are sorted by a key, and each is paired with the later
-    ones inside a window found by ``searchsorted``. For eps = 0 the key is
-    the record's output row, numbered, and the window is its bucket of equal
-    outputs. For eps > 0 the key is the first output component, the window
-    is a width of eps on it, and the other components are compared on object
-    arrays. The cost is the number of records plus the number of candidate
-    pairs (one bucket's, or one window's), not the square of the record
-    count.
+    exact encoding; row k of ``outputs`` holds its output as ids into
+    ``values``. The records are sorted by a key and each is paired with the
+    later ones inside a ``searchsorted`` window: for eps = 0 the key numbers
+    the rows of output ids and the window is a bucket of equal outputs; for
+    eps > 0 the key is the first output component scaled to ints by _scaled
+    with eps, the window a width of eps on it, and the other components are
+    compared on the scaled ints. The cost is the number of records plus the
+    number of candidate pairs, not the square of the record count.
     """
     if eps < 0:
         raise DomainError("eps must be >= 0")
     none = np.zeros(0, dtype=np.int64)
     if len(outputs) < 2:
         return none, none
-    dim = len(outputs[0])
-    scaled, _ = _int_matrix([*outputs, (eps,) * dim], dim)
-    scaled, width = scaled[:-1], scaled[-1, 0]
-    key = _row_ids(scaled) if eps == 0 else scaled[:, 0]
+    if eps == 0:
+        key, width = _row_ids(outputs), 0
+    else:
+        scaled, scale = _scaled(values, outputs, eps)
+        key, width = scaled[:, 0], eps.numerator * (scale // eps.denominator)
     order = np.argsort(key, kind="stable")
     key = key[order]
     counts = np.searchsorted(key, key + width, side="right") - np.arange(1, key.size + 1)
@@ -635,22 +647,10 @@ def _collision_pairs(
     ids = _row_ids(points)
     keep = ids[a] != ids[b]
     if eps > 0:
-        for c in range(1, dim):
+        for c in range(1, outputs.shape[1]):
             keep &= abs(scaled[a, c] - scaled[b, c]) <= width
     a, b = a[keep], b[keep]
     return np.minimum(a, b), np.maximum(a, b)
-
-
-def _dense_ranks(matrix: np.ndarray) -> np.ndarray:
-    """Each entry's rank among the matrix's distinct values, 0 for the least.
-
-    The ranks come from an exact sort of the Python ints, so they order and
-    equal exactly as the entries do, and sign(ranks[b] - ranks[a]) is the
-    sign of the entries' difference, in int64.
-    """
-    values = matrix.ravel().tolist()
-    rank = {v: k for k, v in enumerate(sorted(set(values)))}
-    return np.array([rank[v] for v in values], dtype=np.int64).reshape(matrix.shape)
 
 
 def _distinct_rows(signs: np.ndarray) -> np.ndarray:
@@ -668,28 +668,24 @@ def _distinct_rows(signs: np.ndarray) -> np.ndarray:
 
 
 def _collision_scores(
-    records: Sequence[ExperimentRecord],
-    expansion: MultilinearExpansion,
-    eps: Fraction,
-    delta: Fraction,
+    records, expansion: MultilinearExpansion, eps: Fraction, delta: Fraction
 ) -> tuple[dict[Index, ScorePair], Optional[DataBound]]:
     """Collision score at every base point, and the first maximum as a bound.
 
-    The records' points are checked and scaled to exact ints once, then
-    replaced by their dense ranks: ranks order as the exact coordinates do,
-    so every pair's signs come from int64 differences, and equal rank rows
-    are equal points. The pair signs are projected onto each base point's
-    free coordinates;
-    each distinct projected row set is scored once per call, and a set with
-    no nonzero row scores 3**N without a kernel call. Returns ({}, None) when
-    no two records collide at distinct points.
+    The records are coded and checked once. Their coordinate ids are value
+    ranks, so every pair's signs come from int64 differences and equal id
+    rows are equal points. The pair signs are projected onto each base
+    point's free coordinates; each distinct projected row set is scored once
+    per call, and a set with no nonzero row scores 3**N without a kernel
+    call. Returns ({}, None) when no two records collide at distinct points.
     """
     eps = Fraction(eps)
     delta = Fraction(delta)
-    points = _validate_records(records, expansion, delta)
+    coded = _validate_records(records, expansion, delta)
     _check_caps(expansion)
-    ranks = _dense_ranks(points)
-    a, b = _collision_pairs(ranks, [r.output for r in records], eps)
+    width = sum(expansion.arities)
+    ranks = coded.ids[:, :width]
+    a, b = _collision_pairs(ranks, coded.values, coded.ids[:, width:], eps)
     if not a.size:
         return {}, None
     n_reduced = reduced_dimension(expansion)
@@ -885,26 +881,36 @@ def boolean_sensitivity(gate: Gate) -> BooleanSensitivity:
 
 def experiment_header(arities: Sequence[int], output_dim: int) -> list[str]:
     """Column names: b<block>_<coordinate> groups, then y<component>."""
-    head = [
-        f"b{i + 1}_{j}" for i, arity in enumerate(arities) for j in range(arity)
-    ]
-    head += [f"y{c + 1}" for c in range(output_dim)]
-    return head
+    head = [f"b{i + 1}_{j}" for i, arity in enumerate(arities) for j in range(arity)]
+    return head + [f"y{c + 1}" for c in range(output_dim)]
 
 
-def _read_experiment_csv(
-    path, gate: Gate | MultilinearExpansion
-) -> list[tuple[int, ExperimentRecord]]:
-    """(line number, record) per CSV row; exact rationals, header checked.
+class _CellIds(dict):
+    """Cell text -> value id. Each new text is stripped and parsed once, and
+    equal values share one id; ``values`` maps them to ids, in first-seen order."""
 
-    Blocks are not checked here: parse_experiment_csv checks their sums and
-    signs, and data_upper_bound and analyze_gate validate every record.
+    def __init__(self) -> None:
+        super().__init__()
+        self.values: dict[Fraction, int] = {}
+
+    def __missing__(self, text: str) -> int:
+        value = parse_rational(text.strip())
+        self[text] = code = self.values.setdefault(value, len(self.values))
+        return code
+
+
+def _read_experiment_csv(path, gate: Gate | MultilinearExpansion) -> _Coded:
+    """The CSV's rows as one coded matrix; exact rationals, header checked.
+
+    Rows stream through one _CellIds. A UTF-8 byte order mark is skipped;
+    blank lines are skipped but counted. The first faulty line raises, its
+    field count checked before its cells. Blocks are checked by the callers.
     """
     expected = experiment_header(gate.arities, gate.output_dim)
-    # grid coordinates repeat, so each distinct cell text is parsed once
-    parse = lru_cache(maxsize=None)(parse_rational)
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    cells = _CellIds()
+    ids: list[int] = []
+    lines: list[int] = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -923,17 +929,11 @@ def _read_experiment_csv(
                     f"{path}:{line}: expected {len(expected)} fields, got {len(row)}"
                 )
             try:
-                values = [parse(cell.strip()) for cell in row]
+                ids.extend(map(cells.__getitem__, row))
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{line}: {exc}")
-            blocks = []
-            cursor = 0
-            for arity in gate.arities:
-                blocks.append(tuple(values[cursor : cursor + arity]))
-                cursor += arity
-            output = tuple(values[cursor:])
-            records.append((line, ExperimentRecord(point=tuple(blocks), output=output)))
-    return records
+            lines.append(line)
+    return _Coded.ranked(ids, list(cells.values), len(expected), lines)
 
 
 def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[ExperimentRecord]:
@@ -942,13 +942,14 @@ def parse_experiment_csv(path, gate: Gate | MultilinearExpansion) -> list[Experi
     Every block must sum to 1 and have no negative coordinate; errors name
     the file and the line.
     """
-    rows = _read_experiment_csv(path, gate)
-    records = [record for _, record in rows]
-    points, scale = _record_points(records, gate.arities)
-    first, is_sum = _first_faults(points, scale, gate.arities, points < 0)
+    coded = _read_experiment_csv(path, gate)
+    first, is_sum = _first_faults(coded, gate.arities, lambda v: v < 0)
     faulty = np.flatnonzero(first >= 0)
     if faulty.size:
         k = faulty[0]
         fault = "coordinates must sum to 1" if is_sum[k] else "has a negative coordinate"
-        raise ValidationError(f"{path}:{rows[k][0]}: block {first[k] + 1} {fault}")
-    return records
+        raise ValidationError(f"{path}:{coded.lines[k]}: block {first[k] + 1} {fault}")
+    starts = np.cumsum((0,) + tuple(gate.arities)).tolist()
+    blocks, end = list(zip(starts, starts[1:])), starts[-1]
+    rows = [[coded.values[k] for k in row] for row in coded.ids.tolist()]
+    return [ExperimentRecord(tuple(tuple(r[i:j]) for i, j in blocks), tuple(r[end:])) for r in rows]

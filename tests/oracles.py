@@ -5,6 +5,7 @@ plain itertools and tuples, no numpy and no imports from the package, so the
 package's kernels and closed forms can be checked against a second route.
 """
 
+import csv
 from fractions import Fraction
 from itertools import product
 
@@ -247,3 +248,69 @@ def validate_records(records, arities, output_dim, delta):
             f"positions {rejected}"
         )
     return None
+
+
+def read_experiment_csv(path, arities, output_dim):
+    """(line, point, output) per CSV row, or the first error as (exception name,
+    message).
+
+    The row-by-row reader: a UTF-8 file, a byte order mark skipped; a header
+    of b<block>_<coordinate> then y<component> names, compared after
+    stripping; then one row per nonblank line, line numbers counting the
+    header and blank lines. Each row is checked in turn, its field count
+    before its cells, and each cell is stripped and read as an exact
+    rational.
+    """
+    expected = [f"b{i + 1}_{j}" for i, a in enumerate(arities) for j in range(a)]
+    expected += [f"y{c + 1}" for c in range(output_dim)]
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            return "ValidationError", f"{path}: empty file"
+        if [h.strip() for h in header] != expected:
+            return "ValidationError", (
+                f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
+            )
+        rows = []
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(expected):
+                return "ValidationError", (
+                    f"{path}:{line}: expected {len(expected)} fields, got {len(row)}"
+                )
+            values = []
+            for cell in row:
+                text = cell.strip()
+                try:
+                    values.append(Fraction(text))
+                except (ValueError, ZeroDivisionError) as exc:
+                    return "ValidationError", (
+                        f"{path}:{line}: cannot parse rational from {text!r}: {exc}"
+                    )
+            blocks, cursor = [], 0
+            for arity in arities:
+                blocks.append(tuple(values[cursor : cursor + arity]))
+                cursor += arity
+            rows.append((line, tuple(blocks), tuple(values[cursor:])))
+    return rows
+
+
+def parse_experiment_csv(path, arities, output_dim):
+    """read_experiment_csv's rows, or its error, or the first block fault.
+
+    Every row is read before any block is checked; then rows in order, and
+    each block in order, must sum to 1 and have no negative coordinate, the
+    sum checked first.
+    """
+    rows = read_experiment_csv(path, arities, output_dim)
+    if isinstance(rows, tuple):
+        return rows
+    for line, point, _ in rows:
+        for i, block in enumerate(point, start=1):
+            if sum(block, Fraction(0)) != 1:
+                return "ValidationError", f"{path}:{line}: block {i} coordinates must sum to 1"
+            if min(block) < 0:
+                return "ValidationError", f"{path}:{line}: block {i} has a negative coordinate"
+    return rows

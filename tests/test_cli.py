@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signelim import boolean_gate, dumps_gate
-from signelim import cli, covers
+from signelim import boolean_gate, dumps_gate, load_gate, parse_experiment_csv
+from signelim import cli, covers, sensitivity
 from signelim.cli import main
 
 from conftest import FIXTURE_PATH, REPO_ROOT, fail_if_called
@@ -592,6 +593,64 @@ class TestDataCommands:
         )
         assert code == 1
         assert "header" in err
+
+
+GOLDEN = REPO_ROOT / "tests" / "golden"
+GOLDEN_GATE = str(GOLDEN / "additive_gate.json")
+GOLDEN_RECORDS = GOLDEN / "additive_records.csv"
+
+
+def masked_run(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    return code, re.sub(r'"timing_seconds": [^\n,}]+', '"timing_seconds": 0', out), err
+
+
+def data_commands(records):
+    return [
+        ["data", "bound", GOLDEN_GATE, str(records), "--eps", "1/12"],
+        ["gate", "analyze", GOLDEN_GATE, "--data", str(records), "--eps", "1/12"],
+    ]
+
+
+class TestExperimentCsvInput:
+    def test_a_byte_order_mark_changes_nothing(self, capsys, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a leading byte order mark
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + GOLDEN_RECORDS.read_bytes())
+        for plain, bom in zip(data_commands(GOLDEN_RECORDS), data_commands(marked)):
+            code, out, err = masked_run(capsys, *plain)
+            assert (code, err) == (0, "")
+            assert masked_run(capsys, *bom) == (code, out, err)
+        gate = load_gate(GOLDEN_GATE)
+        assert parse_experiment_csv(marked, gate) == parse_experiment_csv(
+            GOLDEN_RECORDS, gate
+        )
+
+    def test_each_distinct_cell_text_is_parsed_once(self, capsys, monkeypatch):
+        texts = {
+            cell
+            for line in GOLDEN_RECORDS.read_text().splitlines()[1:]
+            for cell in line.split(",")
+        }
+        parsed = []
+        parse = sensitivity.parse_rational
+        monkeypatch.setattr(
+            sensitivity, "parse_rational", lambda text: parsed.append(text) or parse(text)
+        )
+        built = []
+        init = sensitivity.ExperimentRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sensitivity.ExperimentRecord, "__init__", counting_init)
+        for argv in data_commands(GOLDEN_RECORDS):
+            parsed.clear()
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert sorted(parsed) == sorted(texts)
+        assert built == []
 
 
 class TestSelftestCommand:

@@ -26,10 +26,20 @@ def random_eliminators(rng, n, rows, allow_undetermined=True):
 
 
 class TestTable:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_rows_match_brute_force(self, n):
         rows = [tuple(r) for r in sign_vector_table(n).tolist()]
         assert rows == oracles.canonical_vectors(n)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_rows_decode_the_canonical_codes(self, n):
+        # digit j of each code, most significant first, with 2 read as -1
+        table = sign_vector_table(n)
+        codes = backend._canonical_index(n)
+        assert table.shape == (codes.size, n)
+        for j in range(n):
+            digit = codes // 3 ** (n - 1 - j) % 3
+            assert (table[:, j] == np.where(digit == 2, -1, digit)).all()
 
     def test_dtype_and_shape(self):
         t = sign_vector_table(5)

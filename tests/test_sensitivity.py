@@ -2,11 +2,11 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from signelim import (
@@ -880,10 +880,14 @@ class TestBooleanSensitivity:
 
 
 def collision_pairs(records, eps):
-    """_collision_pairs on the records' exact point matrix, as a list of (a, b)."""
+    """_collision_pairs on the records' coded matrix, as a list of (a, b)."""
     arities = [len(block) for block in records[0].point] if records else [1]
-    points, _ = sensitivity._record_points(records, arities)
-    a, b = sensitivity._collision_pairs(points, [r.output for r in records], eps)
+    dim = len(records[0].output) if records else 1
+    coded = sensitivity._coded(records, arities, dim)
+    width = sum(arities)
+    a, b = sensitivity._collision_pairs(
+        coded.ids[:, :width], coded.values, coded.ids[:, width:], eps
+    )
     assert a.dtype == b.dtype == np.int64
     assert (a < b).all()
     return list(zip(a.tolist(), b.tolist()))
@@ -1177,8 +1181,10 @@ class TestRecordValidation:
         expected = oracle_validation_error(records, delta)
         assert validation_error(records, delta) == expected
         if expected is None:
-            points = sensitivity._validate_records(records, expand(CHECKED), delta)
-            assert points.shape == (len(records), 5)
+            coded = sensitivity._validate_records(records, expand(CHECKED), delta)
+            assert coded.ids.shape == (len(records), 6)
+            flat = [[*chain.from_iterable(r.point), *r.output] for r in records]
+            assert [[coded.values[k] for k in row] for row in coded.ids.tolist()] == flat
 
     def test_a_coordinate_equal_to_delta_is_accepted(self):
         records = [GOOD, record((F(1, 4), F(3, 4)), (F(1, 4), F(1, 4), F(1, 2)))]
@@ -1260,7 +1266,8 @@ class TestExactCollisions:
 
     def test_the_inputs_overflow_int64(self):
         records = [ExperimentRecord(p, (o, o)) for p, o in zip(BIG_POINTS, BIG_OUTPUTS)]
-        points, scale = sensitivity._record_points(records, (2, 2))
+        coded = sensitivity._coded(records, (2, 2), 2)
+        points, scale = sensitivity._scaled(coded.values, coded.ids[:, :4])
         assert scale > 2**63
         assert max(points.ravel()) > 2**63
         assert len({tuple(float(c) for c in p) for p in points.tolist()}) == 1
@@ -1397,3 +1404,140 @@ class TestExperimentCsv:
         path.write_text("")
         with pytest.raises(ValidationError, match="empty"):
             parse_experiment_csv(path, FIRST)
+
+
+# Cell texts for the reader: equal values spelled differently, padding,
+# faulty texts, and blocks that do or do not sum to 1.
+CSV_BLOCKS = ["1/2,1/2", "0.5, 2/4", "1/4,3/4", " 0.25,0.75 ", "1,0", "3/2,-1/2",
+              "1/2,1/4"]
+CSV_OUTPUTS = ["0", "1/3", " 2/6", "-1/2", "1", "0.5"]
+CSV_CELLS = ["1/2", "2/4", "oops", "", "1/0", " 1/3 ", "1e-1", "0x1"]
+CSV_HEADERS = ["b1_0,b1_1,b2_0,b2_1,y1", " b1_0 ,b1_1,b2_0,b2_1, y1",
+               "b1_0,b1_1,b2_0,y1", "b1_1,b1_0,b2_0,b2_1,y1"]
+
+
+@st.composite
+def csv_lines(draw):
+    """One CSV line: a row of blocks and an output, a blank line, or a row of
+    arbitrary cells and field count."""
+    kind = draw(st.sampled_from(["row", "row", "row", "blank", "cells"]))
+    if kind == "blank":
+        return ""
+    if kind == "row":
+        blocks = [draw(st.sampled_from(CSV_BLOCKS)) for _ in range(2)]
+        return ",".join(blocks + [draw(st.sampled_from(CSV_OUTPUTS))])
+    pool = CSV_CELLS + CSV_OUTPUTS
+    return ",".join(draw(st.lists(st.sampled_from(pool), min_size=3, max_size=7)))
+
+
+@st.composite
+def csv_texts(draw):
+    """A whole CSV file: empty, header only, or a header and lines."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "\ufeff"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    header = draw(st.sampled_from(CSV_HEADERS[:1] * 3 + CSV_HEADERS))
+    lines = draw(st.lists(csv_lines(), max_size=8))
+    return bom + "\n".join([header] + lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def read_csv(path, gate=FIRST):
+    """_read_experiment_csv's rows as (line, point, output), or its error."""
+    try:
+        coded = sensitivity._read_experiment_csv(path, gate)
+    except (DomainError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    rows = [[coded.values[k] for k in row] for row in coded.ids.tolist()]
+    starts = np.cumsum((0,) + gate.arities).tolist()
+    return [
+        (line, tuple(tuple(r[i:j]) for i, j in zip(starts, starts[1:])), tuple(r[starts[-1]:]))
+        for line, r in zip(coded.lines, rows)
+    ]
+
+
+def parsed_csv(path, gate=FIRST):
+    """parse_experiment_csv's records as (point, output), or its error."""
+    try:
+        return [(r.point, r.output) for r in parse_experiment_csv(path, gate)]
+    except (DomainError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestCodedExperimentCsv:
+    """The coded reader against the row-by-row reference reader."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_texts())
+    @example("")
+    @example("b1_0,b1_1,b2_0,b2_1,y1\n")
+    @example("b1_0,b1_1,b2_0,b2_1,y1\n1/2,1/2,1/2\n\n1/2,oops,1/2,1/2,0\n")
+    @example("b1_0,b1_1,b2_0,b2_1,y1\n1/2,oops,1/2,1/2\n")
+    @example("b1_0,b1_1,b2_0,b2_1,y1\n\n1/2,1/2,3/2,-1/2,0\n1/2,1/2,1/2,1/4,0\n")
+    def test_matches_the_reference_reader(self, tmp_path, text):
+        path = tmp_path / "records.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = oracles.read_experiment_csv(path, FIRST.arities, FIRST.output_dim)
+        assert read_csv(path) == expected
+        expected = oracles.parse_experiment_csv(path, FIRST.arities, FIRST.output_dim)
+        if isinstance(expected, list):
+            expected = [(point, output) for _, point, output in expected]
+        assert parsed_csv(path) == expected
+
+    def test_the_first_faulty_line_decides(self, tmp_path):
+        path = tmp_path / "records.csv"
+        head = "b1_0,b1_1,b2_0,b2_1,y1\n"
+        # a field count fault, then a cell fault on a later line
+        path.write_text(head + "1/2,1/2,1/2,1/2\n\n1/2,oops,1/2,1/2,0\n")
+        assert read_csv(path) == (
+            "ValidationError", f"{path}:2: expected 5 fields, got 4"
+        )
+        # a cell fault, then a field count fault on a later line
+        path.write_text(head + "1/2,oops,1/2,1/2,0\n1/2,1/2\n")
+        assert read_csv(path) == (
+            "ValidationError", f"{path}:2: cannot parse rational from 'oops': "
+            "Invalid literal for Fraction: 'oops'"
+        )
+        # both on one line: the field count is checked first
+        path.write_text(head + "\n1/2,oops,1/2,1/2\n")
+        assert read_csv(path) == (
+            "ValidationError", f"{path}:3: expected 5 fields, got 4"
+        )
+
+    def test_equal_values_share_one_id_in_value_order(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "b1_0,b1_1,b2_0,b2_1,y1\n"
+            "1/2,1/2,1/4,3/4,0\n"
+            "2/4, 0.5,0.25,0.75,0\n"
+            "3/4,1/4,1/2,1/2,-1/3\n"
+        )
+        coded = sensitivity._read_experiment_csv(path, FIRST)
+        assert coded.values == (F(-1, 3), F(0), F(1, 4), F(1, 2), F(3, 4))
+        assert coded.ids.tolist() == [[3, 3, 2, 4, 1], [3, 3, 2, 4, 1], [4, 2, 3, 3, 0]]
+        assert coded.lines == (2, 3, 4)
+        # the first two rows are one point with one output: no collision
+        assert data_upper_bound(coded, expand(FIRST)) is None
+        assert data_upper_bound(parse_experiment_csv(path, FIRST), expand(FIRST)) is None
+
+    def test_the_point_scale_reads_the_coordinates_only(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("b1_0,b1_1,b2_0,b2_1,y1\n1/2,1/2,1/4,3/4,1/7\n1/3,2/3,1,0,5/9\n")
+        coded = sensitivity._read_experiment_csv(path, FIRST)
+        points, scale = sensitivity._scaled(coded.values, coded.ids[:, :4])
+        assert scale == 12
+        assert points.tolist() == [[6, 6, 3, 9], [4, 8, 12, 0]]
+        outputs, scale = sensitivity._scaled(coded.values, coded.ids[:, 4:], F(1, 2))
+        assert scale == 126
+        assert outputs.tolist() == [[18], [70]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_sets())
+    def test_record_ids_are_value_ranks(self, records):
+        arities = (2, 2)
+        dim = len(records[0].output) if records else 1
+        coded = sensitivity._coded(records, arities, dim)
+        assert list(coded.values) == sorted(set(coded.values))
+        flat = [v for r in records for v in chain(*r.point, r.output)]
+        assert [coded.values[k] for k in coded.ids.ravel().tolist()] == flat
+        assert len(coded.ids) == len(records)
