@@ -14,8 +14,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import INFINITY, encode_basestring_ascii
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -77,24 +77,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == INFINITY:
-        return "Infinity"
-    if value == -INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# Text of each JSON scalar, by exact type: json.dumps renders them the same.
+# Text of each JSON scalar, by exact type: json.dumps renders them the same
+# (a float, rare in any document, by json.dumps itself).
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_text,
+    float: json.dumps,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
+
+
+class _Witnesses(NamedTuple):
+    """A witness list ``[{"w": family[f], "total_sign": sign}, ...]`` as text:
+    each functional's strings, each witness's position f and quoted sign."""
+
+    family: list[list[str]]
+    positions: list[int]
+    signs: list[str]
 
 
 def _indented_json(payload) -> str:
@@ -104,13 +104,16 @@ def _indented_json(payload) -> str:
     generator. This makes one recursive pass that appends pieces to one list
     and joins once. A list of scalars is rendered with one join, and is
     remembered by (id, depth) for the rest of the call: the analysis
-    document shares each functional's strings across all reports. Types
-    other than dict, list, tuple and the JSON scalars, and non-str keys,
-    raise TypeError.
+    document shares each distinct mask's ``sens_lower`` list among reports.
+    A ``_Witnesses`` renders as its list of dicts would, without recursion:
+    each witness is its functional's text up to the total sign, built once
+    per (functional strings, depth), plus its quoted sign. Other types than
+    these and the JSON scalars, and non-str keys, raise TypeError.
     """
     parts = []
-    append = parts.append
+    append, extend = parts.append, parts.extend
     flat = {}
+    prefixes = {}
 
     def write(value, depth):
         kind = type(value)
@@ -155,6 +158,26 @@ def _indented_json(payload) -> str:
                     + "\n" + "  " * depth + "]"
                 )
                 append(cached)
+        elif kind is _Witnesses:
+            if not value.signs:
+                append("[]")
+                return
+            item = "\n" + "  " * (depth + 1)
+            key = (id(value.family), depth)
+            if key not in prefixes:
+                inner = "\n" + "  " * (depth + 2)
+                prefixes[key] = [
+                    "{" + inner + '"w": [' + inner + "  "
+                    + ("," + inner + "  ").join(map(encode_basestring_ascii, w))
+                    + inner + "]," + inner + '"total_sign": '
+                    for w in value.family
+                ]
+            pieces = [item + "}," + item] * (3 * len(value.signs))  # separator, head, sign
+            pieces[0] = "[" + item
+            pieces[1::3] = map(prefixes[key].__getitem__, value.positions)
+            pieces[2::3] = value.signs
+            extend(pieces)
+            append(item + "}\n" + "  " * depth + "]")
         else:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -170,25 +193,36 @@ def _score_json(score) -> dict:
     return {"value": score.value, "log3": format_log3(score.value)}
 
 
-def _witnesses_json(witnesses) -> list[dict]:
-    return [
-        {"w": [rational_string(v) for v in w], "total_sign": sign_string(ts)}
-        for w, ts in witnesses
-    ]
+def _witness_text(functionals):
+    """The functionals' strings, and a function from witnesses to a _Witnesses
+    that renders each distinct total sign once. A witness's functional must
+    be one of these very tuples, as a sweep hands them out."""
+    strings = [[rational_string(v) for v in w] for w in functionals]
+    position = {id(w): f for f, w in enumerate(functionals)}
+    quoted = lru_cache(maxsize=None)(lambda ts: '"' + sign_string(ts) + '"')
+
+    def witnesses_json(witnesses) -> _Witnesses:
+        return _Witnesses(
+            strings,
+            [position[id(w)] for w, _ in witnesses],
+            [quoted(ts) for _, ts in witnesses],
+        )
+
+    return strings, witnesses_json
 
 
-def _certificate_json(cert: Optional[Certificate]) -> Optional[dict]:
+def _certificate_json(cert: Optional[Certificate], witnesses_json) -> Optional[dict]:
     if cert is None:
         return None
     return {
         "base_point": list(cert.base_point),
         "n_reduced": cert.n_reduced,
-        "witnesses": _witnesses_json(cert.witnesses),
+        "witnesses": witnesses_json(cert.witnesses),
     }
 
 
 def _load_family(path, output_dim) -> ProjectionFamily:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         obj = json.load(handle)
     if not isinstance(obj, list):
         raise ValidationError(f"{path}: functionals file must be a JSON list")
@@ -216,9 +250,10 @@ def _analysis_document(
       and its outcome counted for every report;
     * the ``sens_lower`` strings are the mask's entries of the per-N cached
       string column ``table_strings(N)``, already in enumeration order;
-    * each functional is rendered once: the report witnesses come in family
-      order, so they share the family's strings by position, and each
-      distinct total sign is rendered once.
+    * reports with a shared mask share one ``sens_lower`` list;
+    * each functional is rendered once, into the ``family`` strings, and
+      every witness list, the reports' and the certificates', is a
+      _Witnesses over them.
     """
     checked = passed = failed = skipped = 0
     n_reduced = analysis.n_reduced
@@ -240,21 +275,20 @@ def _analysis_document(
             else:
                 skipped += 1
     strings = table_strings(n_reduced)
-    family_json = [[rational_string(v) for v in w] for w in family.functionals]
-    total_sign_string = lru_cache(maxsize=None)(sign_string)
+    family_json, witnesses_json = _witness_text(family.functionals)
+    lower: dict[int, list[str]] = {}  # id of a shared mask -> sens_lower
     reports_json = []
     for report in analysis.reports:
+        if id(report.mask) not in lower:
+            lower[id(report.mask)] = strings[report.mask].astype(str).tolist()
         reports_json.append(
             {
                 "base_point": list(report.base_point),
-                "witnesses": [
-                    {"w": w, "total_sign": total_sign_string(ts)}
-                    for w, (_, ts) in zip(family_json, report.witnesses)
-                ],
-                "sens_lower": strings[report.mask].astype(str).tolist(),
-                "sens_lower_size": int(np.count_nonzero(report.mask)),
+                "witnesses": witnesses_json(report.witnesses),
+                "sens_lower": lower[id(report.mask)],
+                "sens_lower_size": len(lower[id(report.mask)]),
                 "cs_lower": _score_json(report.score),
-                "certificate": _certificate_json(report.certificate),
+                "certificate": _certificate_json(report.certificate, witnesses_json),
                 "data_upper": (
                     _score_json(report.data_upper)
                     if report.data_upper is not None
@@ -288,7 +322,7 @@ def _analysis_document(
             if analysis.data is not None
             else None
         ),
-        "certificate": _certificate_json(analysis.certificate),
+        "certificate": _certificate_json(analysis.certificate, witnesses_json),
         "counting_crosscheck": {
             "checked": checked,
             "passed": passed,
@@ -387,15 +421,11 @@ def _cmd_count_pair(args) -> int:
         oracle_inter = count_intersection_oracle(matrix)
         oracle_union = count_eliminated_oracle([x, y], len(x))
         payload["oracle"] = {"intersection": oracle_inter, "union": oracle_union}
-        payload["match"] = (
-            intersection == oracle_inter and union == oracle_union
-        )
-        _emit(payload)
-        if not payload["match"]:
-            print("closed form disagrees with the oracle", file=sys.stderr)
-            return INVARIANT_VIOLATION
-        return 0
+        payload["match"] = intersection == oracle_inter and union == oracle_union
     _emit(payload)
+    if not payload.get("match", True):
+        print("closed form disagrees with the oracle", file=sys.stderr)
+        return INVARIANT_VIOLATION
     return 0
 
 
@@ -507,7 +537,8 @@ def _cmd_gate_certify(args) -> int:
     if not verify_certificate(expansion, cert):
         print("certificate failed replay verification", file=sys.stderr)
         return INVARIANT_VIOLATION
-    _emit({"certificate": _certificate_json(cert), "verified": True})
+    witnesses_json = _witness_text([w for w, _ in cert.witnesses])[1]
+    _emit({"certificate": _certificate_json(cert, witnesses_json), "verified": True})
     return 0
 
 

@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from numbers import Rational
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, ValidationError
@@ -63,11 +64,11 @@ Vector = tuple[Fraction, ...]
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from a JSON-ish value."""
+    """Parse an exact rational (not a float or bool); a Fraction passes unchanged."""
     if isinstance(value, bool):
         raise ValidationError(f"expected a rational, got boolean {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Rational):
+        return value if type(value) is Fraction else Fraction(value)
     if isinstance(value, float):
         raise ValidationError(
             f"floats are inexact; write {value!r} as a string like '1/3' or '0.5'"
@@ -96,7 +97,7 @@ def rational_string(value) -> str:
 
 
 def _validate_vector(values: Sequence, dim: int, where: str) -> Vector:
-    vec = tuple(Fraction(v) for v in values)
+    vec = parse_rational_vector(values, where)
     if len(vec) != dim:
         raise ValidationError(f"{where}: expected {dim} components, got {len(vec)}")
     return vec
@@ -415,7 +416,7 @@ def dumps_gate(gate: Gate) -> str:
 
 
 def load_gate(path) -> Gate:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return gate_from_json(json.load(handle))
         except json.JSONDecodeError as exc:

@@ -60,6 +60,7 @@ from .gates import (
     base_points,
     expand,
     parse_rational,
+    parse_rational_vector,
     rational_string,
     reduced_dimension,
     validate_base_point,
@@ -141,8 +142,8 @@ class ProjectionFamily:
     def from_vectors(cls, vectors: Iterable[Sequence], output_dim: int) -> "ProjectionFamily":
         """Normalize sign (first nonzero component positive) and deduplicate."""
         seen = {}  # a dict keeps first-occurrence order
-        for raw in vectors:
-            w = tuple(Fraction(v) for v in raw)
+        for pos, raw in enumerate(vectors):
+            w = parse_rational_vector(raw, f"functional {pos}")
             lead = next((c for c in w if c != 0), None)
             if lead is None:
                 raise DomainError("functionals must be nonzero")
@@ -529,9 +530,11 @@ class _Coded:
 
 def _coded(records, arities: Sequence[int], output_dim: int) -> _Coded:
     """ExperimentRecords as one coded matrix, once the first record with a
-    wrong length has raised; a _Coded passes through."""
+    wrong length or an inexact entry (by parse_rational's rule) has raised;
+    a _Coded passes through."""
     if isinstance(records, _Coded):
         return records
+    ids, flat = {}, []  # distinct value -> id; every entry's id, row-major
     for pos, record in enumerate(records, start=1):
         if len(record.point) != len(arities):
             raise ValidationError(f"record {pos}: expected {len(arities)} blocks")
@@ -540,8 +543,8 @@ def _coded(records, arities: Sequence[int], output_dim: int) -> _Coded:
                 raise ValidationError(f"record {pos}: block {i} must have {arity} coordinates")
         if len(record.output) != output_dim:
             raise ValidationError(f"record {pos}: output must have {output_dim} components")
-    ids: dict[Fraction, int] = {}
-    flat = [ids.setdefault(v, len(ids)) for r in records for v in chain(*r.point, r.output)]
+        row = parse_rational_vector(chain(*record.point, record.output), f"record {pos}")
+        flat += [ids.setdefault(v, len(ids)) for v in row]
     return _Coded.ranked(flat, list(ids), sum(arities) + output_dim)
 
 

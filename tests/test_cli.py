@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from signelim import boolean_gate, dumps_gate, load_gate, parse_experiment_csv
 from signelim import cli, covers, sensitivity
 from signelim.cli import main
+from signelim.gates import rational_string
+from signelim.sensitivity import Certificate
+from signelim.signvec import UNDETERMINED, sign_string
 
 from conftest import FIXTURE_PATH, REPO_ROOT, fail_if_called
 
@@ -653,6 +656,31 @@ class TestExperimentCsvInput:
         assert built == []
 
 
+class TestJsonInput:
+    def test_a_byte_order_mark_changes_nothing(self, capsys, tmp_path):
+        # editors on Windows save "UTF-8 with BOM"; gate and functionals
+        # files read like experiment CSVs
+        names = ("additive_gate.json", "additive_functionals.json")
+        for name in names:
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (GOLDEN / name).read_bytes())
+
+        def commands(folder):
+            gate, family = (str(folder / name) for name in names)
+            return [
+                ["gate", "expand", gate],
+                ["gate", "analyze", gate],
+                ["gate", "analyze", GOLDEN_GATE, "--functionals", family],
+                ["gate", "certify", gate],
+                ["gate", "certify", GOLDEN_GATE, "--functionals", family],
+                ["data", "bound", gate, str(GOLDEN_RECORDS), "--eps", "1/12"],
+            ]
+
+        for argv, marked in zip(commands(GOLDEN), commands(tmp_path)):
+            code, out, err = masked_run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert masked_run(capsys, *marked) == (code, out, err)
+
+
 class TestSelftestCommand:
     def test_quick_run_passes(self, capsys):
         code, out, err = run(capsys, "selftest", "--quick", "--seed", "7")
@@ -731,7 +759,64 @@ def documents_with_shared_lists(draw):
     }
 
 
+rationals = st.one_of(
+    st.sampled_from([Fraction(-1, 3), Fraction(0), Fraction(7, 2)]),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.integers(min_value=1, max_value=60),
+    ),
+)
+
+
+@st.composite
+def witness_documents(draw):
+    """A document holding witness lists as cli's values, and the same
+    document with plain [{"w", "total_sign"}] lists.
+
+    The reports' witnesses come in family order, each certificate's in any
+    order over a subset; the same lists sit at several depths.
+    """
+    dim = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=4))
+    family = draw(st.lists(st.tuples(*[rationals] * dim), min_size=1, max_size=6))
+    signs = st.tuples(*[st.sampled_from([1, 0, -1, UNDETERMINED])] * n)
+    strings, witnesses_json = cli._witness_text(family)
+
+    def plain(witnesses):
+        return [
+            {"w": [rational_string(v) for v in w], "total_sign": sign_string(ts)}
+            for w, ts in witnesses
+        ]
+
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        report = tuple((w, draw(signs)) for w in family)
+        chosen = draw(st.lists(st.sampled_from(range(len(family))), unique=True, min_size=1))
+        cert = Certificate((0,), tuple(report[f] for f in chosen), n)
+        pairs.append(
+            (
+                {"witnesses": witnesses_json(report), "certificate": cli._certificate_json(cert, witnesses_json)},
+                {
+                    "witnesses": plain(report),
+                    "certificate": {"base_point": [0], "n_reduced": n, "witnesses": plain(cert.witnesses)},
+                },
+            )
+        )
+    fast = {"family": strings, "reports": [p[0] for p in pairs], "none": witnesses_json(())}
+    slow = {"family": [[rational_string(v) for v in w] for w in family], "reports": [p[1] for p in pairs], "none": []}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        fast, slow = {"inner": [fast], "again": fast}, {"inner": [slow], "again": slow}
+    return fast, slow
+
+
 class TestIndentedJson:
+    @settings(max_examples=300, deadline=None)
+    @given(witness_documents())
+    def test_witness_lists_render_as_their_plain_lists(self, documents):
+        fast, slow = documents
+        assert cli._indented_json(fast) == json.dumps(slow, indent=2)
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(json_values, documents_with_shared_lists()))
     def test_matches_json_dumps(self, value):

@@ -63,6 +63,11 @@ class TestRationalParsing:
         with pytest.raises(ValidationError):
             parse_rational("one third")
 
+    def test_exact_numbers_pass_unchanged(self):
+        half = F(1, 2)
+        assert parse_rational(half) is half
+        assert type(parse_rational(7)) is F and parse_rational(7) == 7
+
     def test_rendering_round_trips(self):
         for text in ("0", "1", "-2", "1/3", "-7/12"):
             assert rational_string(parse_rational(text)) == text
@@ -130,6 +135,26 @@ class TestGateValidation:
         payload["entries"][0]["output"] = ["0", "0"]
         with pytest.raises(ValidationError):
             gate_from_json(payload)
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, True, "x"])
+    def test_table_and_label_entries_must_be_exact(self, bad):
+        with pytest.raises(ValidationError, match=r"entry \(1,\)"):
+            Gate(arities=(2,), output_dim=1, table={(0,): (F(1, 2),), (1,): (bad,)})
+        with pytest.raises(ValidationError, match="output label 'x'"):
+            Gate(
+                arities=(2,), output_dim=1, table={(0,): (0,), (1,): (1,)},
+                output_labels={(bad,): "x"},
+            )
+        with pytest.raises(ValidationError, match=r"entry \(0,\)"):
+            MultilinearExpansion(arities=(2,), output_dim=1, coefficients={(0,): (bad,), (1,): (1,)})
+
+    def test_parsed_entries_are_kept_not_copied(self):
+        gate = gate_from_json(minimal_payload())
+        assert all(
+            a is b
+            for idx, vec in gate.table.items()
+            for a, b in zip(vec, expand(gate).coefficients[idx])
+        )
 
     def test_input_labels_must_match_arities(self):
         payload = minimal_payload()

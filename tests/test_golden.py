@@ -2,9 +2,11 @@
 
 The expected files under tests/golden/ were written by the CLI, with the
 value of "timing_seconds" replaced by 0: those of `gate analyze` and
-`gate certify` before the document assembly worked from masks, the others
-while the output still went through `json.dumps(payload, indent=2)`. Any
-change to a byte of the output, other than the timing, fails here.
+`gate certify` on the default family before the document assembly worked
+from masks, the two with a custom family before witness lists were rendered
+from per-functional text, the others while the output still went through
+`json.dumps(payload, indent=2)`. Any change to a byte of the output, other
+than the timing, fails here.
 """
 
 import pathlib
@@ -32,6 +34,7 @@ EXIT_CODES = {
     ("random", "analyze"): 0,
     ("random", "certify"): 2,
 }
+FUNCTIONALS = GOLDEN / "additive_functionals.json"
 # every other command that prints JSON; each exits 0
 COMMANDS = {
     "zs": ["zs", "--n", "3"],
@@ -44,6 +47,14 @@ COMMANDS = {
     "count_pair": ["count", "pair", "--x", "+0-+", "--y", "++0-", "--verify"],
     "covers": ["covers", "--n", "2", "--max-size", "4"],
     "gate_expand": ["gate", "expand", str(GATES["additive"])],
+    # a family with negative, non-integer and large entries: three of its six
+    # functionals are negated by the sign normalization
+    "additive_functionals_analyze": [
+        "gate", "analyze", str(GATES["additive"]), "--functionals", str(FUNCTIONALS),
+    ],
+    "additive_functionals_certify": [
+        "gate", "certify", str(GATES["additive"]), "--functionals", str(FUNCTIONALS),
+    ],
     # records at the additive gate's exact values on a 4 x 3 interior grid
     "data_bound": [
         "data", "bound", str(GATES["additive"]),

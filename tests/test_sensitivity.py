@@ -1089,6 +1089,26 @@ class TestDataBounds:
         with pytest.raises(ValidationError, match=message):
             data_upper_bound(records, expand(FIRST), delta=F(1, 4) + F(1, 10**6))
 
+    @pytest.mark.parametrize("bad", [0.5, True, "one half"])
+    def test_inexact_record_entries_are_rejected_by_position(self, bad):
+        # the first record holds F(1, 2), which equals 0.5 as a dict key: the
+        # second record's entry must still be checked
+        good = ExperimentRecord(((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4))), (F(0),))
+        for bad_record in (
+            ExperimentRecord(((bad, F(1, 2)), (F(1, 3), F(2, 3))), (F(1),)),
+            ExperimentRecord(((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))), (bad,)),
+        ):
+            for call in (data_upper_bound, lambda r, e: analyze_gate(e, records=r)):
+                with pytest.raises(ValidationError, match="^record 2: "):
+                    call([good, bad_record], expand(FIRST))
+
+    def test_family_entries_must_be_exact(self):
+        for bad in (0.1, True):
+            with pytest.raises(ValidationError, match="^functional 1: "):
+                ProjectionFamily.from_vectors([[1, 0], [bad, 1]], 2)
+        half = F(1, 2)
+        assert ProjectionFamily.from_vectors([[half, 1]], 2).functionals[0][0] is half
+
     def test_malformed_records_are_rejected(self):
         with pytest.raises(ValidationError):
             data_upper_bound(
