@@ -226,12 +226,11 @@ def _load_family(path, output_dim) -> ProjectionFamily:
         obj = json.load(handle)
     if not isinstance(obj, list):
         raise ValidationError(f"{path}: functionals file must be a JSON list")
-    vectors = []
     for pos, item in enumerate(obj):
         if not isinstance(item, list):
             raise ValidationError(f"{path}: functional {pos} must be a list")
-        vectors.append(parse_rational_vector(item, f"{path}: functional {pos}"))
-    return ProjectionFamily.from_vectors(vectors, output_dim)
+    with _naming_records(path):
+        return ProjectionFamily.from_vectors(obj, output_dim)
 
 
 def _analysis_document(
@@ -490,7 +489,7 @@ def _rational_flag(args, name: str) -> Fraction:
 
 @contextmanager
 def _naming_records(path):
-    """Prefix a record validation error with the CSV path."""
+    """Prefix a validation error with the path of the input file it names."""
     try:
         yield
     except ValidationError as exc:

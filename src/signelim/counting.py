@@ -142,10 +142,10 @@ def _intersection_count(rows: tuple[tuple[int, ...], ...]) -> int:
     with alpha. The weights z(alpha) + aligned count are small ints, so their
     bincount, split by the parity of z(alpha), times Python-int powers of 2
     keeps the sum exact. Assignments go in chunks to bound the temporaries.
+    ``rows`` are a SignMatrix's rows, already checked by both callers.
     """
-    matrix = SignMatrix(rows)
-    m = matrix.m
-    cols = np.array(matrix.rows, dtype=np.int8)
+    m, n = len(rows), len(rows[0])
+    cols = np.array(rows, dtype=np.int8)
     cols = cols[:, cols.any(axis=0)]
     blank = cols == 0
     size = 2 * (m + cols.shape[1] + 1)
@@ -162,7 +162,7 @@ def _intersection_count(rows: tuple[tuple[int, ...], ...]) -> int:
     even, odd = tally[0::2].tolist(), tally[1::2].tolist()
     acc = -((-2) ** (m - 1))
     acc += sum((e - o) << w for w, (e, o) in enumerate(zip(even, odd)))
-    return 3 ** (matrix.n - cols.shape[1]) * acc
+    return 3 ** (n - cols.shape[1]) * acc
 
 
 def count_eliminated_intersection(matrix: SignMatrix) -> int:

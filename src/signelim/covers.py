@@ -12,7 +12,6 @@ mask over table(n), packed one bit per vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -22,6 +21,7 @@ import numpy as np
 from . import backend
 from .counting import SignMatrix
 from .errors import DomainError, check_cap
+from .gates import parse_rational_vector
 from .signvec import (
     DEFAULT_MAX_N,
     ENV_MAX_N,
@@ -256,10 +256,8 @@ def orthogonality_implication_holds(x: Sequence[int], v: Sequence) -> bool:
     vec = tuple(x)
     if not is_canonical(vec):
         raise DomainError(f"{vec!r} is not canonical")
-    values = tuple(v)
-    if len(values) != len(vec):
-        raise DomainError(f"length mismatch: {len(values)} vs {len(vec)}")
-    if all(Fraction(c) == 0 for c in values):
+    values = parse_rational_vector(v, "v")
+    if not any(values):
         raise DomainError("v must be nonzero")
     pattern, _ = canonicalize(values)
     if not eliminates(vec, pattern):

@@ -217,7 +217,7 @@ def _validate_point(
         )
     blocks = []
     for i, block in enumerate(point):
-        coords = tuple(Fraction(c) for c in block)
+        coords = parse_rational_vector(block, f"point block {i}")
         if len(coords) != expansion.arities[i]:
             raise DomainError(
                 f"block {i} must have {expansion.arities[i]} coordinates, got {len(coords)}"
@@ -307,7 +307,7 @@ def reduced_partial(
 
 def apply_functional(expansion: MultilinearExpansion, w: Sequence) -> MultilinearExpansion:
     """Compose with a linear functional on the output space (output_dim 1)."""
-    weights = tuple(Fraction(v) for v in w)
+    weights = parse_rational_vector(w, "w")
     if len(weights) != expansion.output_dim:
         raise DomainError(
             f"functional must have {expansion.output_dim} components, got {len(weights)}"
@@ -442,5 +442,5 @@ def boolean_gate(outputs: Sequence[int], inputs: int) -> Gate:
         bit = outputs[pos]
         if bit not in (0, 1):
             raise DomainError(f"outputs must be 0/1, got {bit!r}")
-        table[idx] = (Fraction(bit),)
+        table[idx] = (bit,)
     return Gate(arities=(2,) * inputs, output_dim=1, table=table)

@@ -121,7 +121,12 @@ def _check_caps(expansion: MultilinearExpansion) -> None:
 
 @dataclass(frozen=True)
 class ProjectionFamily:
-    """Nonzero rational output functionals, one representative per +- class."""
+    """Nonzero rational output functionals, one representative per +- class.
+
+    Every entry is read by parse_rational (errors name ``functional <pos>``);
+    each functional's sign is normalized (first nonzero component positive)
+    and duplicates are dropped, keeping first occurrences.
+    """
 
     functionals: tuple[Vector, ...]
     output_dim: int
@@ -129,28 +134,26 @@ class ProjectionFamily:
     def __post_init__(self) -> None:
         if self.output_dim < 1:
             raise DomainError("output_dim must be >= 1")
-        if not self.functionals:
-            raise DomainError("a projection family must be nonempty")
-        for w in self.functionals:
+        seen = {}  # a dict keeps first-occurrence order
+        for pos, raw in enumerate(self.functionals):
+            w = parse_rational_vector(raw, f"functional {pos}")
             if len(w) != self.output_dim:
                 shown = [rational_string(c) for c in w]
                 raise DomainError(
                     f"functional {shown} must have {self.output_dim} components"
                 )
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence], output_dim: int) -> "ProjectionFamily":
-        """Normalize sign (first nonzero component positive) and deduplicate."""
-        seen = {}  # a dict keeps first-occurrence order
-        for pos, raw in enumerate(vectors):
-            w = parse_rational_vector(raw, f"functional {pos}")
             lead = next((c for c in w if c != 0), None)
             if lead is None:
                 raise DomainError("functionals must be nonzero")
-            if lead < 0:
-                w = tuple(-c for c in w)
-            seen.setdefault(w)
-        return cls(functionals=tuple(seen), output_dim=output_dim)
+            seen.setdefault(w if lead > 0 else tuple(-c for c in w))
+        if not seen:
+            raise DomainError("a projection family must be nonempty")
+        object.__setattr__(self, "functionals", tuple(seen))
+
+    @classmethod
+    def from_vectors(cls, vectors: Iterable[Sequence], output_dim: int) -> "ProjectionFamily":
+        """The family of ``vectors``, normalized and deduplicated."""
+        return cls(functionals=tuple(vectors), output_dim=output_dim)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -204,8 +207,9 @@ def sign_over_region(form: MultilinearExpansion, base: Sequence[int]) -> int:
 def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Rows times the lcm of all their denominators, as Python ints, and the lcm.
 
-    The positive scale keeps every sign and every comparison, and a row sums
-    to 1 exactly when its ints sum to the lcm.
+    This is the one scaling rule for exact values. The positive scale keeps
+    every sign and every comparison, and a row sums to 1 exactly when its
+    ints sum to the lcm.
     """
     scale = math.lcm(*(v.denominator for row in rows for v in row))
     return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
@@ -218,10 +222,12 @@ def _total_signs(
 
     Entry [z][f] is the total sign of functionals[f] at base point z, in
     reduced_coordinates order; the shape is arities + (len(functionals), N).
-    Entries must be Fractions or ints; the public callers convert theirs.
+    An expansion over zero blocks has no free coordinate, so no total sign.
     """
     arities = expansion.arities
     dim = expansion.output_dim
+    if not arities:
+        raise DomainError("vector length must be a positive int, got 0")
     for w in functionals:
         if len(w) != dim:
             raise DomainError(f"functional must have {dim} components, got {len(w)}")
@@ -263,7 +269,7 @@ def total_sign(
 ) -> tuple[int, ...]:
     """Region signs of the N reduced partials of w composed with the expansion."""
     base = validate_base_point(expansion, z)
-    w = tuple(Fraction(v) for v in w)
+    w = parse_rational_vector(w, "w")
     return tuple(_total_signs(expansion, [w])[base][0].tolist())
 
 
@@ -444,7 +450,10 @@ def verify_certificate(
     except DomainError:
         return False
     witnesses = certificate.witnesses
-    functionals = [tuple(Fraction(v) for v in w) for w, _ in witnesses]
+    functionals = [
+        parse_rational_vector(w, f"certificate witness {k}")
+        for k, (w, _) in enumerate(witnesses)
+    ]
     codes = _total_signs(expansion, functionals)[z]
     if codes.tolist() != [list(ts) for _, ts in witnesses]:
         return False
@@ -549,17 +558,12 @@ def _coded(records, arities: Sequence[int], output_dim: int) -> _Coded:
 
 
 def _scaled(values: Sequence[Fraction], ids: np.ndarray, *extra: Fraction):
-    """The values under ``ids`` times the lcm of their and ``extra``'s
-    denominators, as a gathered object matrix of Python ints, and the lcm.
-
-    The positive scale keeps every sign and comparison, and a block sums to
-    1 exactly when its ints sum to the lcm.
-    """
+    """The values under ``ids``, scaled by _cleared together with ``extra``,
+    gathered into an object matrix of Python ints, and the scale."""
     present = np.flatnonzero(np.bincount(ids.ravel(), minlength=len(values))).tolist()
-    used = [values[k] for k in present]
-    scale = math.lcm(*(v.denominator for v in chain(used, extra)))
+    (used, _), scale = _cleared([[values[k] for k in present], extra])
     ints = np.zeros(len(values), dtype=object)
-    ints[present] = [v.numerator * (scale // v.denominator) for v in used]
+    ints[present] = used
     return ints[ids], scale
 
 
@@ -638,7 +642,7 @@ def _collision_pairs(
         key, width = _row_ids(outputs), 0
     else:
         scaled, scale = _scaled(values, outputs, eps)
-        key, width = scaled[:, 0], eps.numerator * (scale // eps.denominator)
+        key, width = scaled[:, 0], int(eps * scale)
     order = np.argsort(key, kind="stable")
     key = key[order]
     counts = np.searchsorted(key, key + width, side="right") - np.arange(1, key.size + 1)
@@ -682,8 +686,6 @@ def _collision_scores(
     per call, and a set with no nonzero row scores 3**N without a kernel
     call. Returns ({}, None) when no two records collide at distinct points.
     """
-    eps = Fraction(eps)
-    delta = Fraction(delta)
     coded = _validate_records(records, expansion, delta)
     _check_caps(expansion)
     width = sum(expansion.arities)
@@ -731,6 +733,8 @@ def data_upper_bound(
     points. Exact for eps = 0; eps > 0 marks the bound heuristic. Returns
     None when no two records collide at distinct points.
     """
+    (eps,) = parse_rational_vector([eps], "eps")
+    (delta,) = parse_rational_vector([delta], "delta")
     return _collision_scores(records, expansion, eps, delta)[1]
 
 
@@ -778,6 +782,8 @@ def analyze_gate(
     delta: Fraction = Fraction(0),
 ) -> GateAnalysis:
     """Full sweep over base points: witnesses, bounds, and certificates."""
+    (eps,) = parse_rational_vector([eps], "eps")
+    (delta,) = parse_rational_vector([delta], "delta")
     _check_caps(expansion)
     if family is None:
         family = default_family(expansion.output_dim)

@@ -22,7 +22,6 @@ String form uses the alphabet "+", "0", "-", "u", one character per entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from . import backend
 from .backend import UNDETERMINED
 from .errors import DomainError, check_cap
+from .gates import parse_rational_vector
 
 __all__ = [
     "UNDETERMINED",
@@ -61,6 +61,7 @@ _SIGN_ENTRIES = (-1, 0, 1)
 _TOTAL_ENTRIES = (-1, 0, 1, UNDETERMINED)
 
 _CHAR_OF = {1: "+", 0: "0", -1: "-", UNDETERMINED: "u"}
+_RANK = {0: 0, 1: 1, -1: 2, UNDETERMINED: 3}  # enumeration order, entrywise
 _VALUE_OF = {"+": 1, "0": 0, "-": -1, "u": UNDETERMINED}
 
 
@@ -188,7 +189,7 @@ def sign_rows(
         elif len(vec) != n:
             raise DomainError(f"expected length {n}, got {vec!r}")
         rows.add(vec)
-    return sorted(rows, key=enumeration_key)
+    return sorted(rows, key=lambda vec: tuple(map(_RANK.__getitem__, vec)))
 
 
 def eliminated_mask(eliminators: Iterable[Sequence[int]], n: int) -> np.ndarray:
@@ -262,9 +263,7 @@ def negate_column(
 
 def enumeration_key(v: Sequence[int]) -> tuple[int, ...]:
     """Sort key reproducing enumeration order (0 < +1 < -1 entrywise)."""
-    vec = _validate_sign_vector(v, total=True)
-    order = {0: 0, 1: 1, -1: 2, UNDETERMINED: 3}
-    return tuple(order[e] for e in vec)
+    return tuple(map(_RANK.__getitem__, _validate_sign_vector(v, total=True)))
 
 
 def sign_string(v: Sequence[int]) -> str:
@@ -277,16 +276,14 @@ def sign_string(v: Sequence[int]) -> str:
 _CHARS = np.frombuffer(b"0+u-", dtype="S1")
 
 
-@lru_cache(maxsize=4)
+@backend._kept_up_to_12
 def table_strings(n: int) -> np.ndarray:
     """sign_string of every row of table(n), in table order, as bytes.
 
     A read-only "S<n>" array: select rows with a mask, then decode, e.g.
     ``table_strings(n)[mask].astype(str).tolist()``.
     """
-    column = _CHARS[table(n) % 4].view(f"S{n}").reshape(-1)
-    column.setflags(write=False)
-    return column
+    return _CHARS[table(n) % 4].view(f"S{n}").reshape(-1)
 
 
 def parse_sign_string(text: str, *, total: bool = True) -> tuple[int, ...]:
@@ -306,9 +303,7 @@ def parse_sign_string(text: str, *, total: bool = True) -> tuple[int, ...]:
 
 def as_fraction_dot(v: Sequence, x: Sequence[int]) -> Fraction:
     """Exact dot product of a rational vector with a sign vector."""
-    if len(v) != len(x):
-        raise DomainError(f"length mismatch: {len(v)} vs {len(x)}")
-    total = Fraction(0)
-    for a, b in zip(v, x):
-        total += Fraction(a) * b
-    return total
+    values = parse_rational_vector(v, "v")
+    if len(values) != len(x):
+        raise DomainError(f"length mismatch: {len(values)} vs {len(x)}")
+    return sum((a * b for a, b in zip(values, x)), Fraction(0))

@@ -177,6 +177,16 @@ class TestIntersection:
     def test_zero_and_repeated_columns_match_the_oracle(self, m):
         assert count_eliminated_intersection(m) == count_intersection_oracle(m)
 
+    def test_the_count_does_not_recheck_its_rows(self, monkeypatch):
+        # both callers pass rows a SignMatrix or sign_rows has checked
+        def rebuilt(rows):
+            raise AssertionError("the rows were checked again")
+
+        rows = ((1, 0, 1), (0, 1, -1))
+        expected = count_intersection_oracle(SignMatrix(rows))
+        monkeypatch.setattr(counting, "SignMatrix", rebuilt)
+        assert counting._intersection_count.__wrapped__(rows) == expected
+
 
 class TestUnion:
     def test_frozen_examples(self):

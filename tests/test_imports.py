@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, every
+``__all__`` entry is bound in its module, and every name ``__init__.py``
+re-exports exists in the module it comes from.
 
-A standard-library stand-in for a lint rule: `__init__.py` is skipped because
-its imports are the package's re-exports.
+A standard-library stand-in for a lint rule: `__init__.py` is skipped by the
+unused-import scan because its imports are the package's re-exports.
 """
 
 import ast
@@ -11,11 +13,18 @@ import pytest
 
 from conftest import REPO_ROOT
 
-MODULES = sorted(
-    path
-    for path in (REPO_ROOT / "src" / "signelim").glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = REPO_ROOT / "src" / "signelim"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def declared_all(tree: ast.Module) -> list[str]:
+    """The names of a module's literal ``__all__`` list, or none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,12 +37,39 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(declared_all(tree))
     return [name for name in imported if name not in used]
+
+
+def module_names(source: str) -> set[str]:
+    """Names bound at module level: definitions, assignments and imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+    return names
+
+
+def stale_exports(source: str) -> list[str]:
+    """__all__ entries that name nothing bound at module level, in order."""
+    bound = module_names(source)
+    return [name for name in declared_all(ast.parse(source)) if name not in bound]
+
+
+def missing_reexports(init_source: str, read_module) -> list[str]:
+    """``module.name`` for every name a relative import in ``__init__.py``
+    takes from a package module that does not bind it."""
+    missing = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            bound = module_names(read_module(node.module))
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in bound]
+    return missing
 
 
 def test_the_scan_sees_every_import_form():
@@ -52,3 +88,31 @@ def test_the_scan_sees_every_import_form():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_export_scans_see_stale_names():
+    source = (
+        "import os\n"
+        "from .errors import DomainError as Bad\n"
+        "LIMIT: int = 3\n"
+        "X = Y = 1\n"
+        "def kept(): pass\n"
+        "class Kept: pass\n"
+        "if X:\n"
+        "    def hidden(): pass\n"
+        "__all__ = ['os', 'Bad', 'LIMIT', 'Y', 'kept', 'Kept', 'hidden', 'gone']\n"
+    )
+    assert stale_exports(source) == ["hidden", "gone"]
+    init = "from .mod import kept, gone\nfrom json import nothing\n"
+    assert missing_reexports(init, {"mod": source}.__getitem__) == ["mod.gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_export_is_defined(path):
+    assert stale_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_package_reexport_exists():
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    read = lambda module: (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert missing_reexports(init, read) == []

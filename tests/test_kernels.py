@@ -10,7 +10,7 @@ from signelim.backend import (
     row_mask_bits,
     sign_vector_table,
 )
-from signelim.signvec import jointly_eliminated_count
+from signelim.signvec import jointly_eliminated_count, table_strings
 
 import oracles
 
@@ -330,9 +330,12 @@ class TestTransform:
             backend.sign_vector_table,
             backend._canonical_index,
             backend._negated_index,
+            table_strings,
         )
         before = [cache.cache_info() for cache in caches]
         e1 = (1,) + (0,) * 12
         assert sensitivity.sensitivity_score(13, [e1]).value == 1
+        assert table_strings(13)[0] == b"0" * 12 + b"+"
         assert [cache.cache_info() for cache in caches] == before
         assert not sign_vector_table(13).flags.writeable
+        assert not table_strings(13).flags.writeable

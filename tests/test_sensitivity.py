@@ -303,6 +303,20 @@ class TestTotalSign:
         with pytest.raises(DomainError):
             total_sign(expand(color_gate), (0, 0, 0), (1,))
 
+    def test_zero_block_expansions_raise_the_sweep_s_error(self):
+        constant = reduced_partial(expand(boolean_gate([0, 1], 1)), (0,), 0, 1)
+        assert constant.arities == ()
+        with pytest.raises(DomainError) as sweep:
+            analyze_gate(constant)
+        family = default_family(1)
+        for call in (
+            lambda: total_sign(constant, (), (1,)),
+            lambda: witness_signs(constant, (), family),
+            lambda: sensitivity_lower_set(constant, (), family),
+        ):
+            with pytest.raises(DomainError, match=f"^{re.escape(str(sweep.value))}$"):
+                call()
+
 
 # Rationals near 10**40 / 10**30 next to small ones: exact scaling must keep
 # every comparison between values of one functional.

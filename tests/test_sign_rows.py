@@ -17,6 +17,7 @@ from signelim import (
     sensitivity_score,
 )
 from signelim.cli import main
+from signelim import signvec
 from signelim.signvec import sign_rows
 
 U = 2  # UNDETERMINED
@@ -38,6 +39,17 @@ class TestSignRows:
     def test_length_is_the_first_row_s_without_n(self):
         with pytest.raises(DomainError, match="expected length 2"):
             sign_rows([(1, 0), (1, 0, 0)])
+
+    def test_each_row_is_validated_once(self, monkeypatch):
+        seen = []
+        check = signvec._validate_sign_vector
+        monkeypatch.setattr(
+            signvec, "_validate_sign_vector", lambda v, **kw: seen.append(v) or check(v, **kw)
+        )
+        rows = [(1, -1), (0, 1), (1, -1)]
+        assert sign_rows(rows) == [(0, 1), (1, -1)]
+        assert sign_rows(rows, total=True) == [(0, 1), (1, -1)]
+        assert seen == rows * 2
 
 
 # entry -> (call taking (X, n), accepts total signs, takes n)
