@@ -7,14 +7,13 @@ call; ``tests/test_kernels.py`` checks both against the brute-force oracles.
 * Eliminator rows, which may contain "u" (witness total signs, certificates,
   collision rows, covers, the set functions of ``signvec``): the scan. One
   per-row rule, ``_row_masks``, is evaluated for a block of eliminator rows
-  against a block of table rows at once. Blocks hold at most ``_CHUNK_ROWS``
-  eliminator-row pairs, so temporaries stay bounded on large tables; it
-  costs about len(elim) * rows * n. It has two outputs. The union of the
-  rows' sets, ``eliminated_any_mask``, takes table-major blocks, so each
-  block of the table is read once for all eliminators. One set per row,
-  ``row_mask_bits``, packed one bit per table row, takes whole eliminator
-  rows while the table fits in a block and byte-aligned table slices
-  otherwise; the certificate, the cover search and the joint count read it.
+  against a slice of the table at once, and one schedule, ``_blocks``, cuts
+  every scan into blocks of at most ``_CHUNK_ROWS`` eliminator-row pairs, so
+  temporaries stay bounded on large tables; it costs about
+  len(elim) * rows * n. Its two outputs read the same blocks: the union of
+  the rows' sets, ``eliminated_any_mask``, ORs them, and one set per row,
+  ``row_mask_bits``, packs them one bit per table row for the certificate,
+  the cover search and the joint count.
 * A set given as a boolean mask over table(n), the complement of the set a
   base point scores: the transform, ``_elimination_counts``. Let C+- be the
   members and their negations. For a sign vector s let f(s) count the
@@ -165,21 +164,28 @@ def _row_masks(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
     return hi == 1
 
 
-def eliminated_any_mask(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
-    """Mask over table rows eliminated by at least one eliminator row.
+def _blocks(table: np.ndarray, elim: np.ndarray):
+    """Yield (k, i, _row_masks(table[i], elim[k])) for slices k and i over all pairs.
 
-    OR-reduces _row_masks over table-major blocks of at most _CHUNK_ROWS
-    eliminator-row pairs (or one table row against _CHUNK_ROWS eliminators),
-    so each block of the table is read once for all eliminators.
+    The one block schedule of the scan: eliminators outer, table inner. A
+    block holds up to _CHUNK_ROWS // 8 eliminators (at least one) against a
+    slice of the table whose length is a multiple of 8 (8 when _CHUNK_ROWS
+    is smaller), so at most max(_CHUNK_ROWS, 8) pairs, and every slice but
+    the table's last packs to whole bytes.
     """
+    step = max(1, min(elim.shape[0], _CHUNK_ROWS // 8))
+    width = max(8, _CHUNK_ROWS // step // 8 * 8)
+    for first in range(0, elim.shape[0], step):
+        for start in range(0, table.shape[0], width):
+            k, i = slice(first, first + step), slice(start, start + width)
+            yield k, i, _row_masks(table[i], elim[k])
+
+
+def eliminated_any_mask(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
+    """Mask over table rows eliminated by at least one eliminator row."""
     out = np.zeros(table.shape[0], dtype=bool)
-    step = max(1, min(elim.shape[0], _CHUNK_ROWS))
-    width = max(1, _CHUNK_ROWS // step)
-    for start in range(0, table.shape[0], width):
-        acc = out[start : start + width]
-        for first in range(0, elim.shape[0], step):
-            block = _row_masks(table[start : start + width], elim[first : first + step])
-            acc |= block.any(axis=0)
+    for _, i, block in _blocks(table, elim):
+        out[i] |= block.any(axis=0)
     return out
 
 
@@ -187,25 +193,11 @@ def row_mask_bits(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
     """Each eliminator row's mask over table rows, packed one bit per row.
 
     Row k is ``np.packbits`` of eliminator row k's mask (the bits past the
-    table are zero). _row_masks runs on blocks of at most _CHUNK_ROWS
-    eliminator-row pairs. While the whole table fits in one, a block holds
-    whole eliminator rows. Otherwise up to _CHUNK_ROWS // 8 eliminators
-    share a slice of the table whose length is a multiple of 8 (8 when
-    _CHUNK_ROWS is smaller), so the slice packs to whole bytes and is read
-    once for all of them.
+    table are zero).
     """
-    rows = table.shape[0]
-    out = np.empty((elim.shape[0], (rows + 7) // 8), dtype=np.uint8)
-    if rows <= _CHUNK_ROWS:
-        step, width = _CHUNK_ROWS // max(1, rows), max(1, rows)
-    else:
-        step = max(1, min(elim.shape[0], _CHUNK_ROWS // 8))
-        width = max(8, _CHUNK_ROWS // step // 8 * 8)
-    for first in range(0, elim.shape[0], step):
-        for start in range(0, rows, width):
-            block = _row_masks(table[start : start + width], elim[first : first + step])
-            bits = np.packbits(block, axis=1)
-            out[first : first + step, start // 8 : start // 8 + bits.shape[1]] = bits
+    out = np.empty((elim.shape[0], (table.shape[0] + 7) // 8), dtype=np.uint8)
+    for k, i, block in _blocks(table, elim):
+        out[k, i.start // 8 : i.stop // 8] = np.packbits(block, axis=1)
     return out
 
 

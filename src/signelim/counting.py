@@ -65,13 +65,8 @@ class SignMatrix:
     def __post_init__(self) -> None:
         if not self.rows:
             raise DomainError("SignMatrix needs at least one row")
-        width = len(self.rows[0])
-        for row in self.rows:
-            if len(row) != width:
-                raise DomainError("SignMatrix rows must share one length")
-            if not is_canonical(row):
-                raise DomainError(f"SignMatrix row {row!r} is not canonical")
-        if len(set(self.rows)) != len(self.rows):
+        # sign_rows checks the rows (canonical, one width) and drops repeats
+        if len(sign_rows(self.rows)) != len(self.rows):
             raise DomainError("SignMatrix rows must be pairwise distinct")
 
     @classmethod

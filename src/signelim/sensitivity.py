@@ -61,7 +61,6 @@ from .gates import (
     expand,
     parse_rational,
     parse_rational_vector,
-    rational_string,
     reduced_dimension,
     validate_base_point,
 )
@@ -138,9 +137,8 @@ class ProjectionFamily:
         for pos, raw in enumerate(self.functionals):
             w = parse_rational_vector(raw, f"functional {pos}")
             if len(w) != self.output_dim:
-                shown = [rational_string(c) for c in w]
-                raise DomainError(
-                    f"functional {shown} must have {self.output_dim} components"
+                raise ValidationError(
+                    f"functional {pos}: expected {self.output_dim} components, got {len(w)}"
                 )
             lead = next((c for c in w if c != 0), None)
             if lead is None:
@@ -273,6 +271,13 @@ def total_sign(
     return tuple(_total_signs(expansion, [w])[base][0].tolist())
 
 
+def _paired(
+    functionals: Sequence[Vector], codes: np.ndarray
+) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
+    """(functional, total sign) pairs: functionals[k] with row k of ``codes``."""
+    return tuple(zip(functionals, map(tuple, codes.tolist())))
+
+
 def witness_signs(
     expansion: MultilinearExpansion, z: Sequence[int], family: ProjectionFamily
 ) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
@@ -283,8 +288,7 @@ def witness_signs(
             f"family works on dimension {family.output_dim}, "
             f"gate outputs have dimension {expansion.output_dim}"
         )
-    codes = _total_signs(expansion, family.functionals)[base]
-    return tuple(zip(family.functionals, map(tuple, codes.tolist())))
+    return _paired(family.functionals, _total_signs(expansion, family.functionals)[base])
 
 
 def sensitivity_lower_set(
@@ -454,6 +458,8 @@ def verify_certificate(
         parse_rational_vector(w, f"certificate witness {k}")
         for k, (w, _) in enumerate(witnesses)
     ]
+    if any(len(w) != expansion.output_dim for w in functionals):
+        return False
     codes = _total_signs(expansion, functionals)[z]
     if codes.tolist() != [list(ts) for _, ts in witnesses]:
         return False
@@ -681,10 +687,11 @@ def _collision_scores(
 
     The records are coded and checked once. Their coordinate ids are value
     ranks, so every pair's signs come from int64 differences and equal id
-    rows are equal points. The pair signs are projected onto each base
-    point's free coordinates; each distinct projected row set is scored once
-    per call, and a set with no nonzero row scores 3**N without a kernel
-    call. Returns ({}, None) when no two records collide at distinct points.
+    rows are equal points. The distinct pair signs, projected onto each base
+    point's free coordinates, go through _sweep one base point at a time, the
+    same sweep witness total signs take; each base point scores the popcount
+    of its mask.
+    Returns ({}, None) when no two records collide at distinct points.
     """
     coded = _validate_records(records, expansion, delta)
     _check_caps(expansion)
@@ -694,24 +701,19 @@ def _collision_scores(
     if not a.size:
         return {}, None
     n_reduced = reduced_dimension(expansion)
-    rows = table(n_reduced)
     # sign(b - a) of every pair on every input coordinate, block by block
     signs = np.sign(ranks[b] - ranks[a]).astype(np.int8)
     # Projecting the distinct rows gives the same row set as projecting all.
     distinct = _distinct_rows(signs)
     starts = np.cumsum((0,) + expansion.arities[:-1])
-    counts: dict[bytes, int] = {}  # sorted projected rows -> eliminated count
-    scores = {}
-    for z in base_points(expansion):
-        # The rows are not canonicalized (t and -t eliminate the same
-        # vectors); zero rows eliminate none and are dropped. Distinct rows
-        # can coincide once projected; _distinct_rows removes those again.
-        free = _distinct_rows(np.delete(distinct, starts + z, axis=1))
-        free = free[free.any(axis=1)]
-        key = free.tobytes()
-        if key not in counts:
-            counts[key] = int(eliminated_any_mask(rows, free).sum()) if free.size else 0
-        scores[z] = _score(n_reduced, counts[key])
+    # one block per base point: the distinct rows on its free coordinates
+    projected = (
+        ((z,), np.delete(distinct, starts + z, axis=1)[None]) for z in base_points(expansion)
+    )
+    scores = {
+        z: _score(n_reduced, int(np.count_nonzero(mask)))
+        for z, _, mask, _ in _sweep(projected)
+    }
     z = max(scores, key=lambda z: scores[z].value)
     return scores, DataBound(
         score=scores[z], base_point=z, collisions=a.size, heuristic=eps > 0
@@ -738,40 +740,41 @@ def data_upper_bound(
     return _collision_scores(records, expansion, eps, delta)[1]
 
 
-def _sweep(expansion: MultilinearExpansion, family: ProjectionFamily):
-    """Lazily yield (z, witness signs, mask, one live row or None) per base point.
+def _sweep(blocks: Iterable[tuple[Sequence[Index], np.ndarray]]):
+    """Lazily yield (z, rows, mask, one live row or None) per base point.
 
-    A total sign with no +-1 entry eliminates nothing (its eliminated
-    vectors agree with it on a nonempty set of +-1 positions), so only the
-    live rows reach the kernel, and a base point without one gets an
-    all-false mask without a kernel call. Masks are memoized for the length
-    of the sweep by the set of live rows up to sign (t and -t eliminate the
-    same vectors): base points with equal sets share one read-only array,
-    and a set with one member also hands out one of its rows.
+    ``blocks`` gives base points zs with their int8 sign rows shaped (len(zs),
+    rows, N): the witnesses' total signs of all base points as one block, or
+    the projected collision rows of one base point per block; one block is in
+    hand at a time. A row with no +-1 entry eliminates nothing (its eliminated
+    vectors agree with it on a nonempty set of +-1 positions), so only live
+    rows reach the kernel, once each up to sign, and a base point without one
+    gets an all-false mask without a kernel call. Masks are memoized for the
+    sweep by the set of live rows up to sign (t and -t eliminate the same
+    vectors): equal sets share one read-only array, and a set with one member
+    also hands out one of its rows.
     """
-    rows = table(reduced_dimension(expansion))
-    signs = _total_signs(expansion, family.functionals)
-    nonzero = (signs == 1) | (signs == -1)
-    live = nonzero.any(axis=-1)
-    # Each row times the sign of its first +-1 entry ("u" stays "u"), as one
-    # base-4 code: equal codes are equal rows up to sign.
-    lead = np.take_along_axis(signs, nonzero.argmax(axis=-1)[..., None], axis=-1)
-    unsigned = np.where(signs == UNDETERMINED, UNDETERMINED, signs * lead) % 4
-    ids = unsigned @ 4 ** np.arange(signs.shape[-1], dtype=np.int64)
     masks: dict[frozenset[int], tuple[np.ndarray, Optional[np.ndarray]]] = {}
-    for z in base_points(expansion):
-        codes = signs[z]
-        witnesses = tuple(zip(family.functionals, map(tuple, codes.tolist())))
-        key = frozenset(ids[z][live[z]].tolist())
-        if key not in masks:
-            kept = codes[live[z]]
-            if kept.size:
-                mask = eliminated_any_mask(rows, kept)
-            else:
-                mask = np.zeros(rows.shape[0], dtype=bool)
-            mask.setflags(write=False)
-            masks[key] = mask, kept[0] if len(key) == 1 else None
-        yield (z, witnesses, *masks[key])
+    for zs, block in blocks:
+        live = (block % 2).any(axis=-1)  # the rows with a +-1 entry
+        # A row and its negation as base-4 codes (0, +, u, - as 0, 1, 2, 3);
+        # the smaller names the row up to sign.
+        powers = 4 ** np.arange(block.shape[-1], dtype=np.int64)
+        ids = np.minimum(block % 4 @ powers, -block % 4 @ powers)
+        for z, rows, row_live, row_ids in zip(zs, block, live, ids):
+            live_ids = row_ids[row_live].tolist()
+            key = frozenset(live_ids)
+            if key not in masks:
+                grid = table(block.shape[-1])
+                # one row per id
+                kept = rows[row_live][list(dict(zip(live_ids, range(len(live_ids)))).values())]
+                if kept.size:
+                    mask = eliminated_any_mask(grid, kept)
+                else:
+                    mask = np.zeros(grid.shape[0], dtype=bool)
+                mask.setflags(write=False)
+                masks[key] = mask, kept[0] if len(key) == 1 else None
+            yield (z, rows, *masks[key])
 
 
 def analyze_gate(
@@ -794,29 +797,21 @@ def analyze_gate(
     # The sweep hands out equal masks as one array and keeps each alive while
     # it runs, so a mask's id names its score for the whole analysis.
     scores: dict[int, ScorePair] = {}
-
-    def score(mask: np.ndarray, one_live) -> ScorePair:
+    reports = []
+    signs = _total_signs(expansion, family.functionals)
+    every = (list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:]))
+    for z, rows, mask, one_live in _sweep([every]):
         if id(mask) not in scores:
             scores[id(mask)] = _witness_score(n_reduced, mask, one_live)
-        return scores[id(mask)]
-
-    reports = tuple(
-        BasePointReport(
-            base_point=z,
-            witnesses=signs,
-            mask=mask,
-            score=score(mask, one_live),
-            certificate=(
-                _greedy_certificate(z, signs, n_reduced) if mask.all() else None
-            ),
-            data_upper=data_upper.get(z),
+        witnesses = _paired(family.functionals, rows)
+        certificate = _greedy_certificate(z, witnesses, n_reduced) if mask.all() else None
+        reports.append(
+            BasePointReport(z, witnesses, mask, scores[id(mask)], certificate, data_upper.get(z))
         )
-        for z, signs, mask, one_live in _sweep(expansion, family)
-    )
     # max keeps the first of equal scores
     lower = max(reports, key=lambda r: r.score.value)
     return GateAnalysis(
-        reports=reports,
+        reports=tuple(reports),
         lower=lower.score,
         lower_base_point=lower.base_point,
         certificate=next(
@@ -839,9 +834,11 @@ def reversibility_certificate(
     if family is None:
         family = default_family(expansion.output_dim)
     n_reduced = reduced_dimension(expansion)
-    for z, signs, mask, _ in _sweep(expansion, family):
+    signs = _total_signs(expansion, family.functionals)
+    every = (list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:]))
+    for z, rows, mask, _ in _sweep([every]):
         if mask.all():
-            return _greedy_certificate(z, signs, n_reduced)
+            return _greedy_certificate(z, _paired(family.functionals, rows), n_reduced)
     return None
 
 

@@ -276,14 +276,20 @@ def sign_string(v: Sequence[int]) -> str:
 _CHARS = np.frombuffer(b"0+u-", dtype="S1")
 
 
-@backend._kept_up_to_12
 def table_strings(n: int) -> np.ndarray:
     """sign_string of every row of table(n), in table order, as bytes.
 
     A read-only "S<n>" array: select rows with a mask, then decode, e.g.
-    ``table_strings(n)[mask].astype(str).tolist()``.
+    ``table_strings(n)[mask].astype(str).tolist()``. The length cap is
+    checked on every call, cached or not.
     """
-    return _CHARS[table(n) % 4].view(f"S{n}").reshape(-1)
+    _check_length(n)
+    return _table_strings(n)
+
+
+@backend._kept_up_to_12
+def _table_strings(n: int) -> np.ndarray:
+    return _CHARS[backend.sign_vector_table(n) % 4].view(f"S{n}").reshape(-1)
 
 
 def parse_sign_string(text: str, *, total: bool = True) -> tuple[int, ...]:

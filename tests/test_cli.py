@@ -390,7 +390,7 @@ class TestGateCommands:
         )
         assert code == 1
         assert out == ""
-        assert "functional ['1/2', '1'] must have 1 components" in err
+        assert err == f"error: {family}: functional 0: expected 1 components, got 2\n"
         assert "Fraction(" not in err
 
     def test_float_gate_entry_exits_one(self, capsys, tmp_path):

@@ -1,9 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from signelim import backend, sensitivity
+from signelim import backend, sensitivity, signvec
 from signelim.backend import (
     UNDETERMINED,
     eliminated_any_mask,
@@ -265,18 +267,32 @@ class TestRowMaskBits:
         monkeypatch.setattr(backend, "_row_masks", recorded)
         for n, count in ((3, 12), (4, 5), (5, 3), (6, 1)):
             table = sign_vector_table(n)
-            shapes.clear()
-            row_mask_bits(table, random_eliminators(rng, n, count))
-            # whole eliminator rows, or a few eliminators against a slice of
-            # 8j table rows (only the last slice of the table may be shorter)
-            assert all(k * rows <= max(chunk, 8) for k, rows in shapes)
-            assert sum(k * rows for k, rows in shapes) == count * table.shape[0]
-            done = 0
-            for k, rows in shapes:
-                if rows < table.shape[0]:
-                    done += rows
-                    if done % table.shape[0]:  # not the table's last slice
-                        assert rows % 8 == 0
+            elim = random_eliminators(rng, n, count)
+            # both scan outputs read the same block schedule
+            for scan in (row_mask_bits, eliminated_any_mask):
+                shapes.clear()
+                scan(table, elim)
+                # a few eliminators against the whole table or a slice of 8j
+                # table rows (only the last slice of the table may be shorter)
+                assert all(k * rows <= max(chunk, 8) for k, rows in shapes)
+                assert sum(k * rows for k, rows in shapes) == count * table.shape[0]
+                done = 0
+                for k, rows in shapes:
+                    if rows < table.shape[0]:
+                        done += rows
+                        if done % table.shape[0]:  # not the table's last slice
+                            assert rows % 8 == 0
+
+    def test_row_masks_has_one_call_site(self):
+        # _blocks, the one block schedule, is the rule's only caller in src/
+        sites = []
+        for path in sorted(Path(backend.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    name = getattr(node, "func", None)
+                    if getattr(name, "id", getattr(name, "attr", None)) == "_row_masks":
+                        sites.append((path.name, getattr(top, "name", None)))
+        assert sites == [("backend.py", "_blocks")]
 
     def test_joint_count_with_duplicate_negated_and_u_rows(self, rng):
         for n in range(1, 6):
@@ -330,7 +346,7 @@ class TestTransform:
             backend.sign_vector_table,
             backend._canonical_index,
             backend._negated_index,
-            table_strings,
+            signvec._table_strings,  # table_strings' cache
         )
         before = [cache.cache_info() for cache in caches]
         e1 = (1,) + (0,) * 12

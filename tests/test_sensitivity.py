@@ -665,7 +665,9 @@ class TestKernelRouting:
         gate = SWEEP_GATES[seed]
         expansion = expand(gate)
         family = default_family(gate.output_dim)
-        for _, _, mask, _ in sensitivity._sweep(expansion, family):
+        signs = sensitivity._total_signs(expansion, family.functionals)
+        every = (list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:]))
+        for _, _, mask, _ in sensitivity._sweep([every]):
             assert mask.dtype == bool
         certificate = reversibility_certificate(expansion, family)
         if certificate is not None:
@@ -762,6 +764,19 @@ class TestCertificates:
             n_reduced=cert.n_reduced,
         )
         assert not verify_certificate(expansion, wrong_base)
+
+    def test_malformed_certificates_return_false(self):
+        # a wrong-length witness functional and an out-of-range base point
+        # are both a failed replay, not an error
+        expansion = expand(OFF_ORIGIN)
+        cert = reversibility_certificate(expansion)
+        (w, ts), *rest = cert.witnesses
+        for malformed in (
+            Certificate(cert.base_point, ((w + (F(1),), ts), *rest), cert.n_reduced),
+            Certificate(cert.base_point, ((w[:-1], ts), *rest), cert.n_reduced),
+            Certificate((0, 2), cert.witnesses, cert.n_reduced),
+        ):
+            assert verify_certificate(expansion, malformed) is False
 
     def test_uncertifiable_gates_return_none(self):
         assert reversibility_certificate(expand(AND)) is None
@@ -918,6 +933,66 @@ def projection_records():
 
 
 class TestDataBounds:
+    def test_collision_rows_share_the_sweep_s_kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counted(table, elim):
+            calls.append(elim.shape[0])
+            return backend.eliminated_any_mask(table, elim)
+
+        monkeypatch.setattr(sensitivity, "eliminated_any_mask", counted)
+        # Every pair of these collides on CONST; the pair sign rows are
+        # (+, -, +, -) and its negation, so each base point's projected rows
+        # are one row up to sign, and the base points fall in two classes.
+        records = [
+            ExperimentRecord(((p, 1 - p), (p, 1 - p)), (F(0),))
+            for p in (F(1, 2), F(3, 4), F(1, 4))
+        ]
+        scores, _ = sensitivity._collision_scores(records, expand(CONST), F(0), F(0))
+        assert calls == [1, 1]
+        expected = oracles.collision_scores(
+            CONST.arities, [(r.point, r.output) for r in records], F(0)
+        )
+        assert {z: s.value for z, s in scores.items()} == expected == {
+            z: 3 for z in product(range(2), repeat=2)
+        }
+        # Pairs at distinct points never project to all-zero rows (a block's
+        # difference has two nonzero coordinates), so the rows are built
+        # here: the base point with only zero rows gets an all-false mask
+        # without a kernel call.
+        calls.clear()
+        block = np.array([[[0, 0], [0, 0]], [[1, -1], [-1, 1]]], dtype=np.int8)
+        masks = [mask for _, _, mask, _ in sensitivity._sweep([([(0,), (1,)], block)])]
+        assert calls == [1]
+        assert not masks[0].any() and not masks[0].flags.writeable
+        assert masks[1].sum() == 3
+
+    def test_collision_rows_reach_the_sweep_one_base_point_at_a_time(self, monkeypatch):
+        # The projected rows of all base points are never held at once: the
+        # sweep gets an iterator of one-base-point blocks and yields each
+        # base point before it draws the next one's rows.
+        sweep, drawn = sensitivity._sweep, []
+
+        def spy(blocks):
+            assert iter(blocks) is blocks
+
+            def counted():
+                for zs, block in blocks:
+                    assert len(zs) == block.shape[0] == 1 and block.shape[2] == 3
+                    drawn.extend(zs)
+                    yield zs, block
+
+            for z, rows, mask, one_live in sweep(counted()):
+                assert drawn[-1] == z
+                yield z, rows, mask, one_live
+
+        monkeypatch.setattr(sensitivity, "_sweep", spy)
+        gate = SWEEP_GATES[2]  # arities (2, 2, 2): N = 3, eight base points
+        scores, _ = sensitivity._collision_scores(
+            seeded_records(2, gate, count=64), expand(gate), F(1, 4), F(0)
+        )
+        assert drawn == list(scores) == list(product(range(2), repeat=3))
+
     def test_no_collisions_yields_none(self):
         records = [
             ExperimentRecord(

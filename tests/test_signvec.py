@@ -113,6 +113,13 @@ class TestEnumeration:
             canonical_sign_vectors(4)
         assert len(canonical_sign_vectors(3)) == 13
 
+    def test_table_strings_check_the_cap_on_a_cached_length(self, monkeypatch):
+        assert len(table_strings(4)) == 40  # now cached
+        monkeypatch.setenv("SIGNELIM_MAX_N", "3")
+        with pytest.raises(ResourceLimitError, match="SIGNELIM_MAX_N"):
+            table_strings(4)
+        assert len(table_strings(3)) == 13
+
 
 class TestCanonicalize:
     def test_keeps_a_leading_positive(self):
