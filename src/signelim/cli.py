@@ -383,8 +383,8 @@ def _cmd_count_single(args) -> int:
 
 
 def _cmd_count_intersect(args) -> int:
-    rows = sign_rows(_flag_signs(t, "--x", total=False) for t in args.x)
-    matrix = SignMatrix.from_rows(rows)
+    # repeated flags count once; SignMatrix makes the one check of the rows
+    matrix = SignMatrix.from_rows(dict.fromkeys(_flag_signs(t, "--x", total=False) for t in args.x))
     value = count_eliminated_intersection(matrix)
     oracle = count_intersection_oracle(matrix) if args.verify else None
     return _verified(value, oracle, args.verify)

@@ -4,9 +4,9 @@ A gate maps k discrete inputs (input i ranging over arity_i >= 2 truth
 values) to vectors in Q**output_dim. Its multilinear extension lives on the
 product of probability simplices, one per input block: the value at mixed
 inputs is the multilinear interpolation of the table, so the coefficient
-tensor in the homogeneous monomial basis is the table itself.
-
-All arithmetic is exact over fractions.Fraction.
+tensor in the homogeneous monomial basis is the table itself. So a gate is
+its expansion, checked once, and every form function reads the expansion's
+dense integer tensor. All arithmetic is exact.
 
 Gate JSON format::
 
@@ -31,11 +31,14 @@ JSON floats are rejected because they are inexact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ValidationError
 
@@ -81,6 +84,17 @@ def parse_rational(value) -> Fraction:
     raise ValidationError(f"cannot parse rational from {value!r}")
 
 
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rows times the lcm of all their denominators, as Python ints, and the lcm.
+
+    This is the one scaling rule for exact values. The positive scale keeps
+    every sign and every comparison, and a row sums to 1 exactly when its
+    ints sum to the lcm.
+    """
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+
+
 def parse_rational_vector(values: Sequence, where: str) -> Vector:
     """Parse every entry with parse_rational; errors name `where`."""
     try:
@@ -104,9 +118,9 @@ def _validate_vector(values: Sequence, dim: int, where: str) -> Vector:
 
 
 def _validate_tensor(
-    arities: tuple[int, ...], output_dim: int, entries: Mapping, name: str
+    arities: tuple[int, ...], output_dim: int, entries: Mapping
 ) -> dict[Index, Vector]:
-    """A gate's table or an expansion's coefficients (``name``), once checked.
+    """A gate's table, which is its expansion's coefficients, checked.
 
     Every arity is an int >= 2, output_dim an int >= 1, every index in range,
     every entry a vector of output_dim rationals, and no index is missing.
@@ -125,32 +139,35 @@ def _validate_tensor(
     for idx, vec in entries.items():
         key = tuple(idx)
         if key not in expected:
-            raise ValidationError(f"{name} index {key!r} out of range for arities {arities}")
+            raise ValidationError(f"table index {key!r} out of range for arities {arities}")
         out[key] = _validate_vector(vec, output_dim, f"entry {key!r}")
     missing = expected - set(out)
     if missing:
         shown = sorted(missing)[:8]
-        raise ValidationError(f"{name} is missing {len(missing)} entries, e.g. {shown}")
+        raise ValidationError(f"table is missing {len(missing)} entries, e.g. {shown}")
     return out
 
 
 @dataclass(frozen=True, eq=True)
 class Gate:
-    """A total table from discrete inputs to rational output vectors."""
+    """A total table from discrete inputs to rational output vectors: the
+    coefficients of its expansion, which checks the table once."""
 
     arities: tuple[int, ...]
     output_dim: int
     table: Mapping[Index, Vector]
     input_labels: Optional[tuple[tuple[str, ...], ...]] = None
     output_labels: Optional[Mapping[Vector, str]] = field(default=None, compare=False)
+    _expansion: MultilinearExpansion = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        arities = tuple(self.arities)
-        if not arities:
+        if not tuple(self.arities):
             raise ValidationError("a gate needs at least one input block")
-        table = _validate_tensor(arities, self.output_dim, self.table, "table")
+        expansion = MultilinearExpansion(self.arities, self.output_dim, self.table)
+        arities = expansion.arities
         object.__setattr__(self, "arities", arities)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", expansion.coefficients)
+        object.__setattr__(self, "_expansion", expansion)
         if self.input_labels is not None:
             labels = tuple(tuple(block) for block in self.input_labels)
             if len(labels) != len(arities):
@@ -177,35 +194,47 @@ class MultilinearExpansion:
     """Coefficient tensor of a multilinear form on a product of simplices.
 
     coefficients maps each index tuple (one truth value per remaining block)
-    to a rational output vector. For a gate's expansion the coefficients are
-    exactly the table entries, which the sensitivity analysis reads as one
-    dense integer tensor. reduced_partial returns a difference of slices as an
-    expansion over fewer blocks; an expansion over zero blocks has the single
-    key () and represents a constant.
+    to a rational output vector; an expansion over zero blocks has the single
+    key () and represents a constant. They are checked once, on construction,
+    which also derives ``tensor``, the one dense form every function reads:
+    the coefficients times ``scale`` (by _cleared), as a read-only object
+    array of Python ints shaped arities + (output_dim,).
     """
 
     arities: tuple[int, ...]
     output_dim: int
     coefficients: Mapping[Index, Vector]
+    tensor: np.ndarray = field(init=False, compare=False, repr=False)
+    scale: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         arities = tuple(self.arities)
-        coeffs = _validate_tensor(arities, self.output_dim, self.coefficients, "tensor")
+        coeffs = _validate_tensor(arities, self.output_dim, self.coefficients)
+        ints, scale = _cleared([coeffs[idx] for idx in product(*map(range, arities))])
+        tensor = np.array(ints, dtype=object).reshape(arities + (self.output_dim,))
+        tensor.setflags(write=False)
         object.__setattr__(self, "arities", arities)
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def block_count(self) -> int:
         return len(self.arities)
 
 
+def _from_tensor(values: np.ndarray, scale: int) -> MultilinearExpansion:
+    """The expansion with coefficients values / scale; values is shaped like a tensor."""
+    *arities, dim = values.shape
+    rows = values.reshape(-1, dim).tolist()
+    cells = product(*map(range, arities))
+    coeffs = {idx: tuple(Fraction(v, scale) for v in row) for idx, row in zip(cells, rows)}
+    return MultilinearExpansion(arities=tuple(arities), output_dim=dim, coefficients=coeffs)
+
+
 def expand(gate: Gate) -> MultilinearExpansion:
-    """Multilinear extension of a gate; coefficients are the table entries."""
-    return MultilinearExpansion(
-        arities=gate.arities,
-        output_dim=gate.output_dim,
-        coefficients=dict(gate.table),
-    )
+    """Multilinear extension of a gate: the expansion the gate was checked by."""
+    return gate._expansion
 
 
 def _validate_point(
@@ -232,19 +261,10 @@ def _validate_point(
 
 def evaluate(expansion: MultilinearExpansion, point: Sequence[Sequence]) -> Vector:
     """Exact value of the expansion at a point of the simplex product."""
-    blocks = _validate_point(expansion, point)
-    total = [Fraction(0)] * expansion.output_dim
-    for idx, vec in expansion.coefficients.items():
-        weight = Fraction(1)
-        for block, j in zip(blocks, idx):
-            weight *= block[j]
-            if weight == 0:
-                break
-        if weight == 0:
-            continue
-        for c in range(expansion.output_dim):
-            total[c] += weight * vec[c]
-    return tuple(total)
+    values = expansion.tensor
+    for block in _validate_point(expansion, point):
+        values = np.array(block, dtype=object) @ values.reshape(len(block), -1)
+    return tuple(Fraction(v, expansion.scale) for v in values.reshape(-1))
 
 
 def reduced_dimension(expansion: MultilinearExpansion) -> int:
@@ -264,7 +284,8 @@ def validate_base_point(expansion: MultilinearExpansion, z: Sequence[int]) -> In
             f"base point must have {expansion.block_count} entries, got {len(point)}"
         )
     for i, j in enumerate(point):
-        if not isinstance(j, int) or not 0 <= j < expansion.arities[i]:
+        # type(), not isinstance: a bool would index arrays as a mask
+        if type(j) is not int or not 0 <= j < expansion.arities[i]:
             raise DomainError(
                 f"base point entry {j!r} out of range for block {i} "
                 f"(arity {expansion.arities[i]})"
@@ -283,26 +304,18 @@ def reduced_partial(
     remaining blocks (original order, block removed).
     """
     base = validate_base_point(expansion, z)
-    if not 0 <= block < expansion.block_count:
+    if type(block) is not int or not 0 <= block < expansion.block_count:
         raise DomainError(f"block {block} out of range")
-    if not 0 <= coord < expansion.arities[block]:
+    if type(coord) is not int or not 0 <= coord < expansion.arities[block]:
         raise DomainError(f"coordinate {coord} out of range for block {block}")
     if coord == base[block]:
         raise DomainError(
             f"coordinate {coord} is the base coordinate of block {block}; "
             "reduced coordinates exclude it"
         )
-    rest_arities = expansion.arities[:block] + expansion.arities[block + 1 :]
-    coeffs = {}
-    for idx in product(*(range(a) for a in rest_arities)):
-        plus = idx[:block] + (coord,) + idx[block:]
-        minus = idx[:block] + (base[block],) + idx[block:]
-        plus_vec = expansion.coefficients[plus]
-        minus_vec = expansion.coefficients[minus]
-        coeffs[idx] = tuple(p - m for p, m in zip(plus_vec, minus_vec))
-    return MultilinearExpansion(
-        arities=rest_arities, output_dim=expansion.output_dim, coefficients=coeffs
-    )
+    t = expansion.tensor
+    difference = np.take(t, coord, axis=block) - np.take(t, base[block], axis=block)
+    return _from_tensor(difference, expansion.scale)
 
 
 def apply_functional(expansion: MultilinearExpansion, w: Sequence) -> MultilinearExpansion:
@@ -312,13 +325,8 @@ def apply_functional(expansion: MultilinearExpansion, w: Sequence) -> Multilinea
         raise DomainError(
             f"functional must have {expansion.output_dim} components, got {len(weights)}"
         )
-    coeffs = {
-        idx: (sum((wi * vi for wi, vi in zip(weights, vec)), Fraction(0)),)
-        for idx, vec in expansion.coefficients.items()
-    }
-    return MultilinearExpansion(
-        arities=expansion.arities, output_dim=1, coefficients=coeffs
-    )
+    values = expansion.tensor @ np.array(weights, dtype=object)[:, None]
+    return _from_tensor(values, expansion.scale)
 
 
 # ---------------------------------------------------------------------------

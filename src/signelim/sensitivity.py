@@ -6,22 +6,21 @@ in every block; the free coordinates are the remaining ones, listed block by
 block in input order with the base coordinate skipped. Their count is the
 reduced dimension N.
 
-For a scalar multilinear form, the sign over the region is decided exactly
-from the coefficient tensor: the form is identically 0 iff all coefficients
-are 0; strictly positive iff all coefficients are >= 0 and the all-base
-coefficient is > 0 (every region point gives positive weight to the all-base
-monomial, and every coefficient is a limit of region values); strictly
-negative symmetrically; otherwise the sign is UNDETERMINED ("u").
+The region-sign rule decides the sign of a scalar multilinear form over the
+region exactly from its coefficient tensor, which any positive scale keeps:
+the sign is 0 when no coefficient is nonzero; +1 when none is negative and
+the anchor (all-base) coefficient is positive (every region point gives
+positive weight to the anchor monomial, and every coefficient is a limit of
+region values); -1 symmetrically; otherwise UNDETERMINED ("u"). _region_sign
+is that rule, elementwise, and the only copy of it.
 
 The total sign of a projection w at z collects the region signs of the N
 reduced partial derivatives of w composed with the expansion. They come for
-every base point and functional at once from one tensor. With the table T
-and the functionals W scaled to integers (positive scales keep every sign),
-S = T . W^T holds every functional's value at every table cell. Along block
-i, let D[j, c] = S[i = j] - S[i = c], a tensor over the other blocks: the
-reduced partial along (i, j) at z is D[j, z_i], and its region sign is 0 when
-D[j, z_i] vanishes everywhere, +1 when it is nowhere negative and positive at
-the anchor z_{-i}, -1 symmetrically, and "u" otherwise.
+every base point and functional at once from the expansion's integer tensor
+T. With the functionals W scaled to integers too, S = T . W^T holds every
+functional's value at every table cell. Along block i, let D[j, c] = S[i =
+j] - S[i = c], a tensor over the other blocks: the reduced partial along (i,
+j) at z is D[j, z_i], whose anchor coefficient sits at z_{-i}.
 
 Total signs eliminate sign vectors; the union of eliminated sets over a
 projection family is a lower approximation of the sensitive directions at z,
@@ -41,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -57,6 +56,7 @@ from .errors import DomainError, ValidationError, check_cap
 from .gates import (
     Gate,
     MultilinearExpansion,
+    _cleared,
     base_points,
     expand,
     parse_rational,
@@ -175,42 +175,26 @@ def reduced_coordinates(arities: Sequence[int], z: Sequence[int]) -> list[tuple[
     ]
 
 
+def _region_sign(pos, neg, above, below) -> np.ndarray:
+    """The region-sign rule as int8 codes, elementwise, from whether some
+    coefficient is > 0 (pos) or < 0 (neg) and whether the anchor coefficient
+    is > 0 (above) or < 0 (below)."""
+    signed = np.where(~neg & above, 1, np.where(~pos & below, -1, UNDETERMINED))
+    return np.where(pos | neg, signed, 0).astype(np.int8)
+
+
 def sign_over_region(form: MultilinearExpansion, base: Sequence[int]) -> int:
     """Exact sign of a scalar form over the region anchored at `base`.
 
-    Returns +1, -1, 0, or UNDETERMINED. Exactness rests on multilinearity:
-    region values are convex combinations of coefficients with strictly
-    positive weight on the all-base coefficient. total_sign applies the same
-    rule to every reduced partial at once.
+    Returns +1, -1, 0, or UNDETERMINED, by _region_sign on the form's tensor.
+    Exactness rests on multilinearity: region values are convex combinations
+    of coefficients with strictly positive weight on the anchor coefficient.
     """
     if form.output_dim != 1:
         raise DomainError("sign_over_region expects a scalar form")
-    anchor = validate_base_point(form, base)
-    base_value = form.coefficients[anchor][0]
-    has_pos = has_neg = False
-    for vec in form.coefficients.values():
-        if vec[0] > 0:
-            has_pos = True
-        elif vec[0] < 0:
-            has_neg = True
-    if not has_pos and not has_neg:
-        return 0
-    if not has_neg and base_value > 0:
-        return 1
-    if not has_pos and base_value < 0:
-        return -1
-    return UNDETERMINED
-
-
-def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Rows times the lcm of all their denominators, as Python ints, and the lcm.
-
-    This is the one scaling rule for exact values. The positive scale keeps
-    every sign and every comparison, and a row sums to 1 exactly when its
-    ints sum to the lcm.
-    """
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+    values = form.tensor[..., 0]
+    anchor = values[validate_base_point(form, base)]
+    return int(_region_sign((values > 0).any(), (values < 0).any(), anchor > 0, anchor < 0))
 
 
 def _total_signs(
@@ -229,16 +213,12 @@ def _total_signs(
     for w in functionals:
         if len(w) != dim:
             raise DomainError(f"functional must have {dim} components, got {len(w)}")
-    # One positive scale for the table and one for the functionals keep every
-    # sign, and every comparison between values of one functional. Object
-    # arrays of Python ints keep the products exact at any size.
-    cells = product(*(range(a) for a in arities))
-    tensor = np.array(
-        _cleared([expansion.coefficients[idx] for idx in cells])[0], dtype=object
-    )
+    # A positive scale for the functionals keeps every sign, and every
+    # comparison between values of one functional. Object arrays of Python
+    # ints keep the products exact at any size.
     scaled, _ = _cleared(functionals)
     weights = np.array(scaled, dtype=object).reshape(len(scaled), dim)
-    values = (tensor @ weights.T).reshape(arities + (len(scaled),))
+    values = expansion.tensor @ weights.T
     blocks = []
     for i, a in enumerate(arities):
         x = np.moveaxis(values, i, 0)
@@ -248,11 +228,7 @@ def _total_signs(
         rest = tuple(range(2, above.ndim - 1))
         pos = above.any(axis=rest, keepdims=True)
         neg = below.any(axis=rest, keepdims=True)
-        codes = np.where(
-            pos | neg,
-            np.where(~neg & above, 1, np.where(~pos & below, -1, UNDETERMINED)),
-            0,
-        ).astype(np.int8)
+        codes = _region_sign(pos, neg, above, below)
         # to [z..., f, j], then drop j == z_i
         codes = np.moveaxis(np.moveaxis(codes, 0, -1), 0, i)
         free = np.array([[j for j in range(a) if j != c] for c in range(a)])
@@ -408,20 +384,18 @@ class Certificate:
 
 
 def _greedy_certificate(
-    z: Index,
-    signs: Sequence[tuple[Vector, tuple[int, ...]]],
-    n_reduced: int,
+    z: Index, functionals: Sequence[Vector], signs: np.ndarray, n_reduced: int
 ) -> Certificate:
     """Pruned greedy cover; the witnesses must jointly eliminate everything.
 
-    Row k of row_mask_bits is witness k's eliminated set, packed. Each step
-    takes the first witness of largest gain, the popcount of the vectors it
-    adds, until no vector is left uncovered; pruning then drops, in the
-    order chosen, every witness the others still cover without.
+    Row k of the int8 matrix ``signs`` is the total sign of functionals[k],
+    and row k of row_mask_bits its eliminated set, packed. Each step takes
+    the first witness of largest gain, the popcount of the vectors it adds,
+    until no vector is left uncovered; pruning then drops, in the order
+    chosen, every witness the others still cover without.
     """
     rows = table(n_reduced)
-    elim = np.fromiter(chain.from_iterable(ts for _, ts in signs), np.int8)
-    masks = row_mask_bits(rows, elim.reshape(len(signs), n_reduced))
+    masks = row_mask_bits(rows, signs)
     full = np.packbits(np.ones(rows.shape[0], dtype=bool))  # 0 past the table, as masks
     uncovered, left, chosen = full.copy(), rows.shape[0], []
     while left:
@@ -437,7 +411,7 @@ def _greedy_certificate(
             pruned = trial
     return Certificate(
         base_point=z,
-        witnesses=tuple(signs[k] for k in pruned),
+        witnesses=_paired([functionals[k] for k in pruned], signs[pruned]),
         n_reduced=n_reduced,
     )
 
@@ -804,7 +778,9 @@ def analyze_gate(
         if id(mask) not in scores:
             scores[id(mask)] = _witness_score(n_reduced, mask, one_live)
         witnesses = _paired(family.functionals, rows)
-        certificate = _greedy_certificate(z, witnesses, n_reduced) if mask.all() else None
+        certificate = None
+        if mask.all():
+            certificate = _greedy_certificate(z, family.functionals, rows, n_reduced)
         reports.append(
             BasePointReport(z, witnesses, mask, scores[id(mask)], certificate, data_upper.get(z))
         )
@@ -838,7 +814,7 @@ def reversibility_certificate(
     every = (list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:]))
     for z, rows, mask, _ in _sweep([every]):
         if mask.all():
-            return _greedy_certificate(z, _paired(family.functionals, rows), n_reduced)
+            return _greedy_certificate(z, family.functionals, rows, n_reduced)
     return None
 
 
@@ -858,21 +834,15 @@ def boolean_sensitivity(gate: Gate) -> BooleanSensitivity:
     """
     if any(a != 2 for a in gate.arities):
         raise DomainError("boolean sensitivity needs all arities equal to 2")
-    if len(set(gate.table.values())) > 2:
+    t = expand(gate).tensor
+    if len(set(map(tuple, t.reshape(-1, gate.output_dim).tolist()))) > 2:
         raise DomainError("boolean sensitivity needs outputs in a 2-point set")
-    per_point = {}
-    insensitive = {}
+    # changed[z][i]: flipping block i at z changes the output
+    changed = np.stack([(t != np.flip(t, i)).any(axis=-1) for i in range(gate.block_count)], -1)
+    per_point, insensitive = {}, {}
     for z in base_points(expand(gate)):
-        flips = 0
-        stable = []
-        for i in range(len(gate.arities)):
-            flipped = z[:i] + (1 - z[i],) + z[i + 1 :]
-            if gate.table[flipped] != gate.table[z]:
-                flips += 1
-            else:
-                stable.append(i)
-        per_point[z] = flips
-        insensitive[z] = frozenset(stable)
+        per_point[z] = int(changed[z].sum())
+        insensitive[z] = frozenset(np.flatnonzero(~changed[z]).tolist())
     return BooleanSensitivity(
         per_point=per_point,
         value=max(per_point.values()),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signelim import boolean_gate, dumps_gate, load_gate, parse_experiment_csv
-from signelim import cli, covers, sensitivity
+from signelim import cli, counting, covers, sensitivity
 from signelim.cli import main
 from signelim.gates import rational_string
 from signelim.sensitivity import Certificate
@@ -167,6 +167,26 @@ class TestCountCommands:
         )
         assert code == 0
         assert payload == {"value": 3, "oracle": 3, "match": True}
+
+    def test_intersect_checks_its_rows_once(self, capsys, monkeypatch):
+        calls = []
+        check = counting.sign_rows
+
+        def counted(rows, *args, **kwargs):
+            calls.append(rows)
+            return check(rows, *args, **kwargs)
+
+        monkeypatch.setattr(counting, "sign_rows", counted)
+        monkeypatch.setattr(cli, "sign_rows", counted)
+        argv = ["--x", "0+", "--x", "+0", "--x", "0+", "--x", "++"]
+        code, payload, _ = run_json(capsys, "count", "intersect", *argv, "--verify")
+        assert code == 0
+        assert payload == {"value": 1, "oracle": 1, "match": True}
+        assert calls == [((0, 1), (1, 0), (1, 1))]
+        for bad, message in (("-+", "not canonical"), ("+00", "expected length 2")):
+            code, out, err = run(capsys, "count", "intersect", "--x=+0", f"--x={bad}")
+            assert (code, out) == (1, "")
+            assert message in err
 
     def test_pair_needs_two_distinct_rows(self, capsys):
         code, out, err = run(capsys, "count", "pair", "--x", "+0", "--y", "+0")

@@ -1,6 +1,8 @@
+import ast
 import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from signelim import (
     reduced_partial,
     validate_base_point,
 )
+from signelim import gates
 
 import oracles
 from conftest import FIXTURE_PATH
@@ -268,6 +271,42 @@ class TestExpansion:
             Gate(arities, output_dim, entries)
         with pytest.raises(ValidationError, match=message):
             MultilinearExpansion(arities, output_dim, entries)
+
+
+class TestOneRepresentation:
+    def test_a_gate_is_checked_once_and_is_its_expansion(self, monkeypatch):
+        calls = []
+        check = gates._validate_tensor
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(gates, "_validate_tensor", counted)
+        gate = gate_from_json(minimal_payload())
+        assert expand(gate) is expand(gate)
+        assert expand(gate).coefficients is gate.table
+        assert len(calls) == 1
+
+    def test_the_tensor_is_the_scaled_table(self):
+        gate = Gate((2, 3), 2, {idx: (F(idx[0], 2), F(-idx[1], 3)) for idx in product(range(2), range(3))})
+        expansion = expand(gate)
+        assert expansion.scale == 6
+        assert expansion.tensor.shape == (2, 3, 2)
+        assert not expansion.tensor.flags.writeable
+        for idx, vec in gate.table.items():
+            assert [type(v) for v in expansion.tensor[idx]] == [int, int]
+            assert tuple(F(v, 6) for v in expansion.tensor[idx]) == vec
+
+    def test_only_gates_and_the_expand_command_read_coefficients(self):
+        sites = set()
+        for path in sorted(Path(gates.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Attribute) and node.attr == "coefficients":
+                        sites.add((path.name, getattr(top, "name", None)))
+        outside = {site for site in sites if site[0] != "gates.py"}
+        assert outside == {("cli.py", "_cmd_gate_expand")}
 
 
 class TestBasePoints:

@@ -411,6 +411,82 @@ class TestTotalSignsAgainstTheOracle:
                 )
 
 
+@st.composite
+def interior_points(draw, arities):
+    """A random point of the simplex product with every coordinate positive."""
+    point = []
+    for a in arities:
+        weights = [draw(st.integers(1, 5)) for _ in range(a)]
+        point.append(tuple(F(k, sum(weights)) for k in weights))
+    return point
+
+
+class TestFormsReadTheTensor:
+    """The form functions against the total signs and the reference table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_total_signs_are_the_region_signs_of_the_forms(self, data):
+        gate = data.draw(gates())
+        expansion = expand(gate)
+        w = data.draw(functionals(gate.output_dim))[0]
+        scalar = apply_functional(expansion, w)
+        for z in base_points(expansion):
+            signs = total_sign(expansion, z, w)
+            free = reduced_coordinates(gate.arities, z)
+            assert len(signs) == len(free)
+            for k, (i, j) in enumerate(free):
+                # over zero blocks for a one-block gate
+                form = reduced_partial(scalar, z, i, j)
+                assert signs[k] == sign_over_region(form, z[:i] + z[i + 1 :])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_evaluation_matches_the_reference_interpolation(self, data):
+        gate = data.draw(gates())
+        expansion = expand(gate)
+        for idx, out in gate.table.items():
+            vertex = [[F(int(j == c)) for c in range(a)] for j, a in zip(idx, gate.arities)]
+            assert evaluate(expansion, vertex) == out
+        point = data.draw(interior_points(gate.arities))
+        assert evaluate(expansion, point) == oracles.evaluate_table(
+            gate.arities, gate.table, point
+        )
+        # the partial along block 0; over zero blocks for a one-block gate
+        form = reduced_partial(expansion, (0,) * len(gate.arities), 0, 1)
+        rest = point[1:]
+        assert evaluate(form, rest) == oracles.evaluate_table(
+            form.arities, form.coefficients, rest
+        )
+
+
+class TestBooleanIndices:
+    """A bool is an int, but indexes numpy arrays as a mask; it is rejected."""
+
+    def test_form_functions_reject_boolean_indices(self):
+        expansion = expand(AND)
+        with pytest.raises(DomainError, match="base point entry True"):
+            total_sign(expansion, (True, True), [1])
+        with pytest.raises(DomainError, match="base point entry True"):
+            witness_signs(expansion, (True, False), default_family(1))
+        form = reduced_partial(expansion, (0, 0), 0, 1)
+        with pytest.raises(DomainError, match="base point entry False"):
+            sign_over_region(form, (False,))
+        with pytest.raises(DomainError, match="base point entry True"):
+            reduced_partial(expansion, (True, 0), 0, 1)
+        with pytest.raises(DomainError, match="block False out of range"):
+            reduced_partial(expansion, (0, 0), False, 1)
+        with pytest.raises(DomainError, match="coordinate True out of range"):
+            reduced_partial(expansion, (0, 0), 0, True)
+
+    def test_a_boolean_base_point_does_not_verify(self):
+        expansion = expand(OFF_ORIGIN)
+        cert = reversibility_certificate(expansion)
+        assert cert.base_point == (0, 1) and verify_certificate(expansion, cert)
+        flagged = Certificate((False, True), cert.witnesses, cert.n_reduced)
+        assert not verify_certificate(expansion, flagged)
+
+
 class TestSensitivityLower:
     def test_mixing_gate_saturates_at_the_origin(self, color_gate):
         expansion = expand(color_gate)
@@ -716,7 +792,9 @@ class TestCertificates:
     def test_greedy_matches_the_set_oracle(self, case):
         n, rows = case
         signs = tuple(((F(k),), row) for k, row in enumerate(rows))
-        cert = sensitivity._greedy_certificate((0,), signs, n)
+        functionals = [w for w, _ in signs]
+        codes = np.array(rows, dtype=np.int8).reshape(len(rows), n)
+        cert = sensitivity._greedy_certificate((0,), functionals, codes, n)
         assert cert.witnesses == tuple(signs[k] for k in oracles.greedy_cover(rows, n))
         assert cert.n_reduced == n
 
