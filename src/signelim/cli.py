@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -54,7 +55,6 @@ from .sensitivity import (
     verify_certificate,
 )
 from .signvec import (
-    canonical_sign_vectors,
     eliminated_mask,
     parse_sign_string,
     sign_rows,
@@ -349,8 +349,7 @@ def _flag_signs(text: str, flag: str, *, total: bool = True) -> tuple[int, ...]:
 
 
 def _cmd_zs(args) -> int:
-    vectors = canonical_sign_vectors(args.n)
-    _emit([sign_string(v) for v in vectors])
+    _emit(table_strings(args.n).astype(str).tolist())
     return 0
 
 
@@ -406,13 +405,7 @@ def _cmd_count_pair(args) -> int:
     profile = pair_profile(matrix)
     intersection, union = count_pair(profile)
     payload = {
-        "profile": {
-            "agree": profile.agree,
-            "oppose": profile.oppose,
-            "first_only": profile.first_only,
-            "second_only": profile.second_only,
-            "zero": profile.zero,
-        },
+        "profile": asdict(profile),
         "intersection": intersection,
         "union": union,
     }

@@ -94,9 +94,7 @@ class SignMatrix:
 
 def count_eliminated_single(x: Sequence[int]) -> int:
     """|eliminated set of {x}| = 3**z(x) * (2**(n - z(x)) - 1)."""
-    vec = tuple(x)
-    if not is_canonical(vec):
-        raise DomainError(f"{vec!r} is not canonical")
+    (vec,) = sign_rows([x])
     n = len(vec)
     z = zero_count(vec)
     return 3**z * (2 ** (n - z) - 1)

@@ -28,7 +28,6 @@ from .signvec import (
     as_fraction_dot,
     canonicalize,
     eliminates,
-    is_canonical,
     sign_rows,
     table,
     vector_count,
@@ -253,9 +252,7 @@ def orthogonality_implication_holds(x: Sequence[int], v: Sequence) -> bool:
     set of {x}, then v and x must not be orthogonal. Returns True when the
     implication holds for this x and v; the premise failing counts as holding.
     """
-    vec = tuple(x)
-    if not is_canonical(vec):
-        raise DomainError(f"{vec!r} is not canonical")
+    (vec,) = sign_rows([x])
     values = parse_rational_vector(v, "v")
     if not any(values):
         raise DomainError("v must be nonzero")

@@ -184,6 +184,10 @@ class Gate:
                 normalized[_validate_vector(vec, self.output_dim, f"output label {name!r}")] = str(name)
             object.__setattr__(self, "output_labels", normalized)
 
+    def __hash__(self) -> int:
+        # equal gates have equal tables, so equal expansions
+        return hash((self._expansion, self.input_labels))
+
     @property
     def block_count(self) -> int:
         return len(self.arities)
@@ -217,6 +221,9 @@ class MultilinearExpansion:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "scale", scale)
+
+    def __hash__(self) -> int:
+        return hash((self.arities, self.output_dim, frozenset(self.coefficients.items())))
 
     @property
     def block_count(self) -> int:

@@ -1,9 +1,12 @@
 """Built-in oracle equivalence suite.
 
 Every closed-form count is rechecked against the brute-force enumeration
-scan, exhaustively on small instances and on seeded random instances beyond
-that. The CLI exposes this as ``signelim selftest`` and exits 3 when any
-check disagrees, so a broken build cannot silently report wrong numbers.
+scan on sets of distinct canonical rows, exhaustively on small instances and
+on seeded random instances beyond that. Each instance goes through one
+comparison: the intersection and union forms, the single form when it has
+one row, and the pair forms when it has two. The CLI exposes this as
+``signelim selftest`` and exits 3 when any check disagrees, so a broken
+build cannot silently report wrong numbers.
 """
 
 from __future__ import annotations
@@ -68,39 +71,28 @@ def _check_self_cover() -> CheckResult:
     return CheckResult("self-cover", True, "full enumeration eliminates itself, n=1..5")
 
 
+def _closed_form_mismatch(rows: tuple, n: int) -> Optional[str]:
+    """The first closed form whose (intersection, union) differs from the scan's, or None."""
+    matrix = SignMatrix(rows)
+    oracle = (count_intersection_oracle(matrix), count_eliminated_oracle(rows, n))
+    forms = {"set": (count_eliminated_intersection(matrix), count_eliminated_union(rows))}
+    if len(rows) == 1:
+        forms["single"] = (count_eliminated_single(rows[0]),) * 2
+    if len(rows) == 2:
+        forms["pair"] = count_pair(pair_profile(matrix))
+    wrong = (f"{form} {value} != {oracle}" for form, value in forms.items() if value != oracle)
+    return next(wrong, None)
+
+
 def _check_exhaustive(max_n: int) -> CheckResult:
     checked = 0
     for n in range(1, max_n + 1):
         vectors = canonical_sign_vectors(n)
         for size in (1, 2, 3):
             for rows in combinations(vectors, size):
-                matrix = SignMatrix(rows)
-                closed_inter = count_eliminated_intersection(matrix)
-                oracle_inter = count_intersection_oracle(matrix)
-                if closed_inter != oracle_inter:
-                    return CheckResult(
-                        "closed-forms-exhaustive",
-                        False,
-                        f"intersection {rows}: {closed_inter} != {oracle_inter}",
-                    )
-                closed_union = count_eliminated_union(rows)
-                oracle_union = count_eliminated_oracle(rows, n)
-                if closed_union != oracle_union:
-                    return CheckResult(
-                        "closed-forms-exhaustive",
-                        False,
-                        f"union {rows}: {closed_union} != {oracle_union}",
-                    )
-                if size == 1 and count_eliminated_single(rows[0]) != oracle_union:
-                    return CheckResult(
-                        "closed-forms-exhaustive", False, f"single {rows[0]}"
-                    )
-                if size == 2:
-                    inter_pair, union_pair = count_pair(pair_profile(matrix))
-                    if inter_pair != oracle_inter or union_pair != oracle_union:
-                        return CheckResult(
-                            "closed-forms-exhaustive", False, f"pair {rows}"
-                        )
+                wrong = _closed_form_mismatch(rows, n)
+                if wrong:
+                    return CheckResult("closed-forms-exhaustive", False, f"rows {rows}: {wrong}")
                 checked += 1
     return CheckResult(
         "closed-forms-exhaustive",
@@ -115,19 +107,9 @@ def _check_random(rng: random.Random, instances: int, max_n: int) -> CheckResult
         vectors = canonical_sign_vectors(n)
         size = rng.randint(1, 4)
         rows = tuple(sorted(rng.sample(vectors, size)))
-        matrix = SignMatrix(rows)
-        closed_inter = count_eliminated_intersection(matrix)
-        oracle_inter = count_intersection_oracle(matrix)
-        closed_union = count_eliminated_union(rows)
-        oracle_union = count_eliminated_oracle(rows, n)
-        if closed_inter != oracle_inter or closed_union != oracle_union:
-            return CheckResult(
-                "closed-forms-random",
-                False,
-                f"trial {trial}, rows {rows}: "
-                f"inter {closed_inter}/{oracle_inter}, "
-                f"union {closed_union}/{oracle_union}",
-            )
+        wrong = _closed_form_mismatch(rows, n)
+        if wrong:
+            return CheckResult("closed-forms-random", False, f"trial {trial}, rows {rows}: {wrong}")
     return CheckResult(
         "closed-forms-random", True, f"{instances} instances, n<={max_n}, |X|<=4"
     )

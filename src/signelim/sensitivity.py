@@ -751,6 +751,20 @@ def _sweep(blocks: Iterable[tuple[Sequence[Index], np.ndarray]]):
             yield (z, rows, *masks[key])
 
 
+def _witness_sweep(expansion: MultilinearExpansion, family: Optional[ProjectionFamily]):
+    """Check the caps; return the family (default when None), N and the _sweep
+    of the family's total signs at all base points, computed when first drawn."""
+    _check_caps(expansion)
+    if family is None:
+        family = default_family(expansion.output_dim)
+
+    def every():
+        signs = _total_signs(expansion, family.functionals)
+        yield list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:])
+
+    return family, reduced_dimension(expansion), _sweep(every())
+
+
 def analyze_gate(
     expansion: MultilinearExpansion,
     family: Optional[ProjectionFamily] = None,
@@ -761,10 +775,7 @@ def analyze_gate(
     """Full sweep over base points: witnesses, bounds, and certificates."""
     (eps,) = parse_rational_vector([eps], "eps")
     (delta,) = parse_rational_vector([delta], "delta")
-    _check_caps(expansion)
-    if family is None:
-        family = default_family(expansion.output_dim)
-    n_reduced = reduced_dimension(expansion)
+    family, n_reduced, sweep = _witness_sweep(expansion, family)
     data_upper, data = {}, None
     if records is not None:
         data_upper, data = _collision_scores(records, expansion, eps, delta)
@@ -772,9 +783,7 @@ def analyze_gate(
     # it runs, so a mask's id names its score for the whole analysis.
     scores: dict[int, ScorePair] = {}
     reports = []
-    signs = _total_signs(expansion, family.functionals)
-    every = (list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:]))
-    for z, rows, mask, one_live in _sweep([every]):
+    for z, rows, mask, one_live in sweep:
         if id(mask) not in scores:
             scores[id(mask)] = _witness_score(n_reduced, mask, one_live)
         witnesses = _paired(family.functionals, rows)
@@ -806,13 +815,8 @@ def reversibility_certificate(
     The sweep stops at the first base point where the family eliminates
     every sign vector, and scores nothing.
     """
-    _check_caps(expansion)
-    if family is None:
-        family = default_family(expansion.output_dim)
-    n_reduced = reduced_dimension(expansion)
-    signs = _total_signs(expansion, family.functionals)
-    every = (list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:]))
-    for z, rows, mask, _ in _sweep([every]):
+    family, n_reduced, sweep = _witness_sweep(expansion, family)
+    for z, rows, mask, _ in sweep:
         if mask.all():
             return _greedy_certificate(z, family.functionals, rows, n_reduced)
     return None
@@ -825,6 +829,9 @@ class BooleanSensitivity:
     per_point: dict
     value: int
     insensitive: dict
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.per_point.items()), self.value, frozenset(self.insensitive.items())))
 
 
 def boolean_sensitivity(gate: Gate) -> BooleanSensitivity:

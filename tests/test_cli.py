@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signelim import boolean_gate, dumps_gate, load_gate, parse_experiment_csv
-from signelim import cli, counting, covers, sensitivity
+from signelim import cli, counting, covers, selftest, sensitivity
 from signelim.cli import main
 from signelim.gates import rational_string
 from signelim.sensitivity import Certificate
-from signelim.signvec import UNDETERMINED, sign_string
+from signelim.signvec import UNDETERMINED, canonical_sign_vectors, sign_string
 
 from conftest import FIXTURE_PATH, REPO_ROOT, fail_if_called
 
@@ -78,6 +79,20 @@ class TestEnumerationCommands:
         code, payload, _ = run_json(capsys, "zs", "--n", "2")
         assert code == 0
         assert payload == ["0+", "+0", "++", "+-"]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_zs_prints_the_enumeration(self, capsys, k):
+        code, payload, _ = run_json(capsys, "zs", "--n", str(k))
+        assert code == 0
+        assert payload == [sign_string(v) for v in canonical_sign_vectors(k)]
+
+    def test_zs_rejects_a_length_out_of_range(self, capsys, monkeypatch):
+        monkeypatch.setenv("SIGNELIM_MAX_N", "4")
+        for n, message in (
+            ("0", "vector length must be a positive int, got 0"),
+            ("5", "length 5 exceeds the cap 4; set SIGNELIM_MAX_N to raise it"),
+        ):
+            assert run(capsys, "zs", "--n", n) == (1, "", f"error: {message}\n")
 
     def test_ze_single(self, capsys):
         code, payload, _ = run_json(capsys, "ze", "--t", "++")
@@ -219,6 +234,11 @@ class TestCountCommands:
         code, _, err = run(capsys, "count", "single", "--x", "+2")
         assert code == 1
         assert "error" in err
+
+    def test_single_rejects_a_non_canonical_vector(self, capsys):
+        code, out, err = run(capsys, "count", "single", "--x=-+")
+        assert (code, out) == (1, "")
+        assert err == "error: (-1, 1) is not canonical (first nonzero entry must be +1)\n"
 
     def test_single_rejects_a_second_vector(self, capsys):
         code, out, err = run(
@@ -711,6 +731,29 @@ class TestSelftestCommand:
         assert payload["seed"] == 7
         assert len(payload["checks"]) == 6
         assert all(c["ok"] for c in payload["checks"])
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: selftest._check_exhaustive(2),
+            lambda: selftest._check_random(random.Random(0), 50, 4),
+        ],
+        ids=["exhaustive", "random"],
+    )
+    @pytest.mark.parametrize(
+        "name, form, off_by_one",
+        [
+            ("count_pair", "pair", lambda p: (counting.count_pair(p)[0], counting.count_pair(p)[1] + 1)),
+            ("count_eliminated_single", "single", lambda x: counting.count_eliminated_single(x) + 1),
+        ],
+    )
+    def test_both_instance_checks_compare_every_closed_form(
+        self, monkeypatch, check, name, form, off_by_one
+    ):
+        monkeypatch.setattr(selftest, name, off_by_one)
+        result = check()
+        assert not result.ok
+        assert f": {form} (" in result.detail
 
 
 class TestParsing:

@@ -113,6 +113,18 @@ class TestSingleCount:
         }
         assert values == {3**2 * (2**2 - 1)}
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ((1, 5), "invalid sign entry 5 in (1, 5)"),
+            ((-1, 1), "(-1, 1) is not canonical (first nonzero entry must be +1)"),
+        ],
+    )
+    def test_reads_its_vector_by_the_sign_row_rule(self, x, message):
+        with pytest.raises(DomainError) as caught:
+            count_eliminated_single(x)
+        assert str(caught.value) == message
+
 
 class TestAlignedColumns:
     def test_single_row_full_agreement(self):

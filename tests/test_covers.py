@@ -260,3 +260,15 @@ class TestOrthogonality:
             orthogonality_implication_holds((1, 1), (0, 0))
         with pytest.raises(DomainError):
             orthogonality_implication_holds((-1, 1), (1, 1))
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ((1, 5), "invalid sign entry 5 in (1, 5)"),
+            ((-1, 1), "(-1, 1) is not canonical (first nonzero entry must be +1)"),
+        ],
+    )
+    def test_reads_x_by_the_sign_row_rule(self, x, message):
+        with pytest.raises(DomainError) as caught:
+            orthogonality_implication_holds(x, (1, 1))
+        assert str(caught.value) == message

@@ -309,6 +309,29 @@ class TestOneRepresentation:
         assert outside == {("cli.py", "_cmd_gate_expand")}
 
 
+class TestHashing:
+    def test_equal_gates_hash_equal_and_are_one_set_member(self):
+        first, second = boolean_gate([0, 0, 0, 1], 2), boolean_gate([0, 0, 0, 1], 2)
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second, XOR}) == 2
+        assert hash(expand(first)) == hash(expand(second))
+        assert len({expand(first), expand(second), expand(XOR)}) == 2
+
+    def test_gates_and_expansions_are_dict_keys(self):
+        keys = {AND: "gate", expand(AND): "expansion"}
+        again = boolean_gate([0, 0, 0, 1], 2)
+        assert keys[again] == "gate"
+        assert keys[expand(again)] == "expansion"
+
+    def test_the_hash_reads_what_equality_reads(self):
+        labelled = Gate(AND.arities, AND.output_dim, AND.table, output_labels={(0,): "off"})
+        assert labelled == AND and hash(labelled) == hash(AND)
+        named = Gate(AND.arities, AND.output_dim, AND.table, input_labels=(("a", "b"), ("c", "d")))
+        assert named != AND
+        assert {named: 1, AND: 2}[named] == 1
+
+
 class TestBasePoints:
     def test_lexicographic_order(self):
         gate = boolean_gate([0] * 8, 3)

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-``__all__`` entry is bound in its module, and every name ``__init__.py``
-re-exports exists in the module it comes from.
+``__all__`` entry is bound in its module, every name ``__init__.py``
+re-exports exists in the module it comes from, and no run of four code lines
+is written twice in the package.
 
 A standard-library stand-in for a lint rule: `__init__.py` is skipped by the
 unused-import scan because its imports are the package's re-exports.
@@ -8,6 +9,7 @@ unused-import scan because its imports are the package's re-exports.
 
 import ast
 import pathlib
+from collections import defaultdict
 
 import pytest
 
@@ -116,3 +118,73 @@ def test_every_package_reexport_exists():
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     read = lambda module: (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert missing_reexports(init, read) == []
+
+
+def code_lines(source: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of every line the copy scan compares: not
+    blank, a comment, part of an import or a docstring, nor 12 characters or
+    fewer (closing brackets, ``else:``, ``return x``)."""
+    tree = ast.parse(source)
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            skipped.update(range(node.lineno, node.end_lineno + 1))
+        elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                skipped.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = enumerate((line.strip() for line in source.splitlines()), 1)
+    return [
+        (number, text)
+        for number, text in lines
+        if number not in skipped and len(text) > 12 and not text.startswith("#")
+    ]
+
+
+def repeated_blocks(sources: dict[str, str], size: int = 4) -> list[list[str]]:
+    """Each run of ``size`` consecutive code lines found more than once across
+    the sources, as the ``name:line`` of every place it starts."""
+    places = defaultdict(list)
+    for name, source in sources.items():
+        lines = code_lines(source)
+        for i in range(len(lines) - size + 1):
+            run = tuple(text for _, text in lines[i : i + size])
+            places[run].append(f"{name}:{lines[i][0]}")
+    return [found for found in places.values() if len(found) > 1]
+
+
+def test_the_copy_scan_sees_a_repeated_block():
+    header = (
+        '"""A module docstring line long enough to count.\n'
+        "Its second line is long enough too.\n"
+        "And its third line, and its fourth line,\n"
+        'which the scan leaves out as it does imports."""\n'
+        "from json import (\n"
+        "    JSONDecodeError,\n"
+        "    JSONDecoder,\n"
+        "    JSONEncoder,\n"
+        ")\n"
+    )
+    block = [
+        "    first = compute_first(value)\n",
+        "    second = compute_second(value)\n",
+        "    third = compute_third(first, second)\n",
+        "    return combine(first, second, third)\n",
+    ]
+    one = header + "def f(value):\n" + "".join(block)
+    two = header + (
+        "def g(value):\n"
+        '    """A function docstring line that counts for nothing."""\n'
+        + block[0]
+        + "    # a comment line between the copied lines\n"
+        + block[1]
+        + "    x = 1\n"
+        + "".join(block[2:])
+        + "def h(value):\n"
+        + "".join(block[1:])
+    )
+    assert repeated_blocks({"one.py": one, "two.py": two}) == [["one.py:11", "two.py:12"]]
+
+
+def test_no_run_of_code_lines_is_written_twice():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert repeated_blocks(sources) == []

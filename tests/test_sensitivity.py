@@ -944,6 +944,16 @@ class TestAnalyzeGate:
         with pytest.raises(ResourceLimitError, match="SIGNELIM_BASE_POINT_CAP"):
             sweep(expand(boolean_gate([0] * 8, 3)))
 
+    def test_records_are_checked_before_the_family_meets_the_gate(self):
+        # the total signs, which reject a family of the wrong width, are
+        # computed when the sweep is first drawn, after the records
+        bad = [ExperimentRecord(((F(1, 2), F(1, 3)), (F(1, 2), F(1, 2))), (F(0),))]
+        family = ProjectionFamily(((1, 1),), 2)
+        with pytest.raises(ValidationError, match="^record 1: block 1 coordinates must sum to 1$"):
+            analyze_gate(expand(AND), family, records=bad)
+        with pytest.raises(DomainError, match="functional must have 1 components, got 2"):
+            analyze_gate(expand(AND), family)
+
 
 class TestBooleanSensitivity:
     def test_conjunction(self):
@@ -966,6 +976,13 @@ class TestBooleanSensitivity:
     def test_constant_gate(self):
         sens = boolean_sensitivity(CONST)
         assert sens.value == 0
+
+    def test_equal_results_hash_equal_and_are_dict_keys(self):
+        first, second = boolean_sensitivity(AND), boolean_sensitivity(boolean_gate([0, 0, 0, 1], 2))
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second, boolean_sensitivity(XOR)}) == 2
+        assert {first: "and"}[second] == "and"
 
     def test_rejects_wide_gates(self, color_gate):
         with pytest.raises(DomainError):
