@@ -469,10 +469,13 @@ def _cmd_gate_expand(args) -> int:
     return 0
 
 
-def _family_for(args, gate) -> ProjectionFamily:
-    if getattr(args, "functionals", None):
-        return _load_family(args.functionals, gate.output_dim)
-    return default_family(gate.output_dim)
+def _gate_and_family(args):
+    """The gate, its expansion, and the --functionals family or the default."""
+    gate = load_gate(args.gate)
+    expansion = expand(gate)
+    if args.functionals:
+        return gate, expansion, _load_family(args.functionals, gate.output_dim)
+    return gate, expansion, default_family(gate.output_dim)
 
 
 def _rational_flag(args, name: str) -> Fraction:
@@ -491,9 +494,7 @@ def _naming_records(path):
 
 def _cmd_gate_analyze(args) -> int:
     started = time.perf_counter()
-    gate = load_gate(args.gate)
-    expansion = expand(gate)
-    family = _family_for(args, gate)
+    gate, expansion, family = _gate_and_family(args)
     eps = _rational_flag(args, "eps")
     delta = _rational_flag(args, "delta")
     if args.data is None:
@@ -513,9 +514,7 @@ def _cmd_gate_analyze(args) -> int:
 
 
 def _cmd_gate_certify(args) -> int:
-    gate = load_gate(args.gate)
-    expansion = expand(gate)
-    family = _family_for(args, gate)
+    gate, expansion, family = _gate_and_family(args)
     cert = reversibility_certificate(expansion, family=family)
     if cert is None:
         _emit(

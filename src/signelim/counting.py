@@ -1,12 +1,14 @@
 """Exact counting of eliminated sets.
 
 All counts are plain Python ints (arbitrary precision, no floats). Each
-closed form has a brute-force oracle counterpart in this module so the two
-routes can be compared at any scale the enumeration cap allows:
+closed form has a brute-force oracle counterpart in this module, the
+enumeration scan, whose per-row rule is also ``signvec.eliminates``, so the
+two routes can be compared at any scale the enumeration cap allows:
 
   * ``count_eliminated_single(x)``    = 3**z * (2**(n - z) - 1), z zeros of x
   * ``count_eliminated_intersection`` sums signed powers of 2 over canonical
-    row-sign assignments, weighted by aligned column counts
+    row-sign assignments, weighted by aligned column counts (``_aligned``,
+    the one alignment rule, which ``aligned_columns`` also reads)
   * ``count_eliminated_union``        inclusion-exclusion over row subsets
   * ``count_pair``                    the two-row case in closed form, from a
                                       column-type profile
@@ -26,7 +28,6 @@ from .signvec import (
     DEFAULT_MAX_N,
     ENV_MAX_N,
     eliminated_count,
-    is_canonical,
     jointly_eliminated_count,
     sign_rows,
     table,
@@ -100,57 +101,47 @@ def count_eliminated_single(x: Sequence[int]) -> int:
     return 3**z * (2 ** (n - z) - 1)
 
 
-def aligned_columns(matrix: SignMatrix, alpha: Sequence[int]) -> frozenset[int]:
-    """Column positions compatible with row-sign assignment alpha.
+def _aligned(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Entry [a, j]: whether column c = cols[:, j] (a nonzero column) is aligned
+    with alpha = alphas[a], that is c[i] in {0, alpha[i]} for every row i or
+    c[i] in {0, -alpha[i]} for every row i (so c[i] = 0 wherever alpha[i] = 0)."""
+    blank = cols == 0
+    alphas = alphas[:, :, None]
+    return (blank | (cols == alphas)).all(axis=1) | (blank | (cols == -alphas)).all(axis=1)
 
-    A nonzero column c qualifies when either c[i] in {0, alpha[i]} for every
-    row i, or c[i] in {0, -alpha[i]} for every row i. Wherever alpha[i] is 0
-    this forces c[i] = 0. Positions are 0-based and counted as positions, so
-    equal columns contribute once each.
-    """
-    assignment = tuple(alpha)
+
+def aligned_columns(matrix: SignMatrix, alpha: Sequence[int]) -> frozenset[int]:
+    """The 0-based positions of the nonzero columns aligned with row-sign
+    assignment alpha by _aligned's rule; equal columns appear once each."""
+    (assignment,) = sign_rows([alpha])
     if len(assignment) != matrix.m:
-        raise DomainError(
-            f"assignment length {len(assignment)} != row count {matrix.m}"
-        )
-    if not is_canonical(assignment):
-        raise DomainError(f"assignment {assignment!r} is not canonical")
-    out = []
-    for j in range(matrix.n):
-        col = matrix.column(j)
-        if all(c == 0 for c in col):
-            continue
-        if all(c == 0 or c == a for c, a in zip(col, assignment)):
-            out.append(j)
-        elif all(c == 0 or c == -a for c, a in zip(col, assignment)):
-            out.append(j)
-    return frozenset(out)
+        raise DomainError(f"assignment length {len(assignment)} != row count {matrix.m}")
+    rows = np.array(matrix.rows, dtype=np.int8)
+    nonzero = np.flatnonzero(rows.any(axis=0))
+    hits = _aligned(rows[:, nonzero], np.array([assignment], dtype=np.int8))[0]
+    return frozenset(nonzero[hits].tolist())
 
 
 @lru_cache(maxsize=1 << 16)
 def _intersection_count(rows: tuple[tuple[int, ...], ...]) -> int:
     """The aligned_columns sum over every assignment alpha, as array work.
 
-    Entry [alpha, j] of a broadcast says whether nonzero column j is aligned
-    with alpha. The weights z(alpha) + aligned count are small ints, so their
-    bincount, split by the parity of z(alpha), times Python-int powers of 2
-    keeps the sum exact. Assignments go in chunks to bound the temporaries.
-    ``rows`` are a SignMatrix's rows, already checked by both callers.
+    _aligned marks each chunk's aligned columns. The weights z(alpha) +
+    aligned count are small ints, so their bincount, split by the parity of
+    z(alpha), times Python-int powers of 2 keeps the sum exact. Assignments
+    go in chunks to bound the temporaries. ``rows`` are a SignMatrix's rows,
+    already checked by both callers.
     """
     m, n = len(rows), len(rows[0])
     cols = np.array(rows, dtype=np.int8)
     cols = cols[:, cols.any(axis=0)]
-    blank = cols == 0
     size = 2 * (m + cols.shape[1] + 1)
     tally = np.zeros(size, dtype=np.int64)  # at 2 * weight + parity of z(alpha)
     assignments = table(m)
     for start in range(0, assignments.shape[0], _ALPHA_CHUNK):
-        alphas = assignments[start : start + _ALPHA_CHUNK, :, None]
-        aligned = (blank | (cols == alphas)).all(axis=1) | (
-            blank | (cols == -alphas)
-        ).all(axis=1)
-        z_alpha = (alphas == 0).sum(axis=(1, 2))
-        weights = z_alpha + aligned.sum(axis=1)
+        alphas = assignments[start : start + _ALPHA_CHUNK]
+        z_alpha = (alphas == 0).sum(axis=1)
+        weights = z_alpha + _aligned(cols, alphas).sum(axis=1)
         tally += np.bincount(2 * weights + z_alpha % 2, minlength=size)
     even, odd = tally[0::2].tolist(), tally[1::2].tolist()
     acc = -((-2) ** (m - 1))

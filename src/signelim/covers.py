@@ -25,6 +25,7 @@ from .gates import parse_rational_vector
 from .signvec import (
     DEFAULT_MAX_N,
     ENV_MAX_N,
+    _check_length,
     as_fraction_dot,
     canonicalize,
     eliminates,
@@ -59,7 +60,7 @@ _CHUNK_BYTES = 1 << 16
 class CoverReport:
     """Judgement about one candidate cover.
 
-    is_minimal is None when minimality was not checked.
+    is_minimal is None when the set is not a cover.
     """
 
     members: tuple[tuple[int, ...], ...]
@@ -114,6 +115,7 @@ def is_minimal_cover(X: Iterable[Sequence[int]], n: int) -> bool:
 
 def full_support_vectors(n: int) -> frozenset[tuple[int, ...]]:
     """The 2**(n-1) canonical vectors with no zero entries."""
+    _check_length(n)
     out = []
     for bits in range(2 ** (n - 1)):
         vec = [1]
@@ -138,14 +140,19 @@ def unit_vectors(n: int, positions: Optional[Iterable[int]] = None) -> frozenset
 
 
 def column_rank(matrix: SignMatrix) -> int:
-    """Exact rank of the matrix over the rationals (= rank of its columns).
+    """Exact rank of the matrix over the rationals (= rank of its columns)."""
+    return _rank(matrix.rows)
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank over the rationals of a nonempty list of equal-length rows.
 
     Fraction-free (Bareiss) elimination: after k pivots every remaining entry
     is a (k + 1)-minor of the matrix, so each step divides exactly by the
     previous pivot and the work stays in integers.
     """
-    work = [list(row) for row in matrix.rows]
-    n_rows, n_cols = matrix.m, matrix.n
+    work = [list(row) for row in rows]
+    n_rows, n_cols = len(work), len(work[0])
     rank = 0
     previous = 1
     for col in range(n_cols):
@@ -219,7 +226,7 @@ def cover_reports(n: int, max_size: int) -> list[CoverReport]:
     """Reports for every cover of size <= max_size, minimality flagged."""
     out = []
     for members, minimal in _cover_search(n, max_size):
-        rank = column_rank(SignMatrix(members))
+        rank = _rank(members)
         out.append(
             CoverReport(
                 members=members,
@@ -232,16 +239,15 @@ def cover_reports(n: int, max_size: int) -> list[CoverReport]:
     return out
 
 
-def describe_cover(X: Iterable[Sequence[int]], n: int, *, check_minimal: bool = True) -> CoverReport:
-    """Judge one explicit candidate set."""
+def describe_cover(X: Iterable[Sequence[int]], n: int) -> CoverReport:
+    """Judge one explicit candidate set; minimality is reported for a cover."""
     rows, _, covers, minimal = _judge_set(X, n)
-    rank = column_rank(SignMatrix(tuple(rows)))
     return CoverReport(
         members=tuple(rows),
         n=n,
         is_cover=covers,
-        is_minimal=minimal if covers and check_minimal else None,
-        column_rank=rank,
+        is_minimal=minimal if covers else None,
+        column_rank=_rank(rows),
     )
 
 

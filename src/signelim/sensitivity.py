@@ -131,8 +131,9 @@ class ProjectionFamily:
     output_dim: int
 
     def __post_init__(self) -> None:
-        if self.output_dim < 1:
-            raise DomainError("output_dim must be >= 1")
+        # type(), not isinstance: True is a bool, which subclasses int
+        if type(self.output_dim) is not int or self.output_dim < 1:
+            raise DomainError(f"output_dim must be an int >= 1, got {self.output_dim!r}")
         seen = {}  # a dict keeps first-occurrence order
         for pos, raw in enumerate(self.functionals):
             w = parse_rational_vector(raw, f"functional {pos}")
@@ -590,11 +591,18 @@ def _validate_records(records, expansion: MultilinearExpansion, delta: Fraction)
     return coded
 
 
-def _row_ids(matrix: np.ndarray) -> np.ndarray:
-    """One id per row, equal exactly for equal rows, numbered by first occurrence."""
-    ids: dict[tuple, int] = {}
-    rows = map(tuple, matrix.tolist())
-    return np.array([ids.setdefault(row, len(ids)) for row in rows], dtype=np.int64)
+def _row_ids(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's rank among the distinct rows in lexicographic order, and
+    the index of one row of each rank: equal ids mark exactly equal rows."""
+    order = np.lexsort(matrix.T[::-1])
+    # the sorted rows as one opaque value each, so neighbours compare at once
+    row = np.dtype((np.void, matrix.itemsize * matrix.shape[1]))
+    ordered = np.take(matrix, order, axis=0).view(row)[:, 0]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids, order[first]
 
 
 def _collision_pairs(
@@ -619,7 +627,7 @@ def _collision_pairs(
     if len(outputs) < 2:
         return none, none
     if eps == 0:
-        key, width = _row_ids(outputs), 0
+        key, width = _row_ids(outputs)[0], 0
     else:
         scaled, scale = _scaled(values, outputs, eps)
         key, width = scaled[:, 0], int(eps * scale)
@@ -631,27 +639,13 @@ def _collision_pairs(
     left = np.repeat(np.arange(key.size), counts)
     right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(counts) - counts, counts)
     a, b = order[left], order[right]
-    ids = _row_ids(points)
+    ids = _row_ids(points)[0]
     keep = ids[a] != ids[b]
     if eps > 0:
         for c in range(1, outputs.shape[1]):
             keep &= abs(scaled[a, c] - scaled[b, c]) <= width
     a, b = a[keep], b[keep]
     return np.minimum(a, b), np.maximum(a, b)
-
-
-def _distinct_rows(signs: np.ndarray) -> np.ndarray:
-    """The distinct rows of a sign matrix, in ascending order of base-3 code.
-
-    The int64 codes are exact: a row has sum(arities) <= 2N columns, and
-    3**(2N) < 2**63 for every N whose table(N) fits in memory (N <= 19).
-    """
-    codes = _base3_index(signs)
-    order = np.argsort(codes)
-    codes = codes[order]
-    first = np.ones(codes.size, dtype=bool)
-    first[1:] = codes[1:] != codes[:-1]
-    return signs[order[first]]
 
 
 def _collision_scores(
@@ -678,7 +672,7 @@ def _collision_scores(
     # sign(b - a) of every pair on every input coordinate, block by block
     signs = np.sign(ranks[b] - ranks[a]).astype(np.int8)
     # Projecting the distinct rows gives the same row set as projecting all.
-    distinct = _distinct_rows(signs)
+    distinct = signs[_row_ids(signs)[1]]
     starts = np.cumsum((0,) + expansion.arities[:-1])
     # one block per base point: the distinct rows on its free coordinates
     projected = (

@@ -14,7 +14,8 @@ serialized as "u"). Total sign t eliminates canonical vector s when
   * over all such indices the products t[i] * s[i] agree (all +1 or all -1).
 
 An UNDETERMINED entry never supplies the shared nonzero index required by the
-second condition; it only constrains through the first.
+second condition; it only constrains through the first. ``eliminates`` is the
+scalar entry to the scan's per-row rule, ``backend._row_masks``.
 
 String form uses the alphabet "+", "0", "-", "u", one character per entry.
 """
@@ -150,22 +151,13 @@ def zero_count(v: Sequence[int]) -> int:
 
 
 def eliminates(t: Sequence[int], s: Sequence[int]) -> bool:
-    """Whether total sign t eliminates the canonical sign vector s."""
+    """Whether total sign t eliminates canonical s, by the scan's per-row rule."""
     tv = _validate_sign_vector(t, total=True)
     sv = _require_canonical(s)
     if len(tv) != len(sv):
         raise DomainError(f"length mismatch: {len(tv)} vs {len(sv)}")
-    pos = neg = False
-    for ti, si in zip(tv, sv):
-        if ti == UNDETERMINED:
-            if si != 0:
-                return False
-        elif ti != 0 and si != 0:
-            if ti * si > 0:
-                pos = True
-            else:
-                neg = True
-    return pos != neg
+    rows = np.array((sv, tv), dtype=np.int8)
+    return bool(backend.eliminated_any_mask(rows[:1], rows[1:])[0])
 
 
 def sign_rows(

@@ -58,6 +58,21 @@ def jointly_eliminated(X, n):
     }
 
 
+def aligned_columns(rows, alpha):
+    """Positions of the nonzero columns c of the rows with c[i] in {0, alpha[i]}
+    for every row i, or c[i] in {0, -alpha[i]} for every row i."""
+    out = set()
+    for j in range(len(rows[0])):
+        col = [row[j] for row in rows]
+        if not any(col):
+            continue
+        if all(c in (0, a) for c, a in zip(col, alpha)) or all(
+            c in (0, -a) for c, a in zip(col, alpha)
+        ):
+            out.add(j)
+    return out
+
+
 def lower_score(S, n):
     """3**n - 2 * |eliminated set of the canonical vectors not in S|.
 

@@ -147,6 +147,39 @@ class TestAlignedColumns:
         with pytest.raises(DomainError):
             aligned_columns(m, (1, 1))
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ((1, 5), "invalid sign entry 5 in (1, 5)"),
+            ((-1,), "(-1,) is not canonical (first nonzero entry must be +1)"),
+            ((1,), "assignment length 1 != row count 2"),
+        ],
+    )
+    def test_reads_alpha_by_the_sign_row_rule(self, alpha, message):
+        m = SignMatrix.from_rows([(1, 0), (0, 1)])
+        with pytest.raises(DomainError) as caught:
+            aligned_columns(m, alpha)
+        assert str(caught.value) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(max_n=5, max_rows=4))
+    def test_matches_the_column_loop_oracle(self, matrix):
+        for alpha in canonical_sign_vectors(matrix.m):
+            expected = oracles.aligned_columns(matrix.rows, alpha)
+            assert aligned_columns(matrix, alpha) == expected, alpha
+
+    def test_one_helper_serves_both_callers(self, monkeypatch):
+        def broken(cols, alphas):
+            raise AssertionError("alignment helper called")
+
+        monkeypatch.setattr(counting, "_aligned", broken)
+        counting._intersection_count.cache_clear()
+        m = SignMatrix.from_rows([(1, 0, 1), (0, 1, 1)])
+        with pytest.raises(AssertionError, match="alignment helper called"):
+            aligned_columns(m, (1, 1))
+        with pytest.raises(AssertionError, match="alignment helper called"):
+            count_eliminated_intersection(m)
+
 
 class TestIntersection:
     def test_frozen_pairs(self):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signelim import (
+    CoverReport,
     DomainError,
     SignMatrix,
     canonical_sign_vectors,
@@ -72,6 +73,17 @@ class TestVectorFamilies:
         for t in family:
             for s in family:
                 assert eliminates(t, s) == (t == s)
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_full_support_rejects_a_bad_length(self, n):
+        with pytest.raises(DomainError, match="vector length must be a positive int"):
+            full_support_vectors(n)
+
+    def test_full_support_length_is_capped(self, monkeypatch):
+        monkeypatch.setenv("SIGNELIM_MAX_N", "3")
+        assert len(full_support_vectors(3)) == 4
+        with pytest.raises(ResourceLimitError, match="SIGNELIM_MAX_N"):
+            full_support_vectors(4)
 
     def test_unit_vectors(self):
         assert unit_vectors(3) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
@@ -169,7 +181,7 @@ class TestCoverSearch:
     )
     def test_search_matches_brute_force(self, monkeypatch, n, max_size):
         # column ranks are not compared; skipping them keeps the sweep fast
-        monkeypatch.setattr(covers, "column_rank", lambda matrix: 0)
+        monkeypatch.setattr(covers, "_rank", lambda rows: 0)
         found = [(r.members, r.is_minimal) for r in cover_reports(n, max_size)]
         expected = [
             (members, minimal)
@@ -181,6 +193,24 @@ class TestCoverSearch:
     def test_rejects_zero_max_size(self):
         with pytest.raises(DomainError):
             minimal_covers(2, 0)
+
+    def test_reports_read_their_rows_without_a_sign_matrix(self, monkeypatch):
+        built = []
+        check = SignMatrix.__post_init__
+        monkeypatch.setattr(
+            SignMatrix, "__post_init__", lambda self: built.append(self) or check(self)
+        )
+        reports = cover_reports(2, 6)
+        expected = [
+            CoverReport(members, 2, True, minimal, oracles.column_rank(members))
+            for members, minimal in brute_force_covers(2)
+            if len(members) <= 6
+        ]
+        assert reports == expected
+        assert describe_cover([(1, 1), (1, -1)], 2) == CoverReport(
+            ((1, 1), (1, -1)), 2, True, True, 2
+        )
+        assert built == []
 
 
 class TestDescribeCover:

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 ``__all__`` entry is bound in its module, every name ``__init__.py``
-re-exports exists in the module it comes from, and no run of four code lines
-is written twice in the package.
+re-exports exists in the module it comes from, and no run of three code
+lines is written twice in the package.
 
 A standard-library stand-in for a lint rule: `__init__.py` is skipped by the
 unused-import scan because its imports are the package's re-exports.
@@ -140,7 +140,7 @@ def code_lines(source: str) -> list[tuple[int, str]]:
     ]
 
 
-def repeated_blocks(sources: dict[str, str], size: int = 4) -> list[list[str]]:
+def repeated_blocks(sources: dict[str, str], size: int = 3) -> list[list[str]]:
     """Each run of ``size`` consecutive code lines found more than once across
     the sources, as the ``name:line`` of every place it starts."""
     places = defaultdict(list)
@@ -182,7 +182,12 @@ def test_the_copy_scan_sees_a_repeated_block():
         + "def h(value):\n"
         + "".join(block[1:])
     )
-    assert repeated_blocks({"one.py": one, "two.py": two}) == [["one.py:11", "two.py:12"]]
+    assert repeated_blocks({"one.py": one, "two.py": two}, size=4) == [["one.py:11", "two.py:12"]]
+    # at the guard's three lines, h's copy of the last three lines is seen too
+    assert repeated_blocks({"one.py": one, "two.py": two}) == [
+        ["one.py:11", "two.py:12"],
+        ["one.py:12", "two.py:14", "two.py:19"],
+    ]
 
 
 def test_no_run_of_code_lines_is_written_twice():

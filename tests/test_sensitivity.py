@@ -375,6 +375,12 @@ class TestProjectionFamily:
             with pytest.raises((DomainError, TypeError)):
                 default_family(bad)
 
+    @pytest.mark.parametrize("dim", [True, 1.0, "1", 0, -2])
+    def test_output_dim_must_be_an_int_of_at_least_one(self, dim):
+        with pytest.raises(DomainError) as caught:
+            ProjectionFamily(((1,),), dim)
+        assert str(caught.value) == f"output_dim must be an int >= 1, got {dim!r}"
+
     def test_duplicates_keep_their_first_occurrence(self):
         family = ProjectionFamily.from_vectors(
             [(1, -2), (-1, 2), (0, 3), ("2", 1), (0, -3), (1, -2), (-2, -1), (0, 1)],
@@ -1463,6 +1469,35 @@ def big_record_sets(draw):
     output = st.tuples(*[st.sampled_from(BIG_OUTPUTS)] * 2)
     record = st.builds(ExperimentRecord, st.sampled_from(BIG_POINTS), output)
     return draw(st.lists(record, min_size=2, max_size=10))
+
+
+@st.composite
+def id_matrices(draw):
+    """Small int8 or int64 matrices with repeated rows, one column included."""
+    dtype = draw(st.sampled_from([np.int8, np.int64]))
+    if dtype is np.int8:
+        values = st.integers(-2, 2)
+    else:
+        values = st.sampled_from([-(2**62), -1, 0, 3, 2**62])
+    width = draw(st.integers(1, 4))
+    row = st.lists(values, min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return np.array(rows, dtype=dtype)
+
+
+class TestRowIds:
+    @settings(max_examples=200, deadline=None)
+    @given(id_matrices())
+    @example(np.array([[3], [3], [3]], dtype=np.int8))
+    @example(np.array([[1, -1], [0, 2], [1, -1], [0, 1]], dtype=np.int64))
+    def test_ids_are_lexicographic_ranks_of_the_distinct_rows(self, matrix):
+        ids, first = sensitivity._row_ids(matrix)
+        rows = [tuple(row) for row in matrix.tolist()]
+        distinct = sorted(set(rows))
+        assert ids.tolist() == [distinct.index(row) for row in rows]
+        assert [rows[k] for k in first.tolist()] == distinct
+        assert ids[first].tolist() == list(range(len(distinct)))
 
 
 class TestExactCollisions:

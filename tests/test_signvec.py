@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from signelim import (
     vector_count,
     zero_count,
 )
+from signelim import backend
 from signelim.errors import ResourceLimitError
 from signelim.signvec import table_strings
 
@@ -181,6 +184,28 @@ class TestEliminates:
         n = len(t)
         s = data.draw(st.sampled_from(canonical_sign_vectors(n)))
         assert eliminates(t, s) == oracles.eliminates(t, s)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_the_oracle_exhaustively(self, n):
+        for t in product((-1, 0, 1, UNDETERMINED), repeat=n):
+            for s in canonical_sign_vectors(n):
+                assert eliminates(t, s) == oracles.eliminates(t, s), (t, s)
+
+    def test_answers_by_the_scan_kernel(self, monkeypatch):
+        seen = []
+
+        def spy(grid, elim):
+            seen.append((grid.tolist(), elim.tolist()))
+            return real(grid, elim)
+
+        real = backend.eliminated_any_mask
+        monkeypatch.setattr(backend, "eliminated_any_mask", spy)
+        assert eliminates((1, UNDETERMINED, -1), (1, 0, 0))
+        assert not eliminates((1, UNDETERMINED, -1), (1, 0, 1))
+        assert seen == [
+            ([[1, 0, 0]], [[1, UNDETERMINED, -1]]),
+            ([[1, 0, 1]], [[1, UNDETERMINED, -1]]),
+        ]
 
     def test_rejects_length_mismatch_and_junk(self):
         with pytest.raises(DomainError):
