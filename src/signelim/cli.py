@@ -13,7 +13,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
-from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Sequence
@@ -478,9 +477,15 @@ def _gate_and_family(args):
     return gate, expansion, default_family(gate.output_dim)
 
 
-def _rational_flag(args, name: str) -> Fraction:
-    """The rational value of --eps or --delta; parse errors name the flag."""
-    return parse_rational_vector([getattr(args, name)], f"--{name}")[0]
+def _data_args(args, gate):
+    """The records of --data (None without it), --eps and --delta.
+
+    The flags are parsed first, so a malformed one is reported, naming the
+    flag, whether or not the CSV can be read.
+    """
+    eps, delta = (parse_rational_vector([getattr(args, k)], f"--{k}")[0] for k in ("eps", "delta"))
+    records = None if args.data is None else _read_experiment_csv(args.data, gate)
+    return records, eps, delta
 
 
 @contextmanager
@@ -495,12 +500,10 @@ def _naming_records(path):
 def _cmd_gate_analyze(args) -> int:
     started = time.perf_counter()
     gate, expansion, family = _gate_and_family(args)
-    eps = _rational_flag(args, "eps")
-    delta = _rational_flag(args, "delta")
-    if args.data is None:
+    records, eps, delta = _data_args(args, gate)
+    if records is None:
         analysis = analyze_gate(expansion, family=family)
     else:
-        records = _read_experiment_csv(args.data, gate)
         with _naming_records(args.data):
             analysis = analyze_gate(
                 expansion, family=family, records=records, eps=eps, delta=delta
@@ -536,9 +539,7 @@ def _cmd_gate_certify(args) -> int:
 def _cmd_data_bound(args) -> int:
     gate = load_gate(args.gate)
     expansion = expand(gate)
-    records = _read_experiment_csv(args.data, gate)
-    eps = _rational_flag(args, "eps")
-    delta = _rational_flag(args, "delta")
+    records, eps, delta = _data_args(args, gate)
     with _naming_records(args.data):
         bound = data_upper_bound(records, expansion, eps=eps, delta=delta)
     if bound is None:

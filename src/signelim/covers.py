@@ -23,8 +23,6 @@ from .counting import SignMatrix
 from .errors import DomainError, check_cap
 from .gates import parse_rational_vector
 from .signvec import (
-    DEFAULT_MAX_N,
-    ENV_MAX_N,
     _check_length,
     as_fraction_dot,
     canonicalize,
@@ -127,6 +125,7 @@ def full_support_vectors(n: int) -> frozenset[tuple[int, ...]]:
 
 def unit_vectors(n: int, positions: Optional[Iterable[int]] = None) -> frozenset[tuple[int, ...]]:
     """Standard unit sign vectors e_i for the given 0-based positions."""
+    _check_length(n)
     if positions is None:
         positions = range(n)
     out = set()
@@ -177,14 +176,14 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
 def _cover_search(n: int, max_size: int):
     """Yield (members, minimal) for every cover of size <= max_size.
 
-    The length n is checked against SIGNELIM_MAX_N, then the subset count is
+    The length n is checked by _check_length, then the subset count is
     summed size by size until it passes SIGNELIM_SEARCH_CAP, before any mask
     is built. Subsets of one size are judged in chunks of combinations of
     about _CHUNK_BYTES each.
     """
     if max_size < 1:
         raise DomainError(f"max_size must be >= 1, got {max_size}")
-    check_cap(n, ENV_MAX_N, DEFAULT_MAX_N, "length")
+    _check_length(n)
     count = vector_count(n)
     max_size = min(max_size, count)
     nodes = 0

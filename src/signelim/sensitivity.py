@@ -591,61 +591,61 @@ def _validate_records(records, expansion: MultilinearExpansion, delta: Fraction)
     return coded
 
 
-def _row_ids(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's rank among the distinct rows in lexicographic order, and
-    the index of one row of each rank: equal ids mark exactly equal rows."""
+def _sorted_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' lexicographic order, and along it whether each row differs
+    from the row before it: the distinct rows are matrix[order[first]]."""
     order = np.lexsort(matrix.T[::-1])
     # the sorted rows as one opaque value each, so neighbours compare at once
     row = np.dtype((np.void, matrix.itemsize * matrix.shape[1]))
     ordered = np.take(matrix, order, axis=0).view(row)[:, 0]
     first = np.ones(order.size, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    ids = np.empty(order.size, dtype=np.int64)
-    ids[order] = np.cumsum(first) - 1
-    return ids, order[first]
+    return order, first
 
 
 def _collision_pairs(
-    points: np.ndarray, values: Sequence[Fraction], outputs: np.ndarray, eps: Fraction
-) -> tuple[np.ndarray, np.ndarray]:
-    """Colliding records as two index arrays (a, b), a < b elementwise.
+    ranks: np.ndarray, values: Sequence[Fraction], outputs: np.ndarray, eps: Fraction
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Colliding records as index arrays (a, b), a < b elementwise, and the
+    int8 rows sign(ranks[b] - ranks[a]).
 
     Two records collide when their points differ and every output component
-    differs by at most eps. Row k of ``points`` is record k's point in any
-    exact encoding; row k of ``outputs`` holds its output as ids into
-    ``values``. The records are sorted by a key and each is paired with the
-    later ones inside a ``searchsorted`` window: for eps = 0 the key numbers
-    the rows of output ids and the window is a bucket of equal outputs; for
-    eps > 0 the key is the first output component scaled to ints by _scaled
-    with eps, the window a width of eps on it, and the other components are
-    compared on the scaled ints. The cost is the number of records plus the
-    number of candidate pairs, not the square of the record count.
+    differs by at most eps. Rows of ``ranks`` and ``outputs`` hold record k's
+    point and output as ids into ``values``, which are value ranks, so a pair
+    is at one point exactly when its sign row is zero. The records are sorted
+    once and each is paired with the later ones inside a ``searchsorted``
+    window: for eps = 0 the sort is _sorted_rows of the outputs and the window
+    a run of equal rows; for eps > 0 the key is the first output component
+    scaled to ints by _scaled with eps, the window a width of eps on it, and
+    the other components are compared on the scaled ints. The cost is the
+    number of records plus the number of candidate pairs, not the square of
+    the record count.
     """
     if eps < 0:
         raise DomainError("eps must be >= 0")
-    none = np.zeros(0, dtype=np.int64)
-    if len(outputs) < 2:
-        return none, none
     if eps == 0:
-        key, width = _row_ids(outputs)[0], 0
+        order, first = _sorted_rows(outputs)
+        key, width = np.cumsum(first), 0
     else:
         scaled, scale = _scaled(values, outputs, eps)
-        key, width = scaled[:, 0], int(eps * scale)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+        order = np.argsort(scaled[:, 0], kind="stable")
+        key, width = scaled[order, 0], int(eps * scale)
     counts = np.searchsorted(key, key + width, side="right") - np.arange(1, key.size + 1)
     # one candidate (left, right) per sorted position and each later position
     # inside its window
     left = np.repeat(np.arange(key.size), counts)
     right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(counts) - counts, counts)
     a, b = order[left], order[right]
-    ids = _row_ids(points)[0]
-    keep = ids[a] != ids[b]
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    # one input column at a time, so no pairs x columns int64 array is built
+    signs = np.empty((a.size, ranks.shape[1]), dtype=np.int8)
+    for c, column in enumerate(ranks.T):
+        signs[:, c] = np.sign(column[b] - column[a])
+    keep = signs.any(axis=1)
     if eps > 0:
         for c in range(1, outputs.shape[1]):
             keep &= abs(scaled[a, c] - scaled[b, c]) <= width
-    a, b = a[keep], b[keep]
-    return np.minimum(a, b), np.maximum(a, b)
+    return a[keep], b[keep], signs[keep]
 
 
 def _collision_scores(
@@ -653,26 +653,23 @@ def _collision_scores(
 ) -> tuple[dict[Index, ScorePair], Optional[DataBound]]:
     """Collision score at every base point, and the first maximum as a bound.
 
-    The records are coded and checked once. Their coordinate ids are value
-    ranks, so every pair's signs come from int64 differences and equal id
-    rows are equal points. The distinct pair signs, projected onto each base
-    point's free coordinates, go through _sweep one base point at a time, the
-    same sweep witness total signs take; each base point scores the popcount
-    of its mask.
+    The records are coded and checked once, and _collision_pairs gives every
+    pair's int8 sign row, block by block. The distinct sign rows, projected
+    onto each base point's free coordinates, go through _sweep one base point
+    at a time, the same sweep witness total signs take; each base point
+    scores the popcount of its mask.
     Returns ({}, None) when no two records collide at distinct points.
     """
     coded = _validate_records(records, expansion, delta)
     _check_caps(expansion)
     width = sum(expansion.arities)
-    ranks = coded.ids[:, :width]
-    a, b = _collision_pairs(ranks, coded.values, coded.ids[:, width:], eps)
-    if not a.size:
+    signs = _collision_pairs(coded.ids[:, :width], coded.values, coded.ids[:, width:], eps)[2]
+    if not signs.size:
         return {}, None
     n_reduced = reduced_dimension(expansion)
-    # sign(b - a) of every pair on every input coordinate, block by block
-    signs = np.sign(ranks[b] - ranks[a]).astype(np.int8)
     # Projecting the distinct rows gives the same row set as projecting all.
-    distinct = signs[_row_ids(signs)[1]]
+    order, first = _sorted_rows(signs)
+    distinct = signs[order[first]]
     starts = np.cumsum((0,) + expansion.arities[:-1])
     # one block per base point: the distinct rows on its free coordinates
     projected = (
@@ -684,7 +681,7 @@ def _collision_scores(
     }
     z = max(scores, key=lambda z: scores[z].value)
     return scores, DataBound(
-        score=scores[z], base_point=z, collisions=a.size, heuristic=eps > 0
+        score=scores[z], base_point=z, collisions=len(signs), heuristic=eps > 0
     )
 
 

@@ -261,6 +261,11 @@ class TestCoversCommand:
         members = {frozenset(c["members"]) for c in covers}
         assert frozenset(("+0", "0+")) in members
 
+    def test_covers_and_zs_reject_a_zero_length_alike(self, capsys):
+        message = "error: vector length must be a positive int, got 0\n"
+        assert run(capsys, "covers", "--n", "0", "--max-size", "1") == (1, "", message)
+        assert run(capsys, "zs", "--n", "0") == (1, "", message)
+
     def test_cap_violation_exits_one(self, capsys, monkeypatch):
         monkeypatch.setenv("SIGNELIM_SEARCH_CAP", "5")
         code, _, err = run(capsys, "covers", "--n", "3", "--max-size", "3")
@@ -600,6 +605,21 @@ class TestDataCommands:
         assert out == ""
         assert err.startswith(f"error: {flag}: cannot parse rational from {value!r}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    def test_a_bad_flag_is_reported_before_a_missing_file(
+        self, capsys, first_gate_path, tmp_path, flag
+    ):
+        missing = str(tmp_path / "missing.csv")
+        gate = str(first_gate_path)
+        bound = run(capsys, "data", "bound", gate, missing, flag, "x")
+        analyze = run(capsys, "gate", "analyze", gate, "--data", missing, flag, "x")
+        assert bound == analyze
+        assert bound[:2] == (1, "")
+        assert bound[2].startswith(f"error: {flag}: cannot parse rational from 'x'")
+        assert bound[2].count("\n") == 1
+        # without --data the flag is still parsed
+        assert run(capsys, "gate", "analyze", gate, flag, "x") == bound
 
     @pytest.mark.parametrize(
         "row, message",

@@ -93,6 +93,17 @@ class TestVectorFamilies:
         with pytest.raises(DomainError):
             unit_vectors(3, [])
 
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_unit_vectors_reject_a_bad_length(self, n):
+        with pytest.raises(DomainError, match="vector length must be a positive int"):
+            unit_vectors(n)
+
+    def test_unit_vector_length_is_capped(self, monkeypatch):
+        monkeypatch.setenv("SIGNELIM_MAX_N", "3")
+        assert len(unit_vectors(3)) == 3
+        with pytest.raises(ResourceLimitError, match="SIGNELIM_MAX_N"):
+            unit_vectors(4)
+
 
 class TestCoverPredicates:
     def test_whole_universe_is_a_cover(self):
@@ -189,6 +200,11 @@ class TestCoverSearch:
             if len(members) <= max_size
         ]
         assert found == expected
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_search_rejects_a_bad_length(self, n):
+        with pytest.raises(DomainError, match="vector length must be a positive int"):
+            minimal_covers(n, 1)
 
     def test_rejects_zero_max_size(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, product
 
@@ -1015,11 +1016,13 @@ def collision_pairs(records, eps):
     dim = len(records[0].output) if records else 1
     coded = sensitivity._coded(records, arities, dim)
     width = sum(arities)
-    a, b = sensitivity._collision_pairs(
-        coded.ids[:, :width], coded.values, coded.ids[:, width:], eps
-    )
+    ranks = coded.ids[:, :width]
+    a, b, signs = sensitivity._collision_pairs(ranks, coded.values, coded.ids[:, width:], eps)
     assert a.dtype == b.dtype == np.int64
     assert (a < b).all()
+    assert signs.dtype == np.int8
+    assert signs.tolist() == np.sign(ranks[b] - ranks[a]).tolist()
+    assert signs.any(axis=1).all()
     return list(zip(a.tolist(), b.tolist()))
 
 
@@ -1093,6 +1096,50 @@ class TestDataBounds:
             seeded_records(2, gate, count=64), expand(gate), F(1, 4), F(0)
         )
         assert drawn == list(scores) == list(product(range(2), repeat=3))
+
+    def test_each_matrix_is_sorted_once(self, monkeypatch):
+        # eps = 0: one sort of the output ids and one of the pair signs, and
+        # no argsort after either
+        sorted_rows, sorted_shapes = sensitivity._sorted_rows, []
+
+        def spy(matrix):
+            sorted_shapes.append((matrix.dtype, matrix.shape))
+            return sorted_rows(matrix)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("argsort at eps = 0")
+
+        records = sensitivity._coded(projection_records(), FIRST.arities, 1)
+        monkeypatch.setattr(sensitivity, "_sorted_rows", spy)
+        monkeypatch.setattr(np, "argsort", fail)
+        _, bound = sensitivity._collision_scores(records, expand(FIRST), F(0), F(0))
+        assert bound.collisions == 2
+        assert sorted_shapes == [(records.ids.dtype, (4, 1)), (np.dtype(np.int8), (2, 4))]
+
+    def test_collision_memory_is_linear_in_the_pairs_with_a_small_constant(self):
+        # 300 distinct interior points of a constant (2,)^4 gate: every pair
+        # collides. The peak counts the candidate and index arrays and the
+        # int8 sign rows, with no pairs x coordinates int64 array.
+        gate = boolean_gate([0] * 16, 4)
+        rng = random.Random(0)
+        points = set()
+        while len(points) < 300:
+            points.add(tuple(F(rng.randrange(1, 1000), 1000) for _ in range(4)))
+        records = sensitivity._coded(
+            [ExperimentRecord(tuple((1 - p, p) for p in point), (F(0),)) for point in points],
+            gate.arities,
+            1,
+        )
+        expansion = expand(gate)
+        sensitivity._collision_scores(records, expansion, F(0), F(0))  # warm caches
+        tracemalloc.start()
+        try:
+            _, bound = sensitivity._collision_scores(records, expansion, F(0), F(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound.collisions == 300 * 299 // 2
+        assert peak / bound.collisions < 100
 
     def test_no_collisions_yields_none(self):
         records = [
@@ -1486,18 +1533,22 @@ def id_matrices(draw):
     return np.array(rows, dtype=dtype)
 
 
-class TestRowIds:
+class TestSortedRows:
     @settings(max_examples=200, deadline=None)
     @given(id_matrices())
     @example(np.array([[3], [3], [3]], dtype=np.int8))
     @example(np.array([[1, -1], [0, 2], [1, -1], [0, 1]], dtype=np.int64))
     def test_ids_are_lexicographic_ranks_of_the_distinct_rows(self, matrix):
-        ids, first = sensitivity._row_ids(matrix)
+        order, first = sensitivity._sorted_rows(matrix)
+        # each row's rank among the distinct rows, and one row of each rank
+        ids = np.empty(order.size, dtype=np.int64)
+        ids[order] = np.cumsum(first) - 1
+        representatives = order[first]
         rows = [tuple(row) for row in matrix.tolist()]
         distinct = sorted(set(rows))
         assert ids.tolist() == [distinct.index(row) for row in rows]
-        assert [rows[k] for k in first.tolist()] == distinct
-        assert ids[first].tolist() == list(range(len(distinct)))
+        assert [rows[k] for k in representatives.tolist()] == distinct
+        assert ids[representatives].tolist() == list(range(len(distinct)))
 
 
 class TestExactCollisions:
