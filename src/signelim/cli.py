@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import lru_cache
@@ -232,59 +233,53 @@ def _load_family(path, output_dim) -> ProjectionFamily:
         return ProjectionFamily.from_vectors(obj, output_dim)
 
 
+def _crosscheck(rows: np.ndarray, mask: np.ndarray, negated: bool, size: int, n: int) -> str:
+    """The counting cross-check of the ``size`` rows ``mask`` selects, or
+    leaves out when negated: "skipped" unless 1 <= size <= 6, else whether the
+    closed-form union count equals the oracle's, "passed" or "failed"."""
+    if not 1 <= size <= 6:
+        return "skipped"
+    vectors = rows[~mask if negated else mask].tolist()
+    agrees = count_eliminated_union(vectors) == count_eliminated_oracle(vectors, n)
+    return "passed" if agrees else "failed"
+
+
 def _analysis_document(
     analysis: GateAnalysis, gate, family: ProjectionFamily, started: float
 ) -> tuple[dict, bool]:
     """Assemble the analysis document; returns (document, crosscheck_ok).
 
-    Every report's lower set arrives as its mask over table(N), and the
-    document reads it from there:
-
-    * the counting cross-check takes the lower set and its complement; a
-      subset whose size (a popcount of the mask or of its negation) is 1 to
-      6 is turned into tuples and its closed-form union count compared with
-      the oracle, every other subset is counted as skipped; reports with
-      equal masks share one array, so each distinct mask is compared once
-      and its outcome counted for every report;
-    * the ``sens_lower`` strings are the mask's entries of the per-N cached
-      string column ``table_strings(N)``, already in enumeration order;
-    * reports with a shared mask share one ``sens_lower`` list;
-    * each functional is rendered once, into the ``family`` strings, and
-      every witness list, the reports' and the certificates', is a
-      _Witnesses over them.
+    Reports with equal lower sets share one mask over table(N), and one pass
+    over the reports does each shared mask's work once, memoized by its id:
+    the ``sens_lower`` strings (its entries of the cached ``table_strings(N)``,
+    in enumeration order; their count is the set's size) and the _crosscheck
+    outcomes of the set and its complement, which is built only when its size,
+    the table's minus the set's, is 1 to 6. Every report adds its two
+    outcomes to the tally. Each functional is rendered once, into the
+    ``family`` strings, which every witness list (_Witnesses) indexes.
     """
-    checked = passed = failed = skipped = 0
     n_reduced = analysis.n_reduced
-    rows = table(n_reduced)
-    agrees: dict[tuple[int, bool], bool] = {}  # (id of a shared mask, negated)
-    for report in analysis.reports:
-        for negated, subset in ((False, report.mask), (True, ~report.mask)):
-            if 1 <= np.count_nonzero(subset) <= 6:
-                checked += 1
-                key = (id(report.mask), negated)
-                if key not in agrees:
-                    vectors = rows[subset].tolist()
-                    closed = count_eliminated_union(vectors)
-                    agrees[key] = closed == count_eliminated_oracle(vectors, n_reduced)
-                if agrees[key]:
-                    passed += 1
-                else:
-                    failed += 1
-            else:
-                skipped += 1
-    strings = table_strings(n_reduced)
+    rows, strings = table(n_reduced), table_strings(n_reduced)
     family_json, witnesses_json = _witness_text(family.functionals)
-    lower: dict[int, list[str]] = {}  # id of a shared mask -> sens_lower
+    memo: dict[int, tuple[list[str], tuple[str, str]]] = {}  # id of a shared mask
+    tally = Counter()
     reports_json = []
     for report in analysis.reports:
-        if id(report.mask) not in lower:
-            lower[id(report.mask)] = strings[report.mask].astype(str).tolist()
+        mask = report.mask
+        if id(mask) not in memo:
+            lower = strings[mask].astype(str).tolist()
+            memo[id(mask)] = lower, (
+                _crosscheck(rows, mask, False, len(lower), n_reduced),
+                _crosscheck(rows, mask, True, mask.size - len(lower), n_reduced),
+            )
+        lower, outcomes = memo[id(mask)]
+        tally.update(outcomes)
         reports_json.append(
             {
                 "base_point": list(report.base_point),
                 "witnesses": witnesses_json(report.witnesses),
-                "sens_lower": lower[id(report.mask)],
-                "sens_lower_size": len(lower[id(report.mask)]),
+                "sens_lower": lower,
+                "sens_lower_size": len(lower),
                 "cs_lower": _score_json(report.score),
                 "certificate": _certificate_json(report.certificate, witnesses_json),
                 "data_upper": (
@@ -322,14 +317,14 @@ def _analysis_document(
         ),
         "certificate": _certificate_json(analysis.certificate, witnesses_json),
         "counting_crosscheck": {
-            "checked": checked,
-            "passed": passed,
-            "failed": failed,
-            "skipped": skipped,
+            "checked": tally["passed"] + tally["failed"],
+            "passed": tally["passed"],
+            "failed": tally["failed"],
+            "skipped": tally["skipped"],
         },
         "timing_seconds": time.perf_counter() - started,
     }
-    return document, failed == 0
+    return document, not tally["failed"]
 
 
 def _flag_signs(text: str, flag: str, *, total: bool = True) -> tuple[int, ...]:

@@ -49,7 +49,7 @@ __all__ = [
     "count_intersection_oracle",
 ]
 
-DEFAULT_SUBSET_CAP = 20
+DEFAULT_SUBSET_CAP = 12
 ENV_SUBSET_CAP = "SIGNELIM_SUBSET_CAP"
 
 # Row-sign assignments per broadcast in _intersection_count; one chunk covers
@@ -164,10 +164,10 @@ def count_eliminated_union(X: Iterable[Sequence[int]]) -> int:
 
     For m distinct vectors there are 2**m - 1 subsets, and a subset of k rows
     enumerates its (3**k - 1) // 2 canonical row-sign assignments, so the
-    cost grows as (4**m - 2**m) / 2 assignments in all. The row count is
-    checked before any subset is counted, against the subset cap (default 20,
-    env SIGNELIM_SUBSET_CAP) and, because the full subset enumerates the
-    assignments of all m rows, against SIGNELIM_MAX_N (default 16).
+    cost grows as (4**m - 2**m) / 2 assignments in all, about 4x per row. The
+    row count is checked before any subset is counted, against the subset cap
+    (default 12, env SIGNELIM_SUBSET_CAP) and, because the full subset
+    enumerates the assignments of all m rows, against SIGNELIM_MAX_N.
     """
     rows = sign_rows(X)
     if not rows:

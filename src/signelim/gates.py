@@ -34,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from numbers import Rational
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -123,7 +123,8 @@ def _validate_tensor(
     """A gate's table, which is its expansion's coefficients, checked.
 
     Every arity is an int >= 2, output_dim an int >= 1, every index in range,
-    every entry a vector of output_dim rationals, and no index is missing.
+    every entry a vector of output_dim rationals, and no index is missing:
+    the table size minus the entries, so no index set of a huge gate is built.
     """
     for i, a in enumerate(arities):
         if not isinstance(a, int) or a < 2:
@@ -134,17 +135,19 @@ def _validate_tensor(
     # type(), not isinstance: a JSON true is a bool, which subclasses int
     if type(output_dim) is not int or output_dim < 1:
         raise ValidationError(f"output_dim must be an int >= 1, got {output_dim!r}")
-    expected = set(product(*(range(a) for a in arities)))
     out = {}
     for idx, vec in entries.items():
         key = tuple(idx)
-        if key not in expected:
+        if len(key) != len(arities) or not all(k in range(a) for k, a in zip(key, arities)):
             raise ValidationError(f"table index {key!r} out of range for arities {arities}")
         out[key] = _validate_vector(vec, output_dim, f"entry {key!r}")
-    missing = expected - set(out)
-    if missing:
-        shown = sorted(missing)[:8]
-        raise ValidationError(f"table is missing {len(missing)} entries, e.g. {shown}")
+    size = math.prod(arities)
+    if len(out) < size:
+        # the first eight missing indices, in lexicographic order, one at a time
+        strides = [math.prod(arities[i + 1 :]) for i in range(len(arities))]
+        keys = (tuple(k // d % a for d, a in zip(strides, arities)) for k in range(size))
+        shown = list(islice((key for key in keys if key not in out), 8))
+        raise ValidationError(f"table is missing {size - len(out)} entries, e.g. {shown}")
     return out
 
 

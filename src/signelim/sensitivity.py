@@ -636,6 +636,7 @@ def _collision_pairs(
     left = np.repeat(np.arange(key.size), counts)
     right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(counts) - counts, counts)
     a, b = order[left], order[right]
+    del left, right  # 16 B per candidate pair, not read again
     a, b = np.minimum(a, b), np.maximum(a, b)
     # one input column at a time, so no pairs x columns int64 array is built
     signs = np.empty((a.size, ranks.shape[1]), dtype=np.int8)

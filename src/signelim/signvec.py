@@ -74,9 +74,8 @@ def _check_length(n: int) -> None:
 
 
 def vector_count(n: int) -> int:
-    """Number of canonical sign vectors of length n: (3**n - 1) // 2."""
-    if n < 1:
-        raise DomainError(f"vector length must be >= 1, got {n}")
+    """Number of canonical sign vectors of length n (_check_length): (3**n - 1) // 2."""
+    _check_length(n)
     return (3**n - 1) // 2
 
 

@@ -5,13 +5,15 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signelim import boolean_gate, dumps_gate, load_gate, parse_experiment_csv
+from signelim import boolean_gate, dumps_gate, expand, load_gate, parse_experiment_csv
 from signelim import cli, counting, covers, selftest, sensitivity
 from signelim.cli import main
 from signelim.gates import rational_string
@@ -218,6 +220,18 @@ class TestCountCommands:
         assert err.startswith("error: intersection row count 4 ")
         assert "SIGNELIM_MAX_N" in err
 
+    def test_set_union_caps_its_row_count_at_twelve(self, capsys, monkeypatch):
+        # 13 rows are minutes of inclusion-exclusion; the default cap rejects
+        # them before any subset is counted
+        monkeypatch.setattr(counting, "_intersection_count", fail_if_called)
+        rows = [f"--x={sign_string(v)}" for v in canonical_sign_vectors(3)]
+        assert len(rows) == 13
+        code, out, err = run(capsys, "count", "set", *rows)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: union row count 13 exceeds the cap 12; set SIGNELIM_SUBSET_CAP to raise it\n"
+        )
+
     def test_oracle(self, capsys):
         code, out, _ = run(capsys, "count", "oracle", "--x", "+u0")
         assert code == 0
@@ -373,6 +387,47 @@ class TestGateCommands:
             "failed": 4,
             "skipped": 0,
         }
+
+    def test_the_document_does_each_masks_work_once(self, monkeypatch):
+        # AND of three bits: eight reports over five distinct masks, which
+        # mark 0, 1, 1, 1 and 7 of the 13 sign vectors of length 3
+        inverted = []
+
+        class Spy(np.ndarray):
+            def __invert__(self):
+                inverted.append(self.size - np.count_nonzero(self))
+                return np.logical_not(self)
+
+        gate = boolean_gate([0] * 7 + [1], 3)
+        analysis = sensitivity.analyze_gate(expand(gate))
+        spies = {id(r.mask): r.mask.view(Spy) for r in analysis.reports}
+        spied = replace(
+            analysis,
+            reports=tuple(replace(r, mask=spies[id(r.mask)]) for r in analysis.reports),
+        )
+        checked = []
+        union = cli.count_eliminated_union
+        monkeypatch.setattr(cli, "count_eliminated_union", lambda X: checked.append(X) or union(X))
+        family = sensitivity.default_family(1)
+        document, ok = cli._analysis_document(spied, gate, family, 0.0)
+        sizes = sorted(int(np.count_nonzero(m)) for m in spies.values())
+        assert (len(analysis.reports), sizes) == (8, [0, 1, 1, 1, 7])
+        # the one complement of 1 to 6 rows is the only one built, and each
+        # distinct subset of 1 to 6 rows is cross-checked once
+        assert inverted == [6]
+        assert sorted(map(len, checked)) == [1, 1, 1, 6]
+        # every report still adds its two outcomes
+        lower = [r.mask.sum() for r in analysis.reports]
+        expected = sum(1 <= k <= 6 for k in lower) + sum(1 <= 13 - k <= 6 for k in lower)
+        assert ok
+        assert document["counting_crosscheck"] == {
+            "checked": expected,
+            "passed": expected,
+            "failed": 0,
+            "skipped": 16 - expected,
+        }
+        plain, _ = cli._analysis_document(analysis, gate, family, 0.0)
+        assert {**document, "timing_seconds": 0} == {**plain, "timing_seconds": 0}
 
     def test_certify_fixture(self, capsys):
         code, payload, _ = run_json(capsys, "gate", "certify", str(FIXTURE_PATH))

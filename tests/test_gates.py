@@ -1,5 +1,6 @@
 import ast
 import json
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -104,6 +105,28 @@ class TestGateValidation:
         del payload["entries"][0]
         with pytest.raises(ValidationError, match="missing"):
             gate_from_json(payload)
+
+    def test_missing_entries_are_listed_in_lexicographic_order(self):
+        # the count and the first eight, as the set difference sorted gives them
+        arities = (2, 3, 2)
+        every = list(product(*map(range, arities)))
+        for present in (every[::3], every[5:], every[:-1], [every[4]]):
+            missing = sorted(set(every) - set(present))
+            with pytest.raises(ValidationError) as exc:
+                Gate(arities, 1, {idx: (F(0),) for idx in present})
+            assert str(exc.value) == f"table is missing {len(missing)} entries, e.g. {missing[:8]}"
+
+    def test_a_short_table_of_a_huge_gate_is_rejected_by_its_entry_count(self, tmp_path):
+        # two entries of a 2,000,000-valued block: no index set is enumerated
+        path = tmp_path / "huge.json"
+        entries = [{"index": [k], "output": [str(k)]} for k in (0, 1)]
+        path.write_text(json.dumps({"arities": [2_000_000], "output_dim": 1, "entries": entries}))
+        started = time.perf_counter()
+        with pytest.raises(ValidationError) as exc:
+            load_gate(path)
+        assert time.perf_counter() - started < 0.5
+        shown = [(k,) for k in range(2, 10)]
+        assert str(exc.value) == f"{path}: table is missing 1999998 entries, e.g. {shown}"
 
     def test_rejects_duplicate_indices(self):
         payload = minimal_payload()

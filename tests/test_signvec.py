@@ -85,6 +85,17 @@ class TestEnumeration:
         vectors = canonical_sign_vectors(n)
         assert len(vectors) == (3**n - 1) // 2 == vector_count(n)
 
+    @pytest.mark.parametrize("n", [2.0, True, 0, -1])
+    def test_count_rejects_a_bad_length(self, n):
+        with pytest.raises(DomainError, match="vector length must be a positive int"):
+            vector_count(n)
+
+    def test_count_length_is_capped(self, monkeypatch):
+        monkeypatch.setenv("SIGNELIM_MAX_N", "3")
+        assert vector_count(3) == 13
+        with pytest.raises(ResourceLimitError, match="SIGNELIM_MAX_N"):
+            vector_count(4)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_brute_force_enumeration(self, n):
         assert canonical_sign_vectors(n) == oracles.canonical_vectors(n)
