@@ -10,10 +10,14 @@ call; ``tests/test_kernels.py`` checks both against the brute-force oracles.
   against a slice of the table at once, and one schedule, ``_blocks``, cuts
   every scan into blocks of at most ``_CHUNK_ROWS`` eliminator-row pairs, so
   temporaries stay bounded on large tables; it costs about
-  len(elim) * rows * n. Its two outputs read the same blocks: the union of
-  the rows' sets, ``eliminated_any_mask``, ORs them, and one set per row,
-  ``row_mask_bits``, packs them one bit per table row for the certificate,
-  the cover search and the joint count.
+  len(elim) * rows * n. Its two outputs read the same blocks. The union of
+  each group's rows, ``eliminated_any_masks``, takes a list of groups (the
+  new row sets of one block of a sweep, or one group for
+  ``eliminated_any_mask``), concatenates them in _batches of at most
+  ``_BATCH_CELLS`` eliminator-row pairs and ORs each group's rows of a
+  block into its own mask. One set per row, ``row_mask_bits``, packs them
+  one bit per table row for the certificate, the cover search and the joint
+  count.
 * A set given as a boolean mask over table(n), the complement of the set a
   base point scores: the transform, ``_elimination_counts``. Let C+- be the
   members and their negations. For a sign vector s let f(s) count the
@@ -21,16 +25,19 @@ call; ``tests/test_kernels.py`` checks both against the brute-force oracles.
   are 0 on supp(s). Then f(s) - g(s) is the number of members that
   eliminate s. f and g are Kronecker-product (Yates, fast zeta) transforms
   of C+-'s indicator on the grid of the 3**n base-3 codes, one 3 x 3 0/1
-  matrix per axis; the indicator is one ``np.bincount`` of the members'
+  matrix per axis; the indicator is the mask written at the members'
   cached canonical and negated codes. They cost about n * 3**n whatever the
-  set's size. Members are canonical, so no "u" reaches the grid.
+  set's size. It takes a stack of sets, one grid each, transformed along a
+  leading batch axis, and its callers stack at most ``_BATCH_CELLS`` grid
+  cells. Members are canonical, so no "u" reaches the grid.
 
-The transform needs no memory budget of its own. An int32 grid takes
-4 * 3**n bytes and table(n) takes n * (3**n - 1) / 2, so from n = 8 on a
-grid is no larger than the table. The transform holds about three grids and
-the two int64 code arrays at once, a fixed multiple of 3**n bytes (about
-120 MB at n = 14), so the length cap that bounds the table
-(``SIGNELIM_MAX_N``) bounds the transform too.
+The transform needs no memory budget beyond the batch's. An int32 grid
+takes 4 * 3**n bytes and table(n) takes n * (3**n - 1) / 2, so from n = 8
+on a grid is no larger than the table, and from n = 9 on a batch holds one
+grid. The transform holds about three grids and the two int64 code arrays
+at once, a fixed multiple of 3**n bytes (a tracemalloc peak of 110 MB at
+n = 14), so the length cap that bounds the table (``SIGNELIM_MAX_N``)
+bounds the transform too.
 
 Encoding: sign entries are int8 values -1, 0, +1. Total-sign rows may also
 contain UNDETERMINED (2), the "u" entry that forbids any nonzero coordinate
@@ -40,7 +47,10 @@ as digits 0 -> 0, +1 -> 1, -1 -> 2, the first entry most significant.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache, wraps
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -50,6 +60,24 @@ UNDETERMINED = 2
 # The scan materializes (eliminators x rows) int8 temporaries; blocks of at
 # most this many cells keep peak memory bounded on large tables.
 _CHUNK_ROWS = 1 << 18
+
+_BATCH_CELLS = 1 << 14
+"""The cells of one batch or block: eliminator rows times table rows in a
+batch of the scan, sets times 3**n grid cells in a batch of the transform,
+and int8 sign entries in a block of base points of the sweep.
+
+Derivation. Batching serves short tables, where a call's numpy overhead
+outweighs its work; at n >= 9 a batch must hold one set, as one call per
+set did before. table(9) has (3**9 - 1) / 2 = 9,841 rows and its grid
+3**9 = 19,683 cells, so any budget below 2 * 9,841 = 19,682 keeps one set
+per scan batch and one mask per transform batch from n = 9 on; 2**14 is the
+largest power of two that does. At n = 5-6 (121-364 table rows, 243-729
+grid cells) a batch still holds 45-135 eliminator rows or 22-67 masks, so
+an analysis of a gate of that size makes one or a few calls per kernel.
+Batches of up to _CHUNK_ROWS cells raised the peak RSS of analyze_gate on
+large gates, in a fresh process: (3,)^5 with two outputs read 47.1 MB
+against 43.3 MB, and (2,)^9 with two outputs 43.4 MB against 38.5 MB.
+"""
 
 
 def backend_name() -> str:
@@ -181,12 +209,51 @@ def _blocks(table: np.ndarray, elim: np.ndarray):
             yield k, i, _row_masks(table[i], elim[k])
 
 
+def _batches(cells: Sequence[int]):
+    """Split items into runs whose cells sum to at most _BATCH_CELLS.
+
+    Yields (start, stop) over consecutive items, in order; an item larger
+    than the budget makes a run of its own, so every run holds one item at
+    least.
+    """
+    start, total = 0, 0
+    for k, size in enumerate(cells):
+        if k > start and total + size > _BATCH_CELLS:
+            yield start, k
+            start, total = k, 0
+        total += size
+    if cells:
+        yield start, len(cells)
+
+
+def eliminated_any_masks(table: np.ndarray, groups: Sequence[np.ndarray]) -> np.ndarray:
+    """Row g: the mask over table rows eliminated by some row of groups[g].
+
+    The groups go through the scan in _batches of consecutive groups, a
+    group costing its rows times the table's rows. A batch is one
+    eliminator matrix cut by _blocks, and each group ORs its rows in a block
+    into its own mask, so a group split between blocks is OR-ed in block by
+    block. A group without rows eliminates nothing.
+    """
+    out = np.zeros((len(groups), table.shape[0]), dtype=bool)
+    sizes = [group.shape[0] for group in groups]
+    for lo, hi in _batches([size * table.shape[0] for size in sizes]):
+        # each group's first row and the row past it, in the batch's matrix
+        ends = list(accumulate(sizes[lo:hi]))
+        firsts = [0] + ends[:-1]
+        elim = groups[lo] if hi - lo == 1 else np.concatenate(groups[lo:hi])
+        for k, i, block in _blocks(table, elim):
+            # the group holding the block's first row, then each one starting
+            # inside the block
+            for g in range(bisect_right(firsts, k.start) - 1, bisect_left(firsts, k.stop)):
+                rows = block[max(firsts[g] - k.start, 0) : ends[g] - k.start]
+                out[lo + g, i] |= rows.any(axis=0)
+    return out
+
+
 def eliminated_any_mask(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
     """Mask over table rows eliminated by at least one eliminator row."""
-    out = np.zeros(table.shape[0], dtype=bool)
-    for _, i, block in _blocks(table, elim):
-        out[i] |= block.any(axis=0)
-    return out
+    return eliminated_any_masks(table, [elim])[0]
 
 
 def row_mask_bits(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
@@ -202,15 +269,19 @@ def row_mask_bits(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
 
 
 def _axis_transform(grid: np.ndarray, n: int, conformal: bool) -> np.ndarray:
-    """Apply a 3 x 3 0/1 matrix along every axis of a flat 3**n count grid.
+    """Apply a 3 x 3 0/1 matrix along every axis of flat 3**n count grids.
 
-    Output digit 0 (s_i = 0) sums every member digit. Output digits 1 and 2
-    (s_i = +1, -1) take member digit 0, plus, when ``conformal`` (f), the
-    digit of the same sign. Axes go first to last (Yates' algorithm), so
-    the result is indexed like the input, by base-3 code.
+    ``grid`` is one grid or a stack of them shaped (batch, 3**n), and the
+    result has its shape. Output digit 0 (s_i = 0) sums every member digit.
+    Output digits 1 and 2 (s_i = +1, -1) take member digit 0, plus, when
+    ``conformal`` (f), the digit of the same sign. Axes go first to last
+    (Yates' algorithm), so the result is indexed like the input, by base-3
+    code.
     """
+    shape = grid.shape
     for axis in range(n):
-        x = grid.reshape(3**axis, 3, 3 ** (n - 1 - axis))
+        # the batch axis and the axes before this one merge into the first
+        x = grid.reshape(-1, 3, 3 ** (n - 1 - axis))
         grid = np.empty_like(x)
         np.add(x[:, 0], x[:, 1], out=grid[:, 0])
         grid[:, 0] += x[:, 2]
@@ -218,21 +289,28 @@ def _axis_transform(grid: np.ndarray, n: int, conformal: bool) -> np.ndarray:
             np.add(x[:, :1], x[:, 1:], out=grid[:, 1:])
         else:
             grid[:, 1:] = x[:, :1]
-    return grid.reshape(-1)
+    return grid.reshape(shape)
 
 
 def _elimination_counts(n: int, members: np.ndarray) -> np.ndarray:
-    """Per row of table(n), how many members of a set eliminate it.
+    """Per set and row of table(n), how many members of the set eliminate it.
 
-    ``members`` is a boolean mask over table(n). With C+- the members and
-    their negations, the count is f(s) - g(s): a member t eliminates s
-    exactly when one of t, -t is conformal to s on supp(s) with a nonzero
-    there, which is what f counts beyond g. Counts stay below 3**n, within
-    int32 for every n whose table fits in memory.
+    ``members`` is a stack of boolean masks over table(n), shaped (sets,
+    rows), and so is the result. With C+- a set's members and their
+    negations, the count is f(s) - g(s): a member t eliminates s exactly
+    when one of t, -t is conformal to s on supp(s) with a nonzero there,
+    which is what f counts beyond g. A canonical code and a negated one
+    never coincide, so C+-'s indicator is the masks written at both codes.
+    Counts stay below 3**n, within int32 for every n whose table fits in
+    memory.
     """
-    canonical = _canonical_index(n)
-    codes = np.concatenate((canonical[members], _negated_index(n)[members]))
-    grid = np.bincount(codes, minlength=3**n).astype(np.int32)
+    # both code arrays before the grid: above n = 12 they are built afresh,
+    # and a build next to the grid would raise the peak
+    canonical, negated = _canonical_index(n), _negated_index(n)
+    grid = np.zeros((members.shape[0], 3**n), dtype=np.int32)
+    grid[:, canonical] = members
+    grid[:, negated] = members
+    del negated  # not held through the transforms
     f = _axis_transform(grid, n, conformal=True)
     g = _axis_transform(grid, n, conformal=False)
-    return f[canonical] - g[canonical]
+    return f[:, canonical] - g[:, canonical]

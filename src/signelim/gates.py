@@ -68,19 +68,22 @@ Vector = tuple[Fraction, ...]
 
 def parse_rational(value) -> Fraction:
     """Parse an exact rational (not a float or bool); a Fraction passes unchanged."""
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a rational, got boolean {value!r}")
-    if isinstance(value, Rational):
-        return value if type(value) is Fraction else Fraction(value)
-    if isinstance(value, float):
-        raise ValidationError(
-            f"floats are inexact; write {value!r} as a string like '1/3' or '0.5'"
-        )
+    # Fraction and str before the Rational check, a slow ABC check
+    if type(value) is Fraction:
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse rational from {value!r}: {exc}")
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a rational, got boolean {value!r}")
+    if isinstance(value, Rational):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise ValidationError(
+            f"floats are inexact; write {value!r} as a string like '1/3' or '0.5'"
+        )
     raise ValidationError(f"cannot parse rational from {value!r}")
 
 
@@ -95,12 +98,25 @@ def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
 
 
-def parse_rational_vector(values: Sequence, where: str) -> Vector:
-    """Parse every entry with parse_rational; errors name `where`."""
+def parse_rational_vector(values: Sequence, where: str, parse=parse_rational) -> Vector:
+    """Parse every entry with ``parse`` (parse_rational or a _TextMemo);
+    errors name `where`."""
     try:
-        return tuple(parse_rational(v) for v in values)
+        return tuple(map(parse, values))
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}")
+
+
+class _TextMemo(dict):
+    """Text -> Fraction for one input: each distinct text is parsed once.
+    Called on a value, it parses it as parse_rational does."""
+
+    def __missing__(self, text: str) -> Fraction:
+        self[text] = value = parse_rational(text)
+        return value
+
+    def __call__(self, value) -> Fraction:
+        return self[value] if type(value) is str else parse_rational(value)
 
 
 def rational_string(value) -> str:
@@ -140,7 +156,10 @@ def _validate_tensor(
         key = tuple(idx)
         if len(key) != len(arities) or not all(k in range(a) for k, a in zip(key, arities)):
             raise ValidationError(f"table index {key!r} out of range for arities {arities}")
-        out[key] = _validate_vector(vec, output_dim, f"entry {key!r}")
+        if type(vec) is tuple and len(vec) == output_dim and all(type(v) is Fraction for v in vec):
+            out[key] = vec  # parsed already, as gate_from_json does
+        else:
+            out[key] = _validate_vector(vec, output_dim, f"entry {key!r}")
     size = math.prod(arities)
     if len(out) < size:
         # the first eight missing indices, in lexicographic order, one at a time
@@ -361,6 +380,7 @@ def gate_from_json(obj) -> Gate:
     if not isinstance(entries, list):
         raise ValidationError("entries must be a list")
     table: dict[Index, Vector] = {}
+    parse = _TextMemo()  # this file's texts only
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict) or "index" not in entry or "output" not in entry:
             raise ValidationError(f"entry {pos} must be an object with index and output")
@@ -373,7 +393,7 @@ def gate_from_json(obj) -> Gate:
         out = entry["output"]
         if not isinstance(out, list):
             raise ValidationError(f"entry {pos}: output must be a list")
-        table[key] = parse_rational_vector(out, f"entry {pos}")
+        table[key] = parse_rational_vector(out, f"entry {pos}", parse)
     input_labels = None
     if "input_labels" in obj and obj["input_labels"] is not None:
         raw = obj["input_labels"]
@@ -393,7 +413,7 @@ def gate_from_json(obj) -> Gate:
                 )
             if not isinstance(item["output"], list):
                 raise ValidationError(f"output_labels[{pos}]: output must be a list")
-            vec = parse_rational_vector(item["output"], f"output_labels[{pos}]")
+            vec = parse_rational_vector(item["output"], f"output_labels[{pos}]", parse)
             output_labels[vec] = str(item["label"])
     return Gate(
         arities=tuple(arities),

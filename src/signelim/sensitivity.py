@@ -47,9 +47,11 @@ import numpy as np
 
 from .backend import (
     _base3_index,
+    _batches,
     _canonical_index,
     _elimination_counts,
     eliminated_any_mask,
+    eliminated_any_masks,
     row_mask_bits,
 )
 from .errors import DomainError, ValidationError, check_cap
@@ -311,26 +313,37 @@ def _score(n_reduced: int, eliminated: int) -> ScorePair:
     return ScorePair(value=value, log3=log3_value(value))
 
 
-def _lower_score(n_reduced: int, mask: np.ndarray) -> ScorePair:
-    """Score of the set `mask` marks over the length-N enumeration.
+def _lower_scores(n_reduced: int, masks: Sequence[np.ndarray]) -> list[ScorePair]:
+    """Score of each set ``masks`` marks over the length-N enumeration.
 
     An empty set scores 1, since every vector eliminates itself and so the
     complement eliminates everything, and a full set scores 3**N, since its
-    empty complement eliminates nothing; neither calls the kernel. Any other
-    complement goes to the transform, whose cost does not grow with its size.
+    empty complement eliminates nothing; neither calls the kernel. The other
+    complements go to the transform, whose cost does not grow with their
+    size, stacked in _batches of 3**N grid cells per set.
     """
-    if not mask.any():
-        return _score(n_reduced, mask.size)
-    if mask.all():
-        return _score(n_reduced, 0)
-    eliminated = np.count_nonzero(_elimination_counts(n_reduced, ~mask))
-    return _score(n_reduced, int(eliminated))
+    scores: list[Optional[ScorePair]] = [None] * len(masks)
+    mixed = []
+    for k, mask in enumerate(masks):
+        if not mask.any():
+            scores[k] = _score(n_reduced, mask.size)
+        elif mask.all():
+            scores[k] = _score(n_reduced, 0)
+        else:
+            mixed.append(k)
+    for lo, hi in _batches([3**n_reduced] * len(mixed)):
+        batch = mixed[lo:hi]
+        counts = _elimination_counts(n_reduced, ~np.stack([masks[k] for k in batch]))
+        for k, eliminated in zip(batch, np.count_nonzero(counts, axis=1).tolist()):
+            scores[k] = _score(n_reduced, eliminated)
+    return scores
 
 
-def _witness_score(
-    n_reduced: int, mask: np.ndarray, one_live: Optional[np.ndarray]
-) -> ScorePair:
-    """Score of the set `mask` marks, which the witnesses' total signs eliminate.
+def _witness_scores(
+    n_reduced: int, swept: Iterable[tuple[np.ndarray, Optional[np.ndarray]]]
+) -> list[ScorePair]:
+    """Score of each set ``mask`` marks, which the witnesses' total signs
+    eliminate, for the (mask, one_live) pairs ``swept``.
 
     Elimination is symmetric and reflexive on sign vectors, so the score of
     a set S is also 1 + 2 * #{s in S : E(s) within S}. When the live total
@@ -346,12 +359,17 @@ def _witness_score(
     * s + e_j, for a "u" position j of t.
 
     So the score is 3 when t has no "u" and 1 when it has one, with no
-    kernel call; any other set goes to _lower_score.
+    kernel call; the other sets go to _lower_scores together.
     """
-    if one_live is not None:
-        value = 1 if UNDETERMINED in one_live else 3
-        return ScorePair(value=value, log3=log3_value(value))
-    return _lower_score(n_reduced, mask)
+    swept = list(swept)
+    lower = iter(_lower_scores(n_reduced, [mask for mask, one_live in swept if one_live is None]))
+    return [
+        # log3 of 1 and 3 are 0 and 1
+        next(lower) if one_live is None
+        else ScorePair(1, 0.0) if UNDETERMINED in one_live
+        else ScorePair(3, 1.0)
+        for _, one_live in swept
+    ]
 
 
 def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> ScorePair:
@@ -367,7 +385,7 @@ def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> S
         # table(N) is in ascending order of its rows' base-3 codes
         codes = _base3_index(np.array(rows, dtype=np.int8))
         mask[np.searchsorted(_canonical_index(n_reduced), codes)] = True
-    return _lower_score(n_reduced, mask)
+    return _lower_scores(n_reduced, [mask])[0]
 
 
 @dataclass(frozen=True)
@@ -441,6 +459,18 @@ def verify_certificate(
     return bool(eliminated_any_mask(table(n_reduced), codes).all())
 
 
+class _LowerSet:
+    """The vectors a mask marks over table(n), as a frozenset of tuples built
+    on first use."""
+
+    def __init__(self, mask: np.ndarray, n: int) -> None:
+        self.mask, self.n = mask, n
+
+    @cached_property
+    def vectors(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(map(tuple, table(self.n)[self.mask].tolist()))
+
+
 @dataclass(frozen=True)
 class BasePointReport:
     """Everything computed at one base point.
@@ -449,7 +479,8 @@ class BasePointReport:
     some witness eliminates; it is read-only, reports of one analysis with
     equal witness signs share one array, and, being determined by the
     witnesses, it takes no part in equality or hashing. ``sens_lower`` is the
-    same set as a frozenset of tuples, built on first access.
+    same set as a frozenset of tuples, built on first access, once per
+    distinct mask of an analysis: its reports share one _LowerSet per mask.
     """
 
     base_point: Index
@@ -458,12 +489,16 @@ class BasePointReport:
     score: ScorePair
     certificate: Optional[Certificate]
     data_upper: Optional[ScorePair]
+    _lower: Optional[_LowerSet] = field(default=None, compare=False, repr=False)
 
-    @cached_property
+    def __post_init__(self) -> None:
+        if self._lower is None or self._lower.mask is not self.mask:
+            object.__setattr__(self, "_lower", _LowerSet(self.mask, len(self.witnesses[0][1])))
+
+    @property
     def sens_lower(self) -> frozenset[tuple[int, ...]]:
         """The vectors ``mask`` marks, as tuples."""
-        rows = table(len(self.witnesses[0][1]))[self.mask]
-        return frozenset(map(tuple, rows.tolist()))
+        return self._lower.vectors
 
 
 @dataclass(frozen=True)
@@ -656,9 +691,10 @@ def _collision_scores(
 
     The records are coded and checked once, and _collision_pairs gives every
     pair's int8 sign row, block by block. The distinct sign rows, projected
-    onto each base point's free coordinates, go through _sweep one base point
-    at a time, the same sweep witness total signs take; each base point
-    scores the popcount of its mask.
+    onto each base point's free coordinates, go through _sweep in blocks of
+    base points, each gathered from one array of column indices, the same
+    sweep witness total signs take; each base point scores the popcount of
+    its mask.
     Returns ({}, None) when no two records collide at distinct points.
     """
     coded = _validate_records(records, expansion, delta)
@@ -671,10 +707,14 @@ def _collision_scores(
     # Projecting the distinct rows gives the same row set as projecting all.
     order, first = _sorted_rows(signs)
     distinct = signs[order[first]]
-    starts = np.cumsum((0,) + expansion.arities[:-1])
-    # one block per base point: the distinct rows on its free coordinates
-    projected = (
-        ((z,), np.delete(distinct, starts + z, axis=1)[None]) for z in base_points(expansion)
+    # row k: the columns of base point zs[k]'s free coordinates, in order
+    zs = list(base_points(expansion))
+    free = np.ones((len(zs), width), dtype=bool)
+    free[np.arange(len(zs))[:, None], np.cumsum((0,) + expansion.arities[:-1]) + zs] = False
+    columns = np.nonzero(free)[1].reshape(len(zs), n_reduced)
+    # blocks of base points: the distinct rows on their free coordinates
+    projected = _in_blocks(
+        zs, distinct.shape[0] * n_reduced, lambda part: distinct[:, columns[part]].swapaxes(0, 1)
     )
     scores = {
         z: _score(n_reduced, int(np.count_nonzero(mask)))
@@ -710,49 +750,66 @@ def _sweep(blocks: Iterable[tuple[Sequence[Index], np.ndarray]]):
     """Lazily yield (z, rows, mask, one live row or None) per base point.
 
     ``blocks`` gives base points zs with their int8 sign rows shaped (len(zs),
-    rows, N): the witnesses' total signs of all base points as one block, or
-    the projected collision rows of one base point per block; one block is in
-    hand at a time. A row with no +-1 entry eliminates nothing (its eliminated
-    vectors agree with it on a nonempty set of +-1 positions), so only live
-    rows reach the kernel, once each up to sign, and a base point without one
-    gets an all-false mask without a kernel call. Masks are memoized for the
-    sweep by the set of live rows up to sign (t and -t eliminate the same
-    vectors): equal sets share one read-only array, and a set with one member
-    also hands out one of its rows.
+    rows, N), a block of at most _BATCH_CELLS entries or of one base point:
+    the witnesses' total signs, or the projected collision rows; one block is
+    in hand at a time. A row with no +-1 entry eliminates nothing (its
+    eliminated vectors agree with it on a nonempty set of +-1 positions), so
+    only live rows reach the kernel, once each up to sign, and a base point
+    without one gets the all-false mask of the empty set, which the scan
+    returns without scanning a row. Masks are
+    memoized for the sweep by the set of live rows up to sign (t and -t
+    eliminate the same vectors): equal sets share one read-only array, and a
+    set with one member also hands out one of its rows. The sets a block
+    meets first go to the scan in one call, before its first base point is
+    yielded.
     """
     masks: dict[frozenset[int], tuple[np.ndarray, Optional[np.ndarray]]] = {}
     for zs, block in blocks:
         live = (block % 2).any(axis=-1)  # the rows with a +-1 entry
         # A row and its negation as base-4 codes (0, +, u, - as 0, 1, 2, 3);
-        # the smaller names the row up to sign.
+        # the smaller names a live row up to sign, and -1 a dead one.
         powers = 4 ** np.arange(block.shape[-1], dtype=np.int64)
-        ids = np.minimum(block % 4 @ powers, -block % 4 @ powers)
-        for z, rows, row_live, row_ids in zip(zs, block, live, ids):
-            live_ids = row_ids[row_live].tolist()
-            key = frozenset(live_ids)
-            if key not in masks:
-                grid = table(block.shape[-1])
+        ids = np.where(live, np.minimum(block % 4 @ powers, -block % 4 @ powers), -1)
+        keys, new = [], {}
+        for rows, row_ids in zip(block, ids.tolist()):
+            key = frozenset(row_ids).difference((-1,))
+            keys.append(key)
+            if key not in masks and key not in new:
                 # one row per id
-                kept = rows[row_live][list(dict(zip(live_ids, range(len(live_ids)))).values())]
-                if kept.size:
-                    mask = eliminated_any_mask(grid, kept)
-                else:
-                    mask = np.zeros(grid.shape[0], dtype=bool)
-                mask.setflags(write=False)
-                masks[key] = mask, kept[0] if len(key) == 1 else None
-            yield (z, rows, *masks[key])
+                new[key] = rows[list({i: k for k, i in enumerate(row_ids) if i >= 0}.values())]
+        grid = table(block.shape[-1])
+        for (key, kept), mask in zip(new.items(), eliminated_any_masks(grid, list(new.values()))):
+            mask.setflags(write=False)
+            masks[key] = mask, kept[0] if len(key) == 1 else None
+        yield from ((z, rows, *masks[key]) for z, rows, key in zip(zs, block, keys))
 
 
-def _witness_sweep(expansion: MultilinearExpansion, family: Optional[ProjectionFamily]):
+def _in_blocks(zs: Sequence[Index], cells: int, rows_of):
+    """Yield (zs[s], rows_of(s)) for consecutive slices s of the base points,
+    in _batches of ``cells`` entries per base point."""
+    for lo, hi in _batches([cells] * len(zs)):
+        yield zs[lo:hi], rows_of(slice(lo, hi))
+
+
+def _witness_sweep(
+    expansion: MultilinearExpansion, family: Optional[ProjectionFamily], one_at_a_time: bool
+):
     """Check the caps; return the family (default when None), N and the _sweep
-    of the family's total signs at all base points, computed when first drawn."""
+    of the family's total signs at all base points, computed when first
+    drawn. The sweep's blocks hold one base point each when
+    ``one_at_a_time``, for a sweep that may stop early."""
     _check_caps(expansion)
     if family is None:
         family = default_family(expansion.output_dim)
+    zs = list(base_points(expansion))
 
     def every():
         signs = _total_signs(expansion, family.functionals)
-        yield list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:])
+        signs = signs.reshape((-1,) + signs.shape[-2:])
+        if one_at_a_time:
+            yield from (([z], signs[k : k + 1]) for k, z in enumerate(zs))
+        else:
+            yield from _in_blocks(zs, signs[0].size, signs.__getitem__)
 
     return family, reduced_dimension(expansion), _sweep(every())
 
@@ -767,23 +824,28 @@ def analyze_gate(
     """Full sweep over base points: witnesses, bounds, and certificates."""
     (eps,) = parse_rational_vector([eps], "eps")
     (delta,) = parse_rational_vector([delta], "delta")
-    family, n_reduced, sweep = _witness_sweep(expansion, family)
+    family, n_reduced, sweep = _witness_sweep(expansion, family, one_at_a_time=False)
     data_upper, data = {}, None
     if records is not None:
         data_upper, data = _collision_scores(records, expansion, eps, delta)
+    swept = list(sweep)
     # The sweep hands out equal masks as one array and keeps each alive while
     # it runs, so a mask's id names its score for the whole analysis.
-    scores: dict[int, ScorePair] = {}
+    distinct = {id(mask): (mask, one_live) for _, _, mask, one_live in swept}
+    scores = dict(zip(distinct, _witness_scores(n_reduced, distinct.values())))
+    lower_sets = {key: _LowerSet(mask, n_reduced) for key, (mask, _) in distinct.items()}
+    covering = {key: mask.all() for key, (mask, _) in distinct.items()}
     reports = []
-    for z, rows, mask, one_live in sweep:
-        if id(mask) not in scores:
-            scores[id(mask)] = _witness_score(n_reduced, mask, one_live)
+    for z, rows, mask, _ in swept:
         witnesses = _paired(family.functionals, rows)
         certificate = None
-        if mask.all():
+        if covering[id(mask)]:
             certificate = _greedy_certificate(z, family.functionals, rows, n_reduced)
         reports.append(
-            BasePointReport(z, witnesses, mask, scores[id(mask)], certificate, data_upper.get(z))
+            BasePointReport(
+                z, witnesses, mask, scores[id(mask)], certificate, data_upper.get(z),
+                lower_sets[id(mask)],
+            )
         )
     # max keeps the first of equal scores
     lower = max(reports, key=lambda r: r.score.value)
@@ -804,10 +866,10 @@ def reversibility_certificate(
 ) -> Optional[Certificate]:
     """First certificate in lexicographic base-point order, or None.
 
-    The sweep stops at the first base point where the family eliminates
-    every sign vector, and scores nothing.
+    The sweep draws one base point at a time and stops at the first where
+    the family eliminates every sign vector, and scores nothing.
     """
-    family, n_reduced, sweep = _witness_sweep(expansion, family)
+    family, n_reduced, sweep = _witness_sweep(expansion, family, one_at_a_time=True)
     for z, rows, mask, _ in sweep:
         if mask.all():
             return _greedy_certificate(z, family.functionals, rows, n_reduced)

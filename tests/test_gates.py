@@ -94,6 +94,46 @@ class TestRationalParsing:
         assert rational_string(value) == text
 
 
+    def test_a_file_parses_each_distinct_text_once(self, monkeypatch):
+        texts = ("1/3", "2/3", "1")
+        entries = [
+            {"index": list(idx), "output": [texts[k % 3]]}
+            for k, idx in enumerate(product(range(2), repeat=6))
+        ]
+        payload = {"arities": [2] * 6, "output_dim": 1, "entries": entries}
+        parsed = []
+
+        class Counted(F):
+            def __new__(cls, value=0, denominator=None):
+                if isinstance(value, str):
+                    parsed.append(value)
+                return F(value) if denominator is None else F(value, denominator)
+
+        monkeypatch.setattr(gates, "Fraction", Counted)
+        gate = gate_from_json(payload)
+        assert sorted(parsed) == sorted(texts)
+        assert [gate.table[tuple(e["index"])] for e in entries] == [
+            (F(e["output"][0]),) for e in entries
+        ]
+        # no cache outlives the file
+        parsed.clear()
+        gate_from_json(payload)
+        assert len(parsed) == 3
+
+    @pytest.mark.parametrize("bad", ["x", "1/0", "", 0.5, True, None, [1]])
+    def test_a_shared_text_keeps_every_error_message(self, bad):
+        try:
+            parse_rational(bad)
+        except ValidationError as exc:
+            expected = f"entry 3: {exc}"
+        entries = [{"index": [j], "output": ["1/2"]} for j in range(3)]
+        entries.append({"index": [3], "output": [bad]})
+        payload = {"arities": [4], "output_dim": 1, "entries": entries}
+        with pytest.raises(ValidationError) as raised:
+            gate_from_json(payload)
+        assert str(raised.value) == expected
+
+
 class TestGateValidation:
     def test_accepts_a_complete_table(self):
         gate = gate_from_json(minimal_payload())

@@ -70,7 +70,7 @@ def transform_masks(table, elim, every):
     full = [tuple(s) for s in sign_vector_table(n).tolist()]
     rows = {oracles.canonical(t) for t in elim.tolist()}
     members = np.array([s in rows for s in full])
-    counts = backend._elimination_counts(n, members)
+    counts = backend._elimination_counts(n, members[None])[0]
     mask = counts == members.sum() if every else counts > 0
     position = {s: i for i, s in enumerate(full)}
     return mask[[position[tuple(s)] for s in table.tolist()]]
@@ -355,3 +355,143 @@ class TestTransform:
         assert [cache.cache_info() for cache in caches] == before
         assert not sign_vector_table(13).flags.writeable
         assert not table_strings(13).flags.writeable
+
+
+def scan_groups(rng, n):
+    """Eliminator groups for one batched scan: an empty group, the whole
+    enumeration, a singleton, "u"-heavy rows, groups that share rows, a group
+    with negated duplicates and one of rows that eliminate nothing."""
+    table = sign_vector_table(n)
+    rows = random_eliminators(rng, n, 4)
+    u_heavy = np.full((3, n), UNDETERMINED, dtype=np.int8)
+    for row in u_heavy:
+        row[rng.randrange(n)] = rng.choice((-1, 1))
+    blank = np.asarray([[0] * n, [UNDETERMINED] * n], dtype=np.int8)
+    groups = [
+        np.zeros((0, n), dtype=np.int8),
+        table,
+        rows[:1],
+        u_heavy,
+        rows[:3],
+        rows[1:],
+        with_negations(rows[:2]),
+        np.concatenate([rows[2:], rows[2:]]),
+        blank,
+    ]
+    rng.shuffle(groups)
+    return table, groups
+
+
+def oracle_any(table, group):
+    X = [tuple(t) for t in group.tolist()]
+    return [any(oracles.eliminates(t, tuple(s)) for t in X) for s in table.tolist()]
+
+
+def reference_batches(cells, budget):
+    """Greedy runs of consecutive items within the budget, one item at least."""
+    runs, run = [], []
+    for k, size in enumerate(cells):
+        if run and sum(cells[j] for j in run) + size > budget:
+            runs.append(run)
+            run = []
+        run.append(k)
+    return [(run[0], run[-1] + 1) for run in runs + [run] if run]
+
+
+class TestBatches:
+    """The batched scan and transform against per-group and per-mask calls."""
+
+    def test_batches_match_the_greedy_rule(self, rng, monkeypatch):
+        for budget in (1, 5, 12, 40):
+            monkeypatch.setattr(backend, "_BATCH_CELLS", budget)
+            for _ in range(30):
+                cells = [rng.choice((0, 1, 3, 5, 12, 13, 50)) for _ in range(rng.randint(0, 12))]
+                assert list(backend._batches(cells)) == reference_batches(cells, budget)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_scan_matches_per_group_calls_and_the_oracle(self, rng, n):
+        table, groups = scan_groups(rng, n)
+        masks = backend.eliminated_any_masks(table, groups)
+        assert masks.shape == (len(groups), table.shape[0]) and masks.dtype == bool
+        for group, mask in zip(groups, masks):
+            assert mask.tolist() == eliminated_any_mask(table, group).tolist()
+            assert mask.tolist() == oracle_any(table, group)
+        assert backend.eliminated_any_masks(table, []).shape == (0, table.shape[0])
+
+    @pytest.mark.parametrize("chunk", [1, 8, 16, 24])
+    @pytest.mark.parametrize("budget", [1, 13, 40, 121])
+    def test_small_budgets_split_batches_and_blocks(self, rng, monkeypatch, chunk, budget):
+        n = 4  # 40 table rows
+        table, groups = scan_groups(rng, n)
+        expected = [oracle_any(table, group) for group in groups]
+        sizes = [group.shape[0] for group in groups]
+        monkeypatch.setattr(backend, "_BATCH_CELLS", budget)
+        monkeypatch.setattr(backend, "_CHUNK_ROWS", chunk)
+        blocks, batches = backend._blocks, []
+
+        def spy(table, elim):
+            batches.append([])
+            for k, i, block in blocks(table, elim):
+                batches[-1].append((k.start, min(k.stop, elim.shape[0])))
+                yield k, i, block
+
+        monkeypatch.setattr(backend, "_blocks", spy)
+        assert backend.eliminated_any_masks(table, groups).tolist() == expected
+        runs = reference_batches([size * table.shape[0] for size in sizes], budget)
+        assert len(batches) == len(runs) > 1
+        straddles = 0
+        for (lo, hi), spans in zip(runs, batches):
+            # the batch's groups, in order, and their rows in its matrix
+            ends = np.cumsum(sizes[lo:hi]).tolist()
+            assert max([stop for _, stop in spans], default=0) == ends[-1]
+            assert hi - lo == 1 or ends[-1] * table.shape[0] <= budget
+            cuts = {stop for _, stop in spans[:-1]}
+            straddles += sum(
+                any(first < cut < end for cut in cuts) for first, end in zip([0] + ends, ends)
+            )
+        if chunk <= 16:
+            assert straddles  # some group's rows are split between two blocks
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_transform_matches_per_mask_calls_and_the_oracle(self, rng, n):
+        vectors = oracles.canonical_vectors(n)
+        size = len(vectors)
+        single = np.zeros(size, dtype=bool)
+        single[rng.randrange(size)] = True
+        masks = np.array(
+            [
+                np.zeros(size, dtype=bool),
+                np.ones(size, dtype=bool),
+                single,
+                *([rng.random() < p for _ in vectors] for p in (0.2, 0.5, 0.8)),
+            ]
+        )
+        counts = backend._elimination_counts(n, masks)
+        assert counts.shape == masks.shape
+        for mask, row in zip(masks, counts):
+            assert row.tolist() == backend._elimination_counts(n, mask[None])[0].tolist()
+            members = [t for t, hit in zip(vectors, mask) if hit]
+            assert row.tolist() == [sum(oracles.eliminates(t, s) for t in members) for s in vectors]
+
+    @pytest.mark.parametrize("budget", [1, 27, 28, 81, 200])
+    def test_scores_in_small_batches_match_per_mask_scores(self, rng, monkeypatch, budget):
+        n = 3  # 27 grid cells per mask
+        vectors = oracles.canonical_vectors(n)
+        masks = [np.array([rng.random() < p for _ in vectors]) for p in (0.0, 1.0) + (0.3, 0.6) * 4]
+        masks[2][:2] = (True, False)  # at least one mixed mask
+        expected = [sensitivity._lower_scores(n, [mask])[0] for mask in masks]
+        monkeypatch.setattr(backend, "_BATCH_CELLS", budget)
+        transform, stacks = backend._elimination_counts, []
+
+        def spy(n, members):
+            stacks.append(members.shape[0])
+            return transform(n, members)
+
+        monkeypatch.setattr(sensitivity, "_elimination_counts", spy)
+        assert sensitivity._lower_scores(n, masks) == expected
+        mixed = sum(0 < mask.sum() < mask.size for mask in masks)
+        assert sum(stacks) == mixed and max(stacks) <= max(1, budget // 27)
+        assert len(stacks) == -(-mixed // max(1, budget // 27))
+        assert [s.value for s in expected] == [
+            oracles.lower_score([v for v, hit in zip(vectors, mask) if hit], n) for mask in masks
+        ]

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
 
@@ -43,6 +44,7 @@ from signelim import (
     witness_signs,
 )
 from signelim import backend, sensitivity
+from signelim.backend import sign_vector_table
 from signelim.signvec import eliminated_mask, jointly_eliminated_count
 from signelim.errors import ResourceLimitError
 
@@ -649,10 +651,10 @@ class TestScoreRoutes:
         n, mask, witnesses = case
         members = [s for s, hit in zip(oracles.canonical_vectors(n), mask) if hit]
         expect = oracles.lower_score(members, n)
-        assert sensitivity._lower_score(n, mask).value == expect
+        assert sensitivity._lower_scores(n, [mask])[0].value == expect
         if witnesses is not None:
             one_live = one_live_sign(witnesses)
-            assert sensitivity._witness_score(n, mask, one_live).value == expect
+            assert sensitivity._witness_scores(n, [(mask, one_live)])[0].value == expect
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_one_live_sign_scores_three_or_one(self, n):
@@ -665,7 +667,7 @@ class TestScoreRoutes:
             hit = oracles.eliminated([t], n)
             mask = np.array([s in hit for s in oracles.canonical_vectors(n)])
             witnesses = [((1,), t), ((2,), negated), ((3,), (UNDETERMINED,) * n)]
-            score = sensitivity._witness_score(n, mask, one_live_sign(witnesses))
+            (score,) = sensitivity._witness_scores(n, [(mask, one_live_sign(witnesses))])
             assert score.value == (1 if UNDETERMINED in t else 3)
             if n <= 3:
                 assert score.value == oracles.lower_score(hit, n)
@@ -690,6 +692,23 @@ class TestScoreRoutes:
         assert reports[0].mask.tolist() == [False, True, True, True]
         assert {r.score.value for r in reports} == {3}
 
+    def test_reports_with_one_mask_share_one_lower_set(self):
+        analysis = analyze_gate(expand(seeded_gate(2, (2,) * 4, 1, "additive")))
+        by_mask = {}
+        for report in analysis.reports:
+            by_mask.setdefault(id(report.mask), []).append(report)
+        assert 1 < len(by_mask) < len(analysis.reports)
+        rows = sign_vector_table(analysis.n_reduced)
+        for shared in by_mask.values():
+            lower = shared[0].sens_lower
+            assert all(r.sens_lower is lower for r in shared)
+            assert lower == frozenset(map(tuple, rows[shared[0].mask].tolist()))
+        # a report given another mask derives the other mask's set
+        report = analysis.reports[0]
+        other = replace(report, mask=~report.mask)
+        assert other.sens_lower == frozenset(map(tuple, rows[~report.mask].tolist()))
+        assert replace(report).sens_lower is report.sens_lower
+
     def test_random_gate_needs_no_score_or_sweep_kernel_call(self, monkeypatch):
         calls = []
 
@@ -702,6 +721,8 @@ class TestScoreRoutes:
 
         for name in ("eliminated_any_mask", "row_mask_bits"):
             monkeypatch.setattr(sensitivity, name, counted(getattr(sensitivity, name)))
+        # the sweep hands its empty set to the batched scan, which scans no row
+        monkeypatch.setattr(backend, "_row_masks", counted(backend._row_masks))
         gate = seeded_gate(11, (2,) * 6, 2, "random")
         analysis = analyze_gate(expand(gate))
         assert calls == []
@@ -773,13 +794,14 @@ class TestKernelRouting:
         monkeypatch.setattr(backend, "_row_masks", raise_if_called)
         for module in (backend, sensitivity):
             monkeypatch.setattr(module, "row_mask_bits", raise_if_called)
-        monkeypatch.setattr(sensitivity, "eliminated_any_mask", raise_if_called)
+        for name in ("eliminated_any_mask", "eliminated_any_masks"):
+            monkeypatch.setattr(sensitivity, name, raise_if_called)
         n = 4
         vectors = oracles.canonical_vectors(n)
         mask = np.array([rng.random() < 0.5 for _ in vectors])
         mask[:2] = (True, False)
         chosen = [v for v, hit in zip(vectors, mask) if hit]
-        assert sensitivity._lower_score(n, mask).value == oracles.lower_score(chosen, n)
+        assert sensitivity._lower_scores(n, [mask])[0].value == oracles.lower_score(chosen, n)
 
 
 class TestCertificates:
@@ -886,6 +908,25 @@ class TestCertificates:
         cert = reversibility_certificate(expansion)
         assert cert.base_point == (0, 1)
         assert verify_certificate(expansion, cert)
+
+    def test_early_exit_scans_only_the_certified_base_point(self, monkeypatch):
+        # SWEEP_GATES[5] is certified at base point (0, 0), and other base
+        # points have live total signs that base point 0 lacks
+        gate = SWEEP_GATES[5]
+        expansion = expand(gate)
+        family = default_family(gate.output_dim)
+        signs = sensitivity._total_signs(expansion, family.functionals)
+        own = set(map(tuple, signs[0, 0].tolist()))
+        assert not own >= set(map(tuple, signs.reshape(-1, signs.shape[-1]).tolist()))
+        scanned, row_masks = [], backend._row_masks
+
+        def spy(table, elim):
+            scanned.extend(map(tuple, elim.tolist()))
+            return row_masks(table, elim)
+
+        monkeypatch.setattr(backend, "_row_masks", spy)
+        assert reversibility_certificate(expansion, family).base_point == (0, 0)
+        assert scanned and set(scanned) <= own
 
     @pytest.mark.parametrize("gate", SWEEP_GATES)
     def test_early_exit_matches_the_full_sweep(self, gate):
@@ -1040,20 +1081,21 @@ class TestDataBounds:
     def test_collision_rows_share_the_sweep_s_kernel_calls(self, monkeypatch):
         calls = []
 
-        def counted(table, elim):
-            calls.append(elim.shape[0])
-            return backend.eliminated_any_mask(table, elim)
+        def counted(table, groups):
+            calls.append([len(group) for group in groups])
+            return backend.eliminated_any_masks(table, groups)
 
-        monkeypatch.setattr(sensitivity, "eliminated_any_mask", counted)
+        monkeypatch.setattr(sensitivity, "eliminated_any_masks", counted)
         # Every pair of these collides on CONST; the pair sign rows are
         # (+, -, +, -) and its negation, so each base point's projected rows
         # are one row up to sign, and the base points fall in two classes.
+        # All four base points fit in one block: one scan of two sets.
         records = [
             ExperimentRecord(((p, 1 - p), (p, 1 - p)), (F(0),))
             for p in (F(1, 2), F(3, 4), F(1, 4))
         ]
         scores, _ = sensitivity._collision_scores(records, expand(CONST), F(0), F(0))
-        assert calls == [1, 1]
+        assert calls == [[1, 1]]
         expected = oracles.collision_scores(
             CONST.arities, [(r.point, r.output) for r in records], F(0)
         )
@@ -1063,18 +1105,34 @@ class TestDataBounds:
         # Pairs at distinct points never project to all-zero rows (a block's
         # difference has two nonzero coordinates), so the rows are built
         # here: the base point with only zero rows gets an all-false mask
-        # without a kernel call.
+        # from an empty set, which scans no row.
         calls.clear()
         block = np.array([[[0, 0], [0, 0]], [[1, -1], [-1, 1]]], dtype=np.int8)
         masks = [mask for _, _, mask, _ in sensitivity._sweep([([(0,), (1,)], block)])]
-        assert calls == [1]
+        assert calls == [[0, 1]]
         assert not masks[0].any() and not masks[0].flags.writeable
         assert masks[1].sum() == 3
 
+    @staticmethod
+    def distinct_pair_rows(records, gate, eps):
+        """The distinct int8 sign rows of the colliding pairs, sorted."""
+        width = sum(gate.arities)
+        coded = sensitivity._coded(records, gate.arities, gate.output_dim)
+        ranks, outputs = coded.ids[:, :width], coded.ids[:, width:]
+        signs = sensitivity._collision_pairs(ranks, coded.values, outputs, eps)[2]
+        order, first = sensitivity._sorted_rows(signs)
+        return signs[order[first]]
+
     def test_collision_rows_reach_the_sweep_one_base_point_at_a_time(self, monkeypatch):
-        # The projected rows of all base points are never held at once: the
+        # Under a budget that one base point's projected rows fill, the
+        # projected rows of all base points are never held at once: the
         # sweep gets an iterator of one-base-point blocks and yields each
         # base point before it draws the next one's rows.
+        gate = SWEEP_GATES[2]  # arities (2, 2, 2): N = 3, eight base points
+        records = seeded_records(2, gate, count=64)
+        # one base point's block: the distinct pair rows on N = 3 coordinates
+        cells = self.distinct_pair_rows(records, gate, F(1, 4)).shape[0] * 3
+        monkeypatch.setattr(backend, "_BATCH_CELLS", cells)
         sweep, drawn = sensitivity._sweep, []
 
         def spy(blocks):
@@ -1091,11 +1149,40 @@ class TestDataBounds:
                 yield z, rows, mask, one_live
 
         monkeypatch.setattr(sensitivity, "_sweep", spy)
-        gate = SWEEP_GATES[2]  # arities (2, 2, 2): N = 3, eight base points
-        scores, _ = sensitivity._collision_scores(
-            seeded_records(2, gate, count=64), expand(gate), F(1, 4), F(0)
-        )
+        scores, _ = sensitivity._collision_scores(records, expand(gate), F(1, 4), F(0))
         assert drawn == list(scores) == list(product(range(2), repeat=3))
+
+    @pytest.mark.parametrize("fill", [1, 2, 3, 5, 8])
+    def test_no_collision_block_exceeds_the_budget(self, monkeypatch, fill):
+        # a budget of ``fill`` base points, plus a part of one more
+        gate = SWEEP_GATES[2]
+        records = seeded_records(2, gate, count=64)
+        distinct = self.distinct_pair_rows(records, gate, F(1, 4))
+        cells = distinct.shape[0] * 3
+        monkeypatch.setattr(backend, "_BATCH_CELLS", fill * cells + cells // 2)
+        expected, _ = sensitivity._collision_scores(records, expand(gate), F(1, 4), F(0))
+        sweep, blocks = sensitivity._sweep, []
+
+        def spy(drawn):
+            def kept():
+                for zs, block in drawn:
+                    blocks.append((list(zs), block.copy()))
+                    yield zs, block
+
+            return sweep(kept())
+
+        monkeypatch.setattr(sensitivity, "_sweep", spy)
+        scores, _ = sensitivity._collision_scores(records, expand(gate), F(1, 4), F(0))
+        assert [len(zs) for zs, _ in blocks] == [fill] * (8 // fill) + [8 % fill] * (8 % fill > 0)
+        assert all(block.size <= backend._BATCH_CELLS for _, block in blocks)
+        assert [z for zs, _ in blocks for z in zs] == list(product(range(2), repeat=3))
+        assert scores == expected
+        # a base point's rows are the distinct rows on its free coordinates,
+        # the columns np.delete leaves
+        starts = np.cumsum((0,) + gate.arities[:-1])
+        for zs, block in blocks:
+            for z, rows in zip(zs, block):
+                assert rows.tolist() == np.delete(distinct, starts + z, axis=1).tolist()
 
     def test_each_matrix_is_sorted_once(self, monkeypatch):
         # eps = 0: one sort of the output ids and one of the pair signs, and
