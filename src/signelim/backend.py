@@ -86,7 +86,7 @@ def backend_name() -> str:
 
 
 def _kept_up_to_12(build):
-    """``build(n)``, read-only, memoized for n <= 12 and built afresh above.
+    """``build(n, *args)``, read-only, memoized for n <= 12, built afresh above.
 
     Above n = 12 a table or code array takes tens of megabytes, so it is
     not pinned in memory for the life of the process.
@@ -94,8 +94,8 @@ def _kept_up_to_12(build):
     cached = lru_cache(maxsize=None)(build)
 
     @wraps(build)
-    def get(n: int) -> np.ndarray:
-        out = cached(n) if n <= 12 else build(n)
+    def get(n: int, *args) -> np.ndarray:
+        out = cached(n, *args) if n <= 12 else build(n, *args)
         out.setflags(write=False)
         return out
 

@@ -16,12 +16,12 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .backend import backend_name
+from .backend import _kept_up_to_12, backend_name
 from .counting import (
     SignMatrix,
     count_eliminated_intersection,
@@ -61,6 +61,7 @@ from .signvec import (
     sign_string,
     table,
     table_strings,
+    vector_count,
 )
 
 USAGE_ERROR = 1
@@ -87,39 +88,41 @@ _SCALAR_TEXT = {
     type(None): lambda value: "null",
 }
 
-
-class _Witnesses(NamedTuple):
-    """A witness list ``[{"w": family[f], "total_sign": sign}, ...]`` as text:
-    each functional's strings, each witness's position f and quoted sign."""
-
-    family: list[list[str]]
-    positions: list[int]
-    signs: list[str]
+# _emit writes at most this many pieces of a document per stdout write
+_EMIT_PIECES = 1024
 
 
-def _indented_json(payload) -> str:
-    """Exactly ``json.dumps(payload, indent=2)``, without its Python encoder.
+class _Text(tuple):
+    """JSON text rendered for its depth, as str pieces _json_pieces writes as is."""
+
+
+def _list_text(items: list[str], depth: int) -> str:
+    """The JSON list at ``depth`` of the item texts ``items``."""
+    if not items:
+        return "[]"
+    newline = "\n" + "  " * (depth + 1)
+    return "[" + newline + ("," + newline).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_pieces(payload, depth: int = 0) -> list[str]:
+    """The pieces of ``json.dumps(payload, indent=2)``, as written at
+    ``depth``, without the standard library's Python encoder.
 
     With ``indent`` set, the standard library renders through a pure-Python
-    generator. This makes one recursive pass that appends pieces to one list
-    and joins once. A list of scalars is rendered with one join, and is
-    remembered by (id, depth) for the rest of the call: the analysis
-    document shares each distinct mask's ``sens_lower`` list among reports.
-    A ``_Witnesses`` renders as its list of dicts would, without recursion:
-    each witness is its functional's text up to the total sign, built once
-    per (functional strings, depth), plus its quoted sign. Other types than
-    these and the JSON scalars, and non-str keys, raise TypeError.
+    generator. This makes one recursive pass that appends pieces to one
+    list. A list of scalars is one piece, and a _Text adds its pieces. Other
+    types than these and the JSON scalars, and non-str keys, raise TypeError.
     """
     parts = []
-    append, extend = parts.append, parts.extend
-    flat = {}
-    prefixes = {}
+    append = parts.append
 
     def write(value, depth):
         kind = type(value)
         text = _SCALAR_TEXT.get(kind)
         if text is not None:
             append(text(value))
+        elif kind is _Text:
+            parts.extend(value)
         elif kind is dict:
             if not value:
                 append("{}")
@@ -134,18 +137,10 @@ def _indented_json(payload) -> str:
                 separator = "," + newline
             append("\n" + "  " * depth + "}")
         elif kind is list or kind is tuple:
-            if not value:
-                append("[]")
-                return
-            key = (id(value), depth)
-            cached = flat.get(key)
-            if cached is not None:
-                append(cached)
-                return
-            newline = "\n" + "  " * (depth + 1)
             try:
                 items = [_SCALAR_TEXT[type(item)](item) for item in value]
             except KeyError:
+                newline = "\n" + "  " * (depth + 1)
                 separator = "[" + newline
                 for item in value:
                     append(separator)
@@ -153,71 +148,95 @@ def _indented_json(payload) -> str:
                     separator = "," + newline
                 append("\n" + "  " * depth + "]")
             else:
-                cached = flat[key] = (
-                    "[" + newline + ("," + newline).join(items)
-                    + "\n" + "  " * depth + "]"
-                )
-                append(cached)
-        elif kind is _Witnesses:
-            if not value.signs:
-                append("[]")
-                return
-            item = "\n" + "  " * (depth + 1)
-            key = (id(value.family), depth)
-            if key not in prefixes:
-                inner = "\n" + "  " * (depth + 2)
-                prefixes[key] = [
-                    "{" + inner + '"w": [' + inner + "  "
-                    + ("," + inner + "  ").join(map(encode_basestring_ascii, w))
-                    + inner + "]," + inner + '"total_sign": '
-                    for w in value.family
-                ]
-            pieces = [item + "}," + item] * (3 * len(value.signs))  # separator, head, sign
-            pieces[0] = "[" + item
-            pieces[1::3] = map(prefixes[key].__getitem__, value.positions)
-            pieces[2::3] = value.signs
-            extend(pieces)
-            append(item + "}\n" + "  " * depth + "]")
+                append(_list_text(items, depth))
         else:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    write(payload, 0)
-    return "".join(parts)
+    write(payload, depth)
+    return parts
+
+
+def _indented_json(payload, depth: int = 0) -> str:
+    """Exactly ``json.dumps(payload, indent=2)``, as written at ``depth``."""
+    return "".join(_json_pieces(payload, depth))
 
 
 def _emit(payload) -> None:
-    print(_indented_json(payload))
+    """Print _indented_json(payload), _EMIT_PIECES pieces per write."""
+    pieces = _json_pieces(payload)
+    pieces.append("\n")
+    write = sys.stdout.write
+    for start in range(0, len(pieces), _EMIT_PIECES):
+        write("".join(pieces[start : start + _EMIT_PIECES]))
 
 
-def _score_json(score) -> dict:
-    return {"value": score.value, "log3": format_log3(score.value)}
+@_kept_up_to_12
+def _sign_lines(n: int, depth: int) -> np.ndarray:
+    """One uint8 row per row of table(n), filled from table_strings(n) by
+    byte writes: its text ``,\\n<indent>"<sign string>"`` in a list at depth."""
+    indent = 2 * (depth + 1)
+    lines = np.empty((vector_count(n), indent + n + 4), dtype=np.uint8)
+    lines[:, :2] = np.frombuffer(b",\n", dtype=np.uint8)
+    lines[:, 2 : 2 + indent] = ord(" ")
+    lines[:, 2 + indent] = lines[:, -1] = ord('"')
+    lines[:, 3 + indent : -1] = table_strings(n).view(np.uint8).reshape(-1, n)
+    return lines
+
+
+def _sign_list(lines: np.ndarray, mask, depth: int) -> tuple[str, ...]:
+    """The pieces of the JSON list at ``depth`` of the rows of ``lines =
+    _sign_lines(n, depth)`` that the bool ``mask`` selects (all when None)."""
+    selected = lines if mask is None else np.compress(mask, lines, axis=0)
+    if not len(selected):
+        return ("[]",)
+    return "[", selected.reshape(-1)[1:].tobytes().decode("ascii"), "\n" + "  " * depth + "]"
+
+
+def _score_json(value: int) -> dict:
+    return {"value": value, "log3": format_log3(value)}
 
 
 def _witness_text(functionals):
-    """The functionals' strings, and a function from witnesses to a _Witnesses
-    that renders each distinct total sign once. A witness's functional must
-    be one of these very tuples, as a sweep hands them out."""
+    """The functionals' strings, and a function (witnesses, depth) -> their
+    list's text at ``depth``, memoized by id (keep each alive), from each
+    functional's head text up to its total sign, built once per depth, and
+    each sign quoted once. A witness's functional must be one of these."""
     strings = [[rational_string(v) for v in w] for w in functionals]
+    quoted_strings = [list(map(encode_basestring_ascii, w)) for w in strings]
     position = {id(w): f for f, w in enumerate(functionals)}
     quoted = lru_cache(maxsize=None)(lambda ts: '"' + sign_string(ts) + '"')
 
-    def witnesses_json(witnesses) -> _Witnesses:
-        return _Witnesses(
-            strings,
-            [position[id(w)] for w, _ in witnesses],
-            [quoted(ts) for _, ts in witnesses],
-        )
+    @lru_cache(maxsize=None)
+    def heads(depth: int) -> list[str]:
+        newline = "\n" + "  " * (depth + 1)
+        sign = "," + newline + '"total_sign": '
+        return ["{" + newline + '"w": ' + _list_text(w, depth + 1) + sign for w in quoted_strings]
 
-    return strings, witnesses_json
+    texts = {}
+
+    def witness_text(witnesses, depth: int) -> str:
+        if not witnesses:
+            return "[]"
+        key = id(witnesses), depth
+        if key not in texts:
+            head, item = heads(depth + 1), "\n" + "  " * (depth + 1)
+            pieces = [item + "}," + item] * (3 * len(witnesses))  # separator, head, quoted sign
+            pieces[0] = "[" + item
+            pieces[1::3] = [head[position[id(w)]] for w, _ in witnesses]
+            pieces[2::3] = [quoted(ts) for _, ts in witnesses]
+            texts[key] = "".join(pieces) + item + "}\n" + "  " * depth + "]"
+        return texts[key]
+
+    return strings, witness_text
 
 
-def _certificate_json(cert: Optional[Certificate], witnesses_json) -> Optional[dict]:
+def _certificate_json(cert: Optional[Certificate], witness_text, depth: int) -> Optional[dict]:
     if cert is None:
         return None
     return {
         "base_point": list(cert.base_point),
         "n_reduced": cert.n_reduced,
-        "witnesses": witnesses_json(cert.witnesses),
+        "witnesses": _Text((witness_text(cert.witnesses, depth + 1),)),
     }
 
 
@@ -244,51 +263,58 @@ def _crosscheck(rows: np.ndarray, mask: np.ndarray, negated: bool, size: int, n:
     return "passed" if agrees else "failed"
 
 
+# the keys of a report, in order, each as written after the value before it
+_REPORT_KEYS = [f',\n      "{key}": ' for key in (
+    "base_point witnesses sens_lower sens_lower_size cs_lower certificate data_upper".split()
+)]
+
+
 def _analysis_document(
     analysis: GateAnalysis, gate, family: ProjectionFamily, started: float
 ) -> tuple[dict, bool]:
     """Assemble the analysis document; returns (document, crosscheck_ok).
 
-    Reports with equal lower sets share one mask over table(N), and one pass
-    over the reports does each shared mask's work once, memoized by its id:
-    the ``sens_lower`` strings (its entries of the cached ``table_strings(N)``,
-    in enumeration order; their count is the set's size) and the _crosscheck
-    outcomes of the set and its complement, which is built only when its size,
-    the table's minus the set's, is 1 to 6. Every report adds its two
-    outcomes to the tally. Each functional is rendered once, into the
-    ``family`` strings, which every witness list (_Witnesses) indexes.
+    One pass writes the reports list as one _Text of pieces, each report
+    through one layout: its _REPORT_KEYS with their values at depth 3. Only
+    the base point and a certificate are rendered per report; every other
+    value is a text shared by all reports with that value:
+    - per mask, memoized by its id: ``sens_lower`` (a _sign_list), its size,
+      and the _crosscheck outcomes of the set and of its complement, which
+      is built only when its size is 1 to 6; the tally counts them once per
+      report;
+    - per witnesses tuple, which analyze_gate shares among reports with
+      equal total signs: the witness list;
+    - per score value: ``cs_lower`` and ``data_upper``.
+    ``timing_seconds`` covers this rendering.
     """
     n_reduced = analysis.n_reduced
-    rows, strings = table(n_reduced), table_strings(n_reduced)
-    family_json, witnesses_json = _witness_text(family.functionals)
-    memo: dict[int, tuple[list[str], tuple[str, str]]] = {}  # id of a shared mask
-    tally = Counter()
-    reports_json = []
+    rows, lines = table(n_reduced), _sign_lines(n_reduced, 3)
+    family_json, witness_text = _witness_text(family.functionals)
+    score_text = lru_cache(maxsize=None)(lambda value: _indented_json(_score_json(value), 3))
+    masks, pieces = {}, []  # masks: by the id of a shared mask
+    keys = _REPORT_KEYS
+    # a report's text up to its witnesses, a format of its base point's entries
+    head = ",\n    {" + keys[0][1:] + _list_text(["%d"] * len(gate.arities), 3) + keys[1]
     for report in analysis.reports:
         mask = report.mask
-        if id(mask) not in memo:
-            lower = strings[mask].astype(str).tolist()
-            memo[id(mask)] = lower, (
-                _crosscheck(rows, mask, False, len(lower), n_reduced),
-                _crosscheck(rows, mask, True, mask.size - len(lower), n_reduced),
+        if id(mask) not in masks:
+            size = int(np.count_nonzero(mask))
+            lower = keys[2], *_sign_list(lines, mask, 3), keys[3] + str(size) + keys[4]
+            masks[id(mask)] = lower, (
+                _crosscheck(rows, mask, False, size, n_reduced),
+                _crosscheck(rows, mask, True, mask.size - size, n_reduced),
             )
-        lower, outcomes = memo[id(mask)]
-        tally.update(outcomes)
-        reports_json.append(
-            {
-                "base_point": list(report.base_point),
-                "witnesses": witnesses_json(report.witnesses),
-                "sens_lower": lower,
-                "sens_lower_size": len(lower),
-                "cs_lower": _score_json(report.score),
-                "certificate": _certificate_json(report.certificate, witnesses_json),
-                "data_upper": (
-                    _score_json(report.data_upper)
-                    if report.data_upper is not None
-                    else None
-                ),
-            }
+        certificate, data = report.certificate, report.data_upper
+        if certificate is not None:
+            certificate = _indented_json(_certificate_json(certificate, witness_text, 3), 3)
+        pieces += (
+            head % report.base_point, witness_text(report.witnesses, 3), *masks[id(mask)][0],
+            score_text(report.score.value), keys[5], certificate or "null",
+            keys[6], "null" if data is None else score_text(data.value), "\n    }",
         )
+    pieces[0] = "[" + pieces[0][1:]  # the first report has no comma before it
+    pieces.append("\n  ]")
+    tally = Counter(outcome for r in analysis.reports for outcome in masks[id(r.mask)][1])
     document = {
         "tool": "signelim",
         "version": __version__,
@@ -300,14 +326,14 @@ def _analysis_document(
             "base_point_count": len(analysis.reports),
         },
         "family": family_json,
-        "reports": reports_json,
+        "reports": _Text(pieces),
         "cs_lower": {
-            **_score_json(analysis.lower),
+            **_score_json(analysis.lower.value),
             "base_point": list(analysis.lower_base_point),
         },
         "data_upper": (
             {
-                **_score_json(analysis.data.score),
+                **_score_json(analysis.data.score.value),
                 "base_point": list(analysis.data.base_point),
                 "collisions": analysis.data.collisions,
                 "heuristic": analysis.data.heuristic,
@@ -315,7 +341,7 @@ def _analysis_document(
             if analysis.data is not None
             else None
         ),
-        "certificate": _certificate_json(analysis.certificate, witnesses_json),
+        "certificate": _certificate_json(analysis.certificate, witness_text, 1),
         "counting_crosscheck": {
             "checked": tally["passed"] + tally["failed"],
             "passed": tally["passed"],
@@ -343,14 +369,16 @@ def _flag_signs(text: str, flag: str, *, total: bool = True) -> tuple[int, ...]:
 
 
 def _cmd_zs(args) -> int:
-    _emit(table_strings(args.n).astype(str).tolist())
+    vector_count(args.n)  # the length cap, checked before the cached rows
+    _emit(_Text(_sign_list(_sign_lines(args.n, 0), None, 0)))
     return 0
 
 
 def _cmd_ze(args) -> int:
     signs = sign_rows((_flag_signs(t, "--t") for t in args.t), args.n, total=True)
     n = len(signs[0])
-    _emit(table_strings(n)[eliminated_mask(signs, n)].astype(str).tolist())
+    mask = eliminated_mask(signs, n)  # checks the length cap before the cached rows
+    _emit(_Text(_sign_list(_sign_lines(n, 0), mask, 0)))
     return 0
 
 
@@ -526,8 +554,8 @@ def _cmd_gate_certify(args) -> int:
     if not verify_certificate(expansion, cert):
         print("certificate failed replay verification", file=sys.stderr)
         return INVARIANT_VIOLATION
-    witnesses_json = _witness_text([w for w, _ in cert.witnesses])[1]
-    _emit({"certificate": _certificate_json(cert, witnesses_json), "verified": True})
+    witness_text = _witness_text([w for w, _ in cert.witnesses])[1]
+    _emit({"certificate": _certificate_json(cert, witness_text, 1), "verified": True})
     return 0
 
 
@@ -542,7 +570,7 @@ def _cmd_data_bound(args) -> int:
         return 0
     _emit(
         {
-            "bound": _score_json(bound.score),
+            "bound": _score_json(bound.score.value),
             "base_point": list(bound.base_point),
             "collisions": bound.collisions,
             "records": len(records.ids),

@@ -481,6 +481,7 @@ class BasePointReport:
     witnesses, it takes no part in equality or hashing. ``sens_lower`` is the
     same set as a frozenset of tuples, built on first access, once per
     distinct mask of an analysis: its reports share one _LowerSet per mask.
+    Reports with equal total signs share one ``witnesses`` tuple.
     """
 
     base_point: Index
@@ -835,9 +836,10 @@ def analyze_gate(
     scores = dict(zip(distinct, _witness_scores(n_reduced, distinct.values())))
     lower_sets = {key: _LowerSet(mask, n_reduced) for key, (mask, _) in distinct.items()}
     covering = {key: mask.all() for key, (mask, _) in distinct.items()}
-    reports = []
+    reports, paired = [], {}  # one witnesses tuple per distinct total-sign matrix
     for z, rows, mask, _ in swept:
-        witnesses = _paired(family.functionals, rows)
+        key = rows.tobytes()
+        witnesses = paired[key] = paired.get(key) or _paired(family.functionals, rows)
         certificate = None
         if covering[id(mask)]:
             certificate = _greedy_certificate(z, family.functionals, rows, n_reduced)

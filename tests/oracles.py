@@ -6,7 +6,9 @@ package's kernels and closed forms can be checked against a second route.
 """
 
 import csv
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 UNDET = 2
@@ -329,3 +331,123 @@ def parse_experiment_csv(path, arities, output_dim):
             if min(block) < 0:
                 return "ValidationError", f"{path}:{line}: block {i} has a negative coordinate"
     return rows
+
+
+SIGN_CHARS = {1: "+", 0: "0", -1: "-", UNDET: "u"}
+
+
+def sign_text(v):
+    return "".join(SIGN_CHARS[e] for e in v)
+
+
+def log3_text(value):
+    """The 12-digit decimal base-3 logarithm, exact at powers of 3."""
+    power, exponent = 1, 0
+    while power < value:
+        power, exponent = power * 3, exponent + 1
+    return f"{float(exponent) if power == value else math.log(value) / math.log(3):.12f}"
+
+
+def normalized_family(vectors):
+    """One representative per +- class, its first nonzero entry positive,
+    first occurrences kept, in order."""
+    out = []
+    for v in vectors:
+        v = tuple(Fraction(c) for c in v)
+        lead = next(c for c in v if c)
+        v = v if lead > 0 else tuple(-c for c in v)
+        if v not in out:
+            out.append(v)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _elimination_bits(n):
+    """canonical_vectors(n) and, per vector, the bitset of those it eliminates."""
+    vectors = canonical_vectors(n)
+    return vectors, [
+        sum(1 << k for k, s in enumerate(vectors) if eliminates(t, s)) for t in vectors
+    ]
+
+
+def analysis_document(arities, table, functionals, header, records=None, eps=Fraction(0)):
+    """The `gate analyze` document as plain dicts and lists, with
+    "timing_seconds" 0, written base point by base point from the definitions.
+
+    table maps index tuples to output tuples; functionals is the normalized
+    family; header holds the leading "tool", "version" and "backend"; records
+    are (point, output) pairs or None. Every witness is a {"w", "total_sign"}
+    dict and every lower set a list of sign strings in enumeration order; the
+    counting cross-check counts, on each side of every report's lower set,
+    the sets of 1 to 6 vectors, all as passed.
+    """
+    n = sum(a - 1 for a in arities)
+    vectors, bits = _elimination_bits(n)
+
+    def score(value):
+        return {"value": value, "log3": log3_text(value)}
+
+    data = collision_scores(arities, records, eps) if records is not None else {}
+    reports, checked = [], 0
+    for z in product(*(range(a) for a in arities)):
+        signs = [total_sign(arities, table, z, w) for w in functionals]
+        marked = [any(eliminates(t, s) for t in signs) for s in vectors]
+        lower = [s for s, m in zip(vectors, marked) if m]
+        outside = 0
+        for k, m in enumerate(marked):
+            if not m:
+                outside |= bits[k]
+        witnesses = [
+            {"w": [str(c) for c in w], "total_sign": sign_text(t)}
+            for w, t in zip(functionals, signs)
+        ]
+        certificate = None
+        if len(lower) == len(vectors):
+            certificate = {
+                "base_point": list(z),
+                "n_reduced": n,
+                "witnesses": [witnesses[k] for k in greedy_cover(signs, n)],
+            }
+        checked += (1 <= len(lower) <= 6) + (1 <= len(vectors) - len(lower) <= 6)
+        reports.append(
+            {
+                "base_point": list(z),
+                "witnesses": witnesses,
+                "sens_lower": [sign_text(s) for s in lower],
+                "sens_lower_size": len(lower),
+                "cs_lower": score(3**n - 2 * bin(outside).count("1")),
+                "certificate": certificate,
+                "data_upper": score(data[z]) if data else None,
+            }
+        )
+    best = max(reports, key=lambda r: r["cs_lower"]["value"])  # the first maximum
+    bound = None
+    if data:
+        z = max(data, key=data.get)
+        bound = {
+            **score(data[z]),
+            "base_point": list(z),
+            "collisions": len(collision_pairs(records, eps)),
+            "heuristic": eps > 0,
+        }
+    return {
+        **header,
+        "gate": {
+            "arities": list(arities),
+            "output_dim": len(functionals[0]),
+            "reduced_dimension": n,
+            "base_point_count": len(reports),
+        },
+        "family": [[str(c) for c in w] for w in functionals],
+        "reports": reports,
+        "cs_lower": {**best["cs_lower"], "base_point": best["base_point"]},
+        "data_upper": bound,
+        "certificate": next((r["certificate"] for r in reports if r["certificate"]), None),
+        "counting_crosscheck": {
+            "checked": checked,
+            "passed": checked,
+            "failed": 0,
+            "skipped": 2 * len(reports) - checked,
+        },
+        "timing_seconds": 0,
+    }

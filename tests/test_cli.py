@@ -1,9 +1,14 @@
+import contextlib
+import io
+import itertools
 import json
 import os
+import pathlib
 import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -13,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signelim import boolean_gate, dumps_gate, expand, load_gate, parse_experiment_csv
+from signelim import __version__, boolean_gate, dumps_gate, expand, load_gate, parse_experiment_csv
 from signelim import cli, counting, covers, selftest, sensitivity
+from signelim.backend import backend_name
 from signelim.cli import main
 from signelim.gates import rational_string
 from signelim.sensitivity import Certificate
 from signelim.signvec import UNDETERMINED, canonical_sign_vectors, sign_string
 
+import oracles
 from conftest import FIXTURE_PATH, REPO_ROOT, fail_if_called
 
 
@@ -909,17 +916,20 @@ rationals = st.one_of(
 
 @st.composite
 def witness_documents(draw):
-    """A document holding witness lists as cli's values, and the same
+    """A document holding witness lists as cli's texts, and the same
     document with plain [{"w", "total_sign"}] lists.
 
     The reports' witnesses come in family order, each certificate's in any
-    order over a subset; the same lists sit at several depths.
+    order over a subset; the document sits inside up to three wrappers, each
+    a dict or a dict around a list, and every text is rendered for its depth.
     """
     dim = draw(st.integers(min_value=1, max_value=5))
     n = draw(st.integers(min_value=1, max_value=4))
     family = draw(st.lists(st.tuples(*[rationals] * dim), min_size=1, max_size=6))
     signs = st.tuples(*[st.sampled_from([1, 0, -1, UNDETERMINED])] * n)
-    strings, witnesses_json = cli._witness_text(family)
+    wraps = draw(st.lists(st.booleans(), max_size=3))  # True: {"inner": [x]}
+    depth = sum(2 if inner else 1 for inner in wraps)
+    strings, witness_text = cli._witness_text(family)
 
     def plain(witnesses):
         return [
@@ -934,17 +944,24 @@ def witness_documents(draw):
         cert = Certificate((0,), tuple(report[f] for f in chosen), n)
         pairs.append(
             (
-                {"witnesses": witnesses_json(report), "certificate": cli._certificate_json(cert, witnesses_json)},
+                {
+                    "witnesses": cli._Text((witness_text(report, depth + 3),)),
+                    "certificate": cli._certificate_json(cert, witness_text, depth + 3),
+                },
                 {
                     "witnesses": plain(report),
                     "certificate": {"base_point": [0], "n_reduced": n, "witnesses": plain(cert.witnesses)},
                 },
             )
         )
-    fast = {"family": strings, "reports": [p[0] for p in pairs], "none": witnesses_json(())}
+    fast = {
+        "family": strings,
+        "reports": [p[0] for p in pairs],
+        "none": cli._Text((witness_text((), depth + 1),)),
+    }
     slow = {"family": [[rational_string(v) for v in w] for w in family], "reports": [p[1] for p in pairs], "none": []}
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        fast, slow = {"inner": [fast], "again": fast}, {"inner": [slow], "again": slow}
+    for inner in reversed(wraps):
+        fast, slow = ({"inner": [fast]}, {"inner": [slow]}) if inner else ({"again": fast}, {"again": slow})
     return fast, slow
 
 
@@ -979,3 +996,174 @@ class TestIndentedJson:
     def test_other_types_and_non_str_keys_raise(self, value):
         with pytest.raises(TypeError):
             cli._indented_json(value)
+
+
+THIRDS = [Fraction(k, 3) for k in range(4)]
+
+
+@st.composite
+def analysis_cases(draw):
+    """(arities, table, family, records, eps) for `gate analyze`: N <= 6; a
+    random, additive or constant table; the default family (None) or a custom
+    one with negated and duplicate members; and no records (None) or a few at
+    distinct interior points, with outputs that often collide."""
+    blocks = draw(st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=6))
+    arities = tuple(a for k, a in enumerate(blocks) if sum(blocks[: k + 1]) - k - 1 <= 6)
+    dim = draw(st.integers(min_value=1, max_value=3))
+    indices = list(itertools.product(*(range(a) for a in arities)))
+    outputs = st.tuples(*[st.sampled_from(THIRDS)] * dim)
+    kind = draw(st.sampled_from(["random", "additive", "constant"]))
+    if kind == "random":
+        table = {idx: draw(outputs) for idx in indices}
+    elif kind == "additive":
+        parts = [[draw(outputs) for _ in range(a)] for a in arities]
+        table = {
+            idx: tuple(sum(parts[i][j][c] for i, j in enumerate(idx)) for c in range(dim))
+            for idx in indices
+        }
+    else:
+        table = dict.fromkeys(indices, draw(outputs))
+    family = None
+    if draw(st.booleans()):
+        entries = st.integers(min_value=-2, max_value=2)
+        base = draw(
+            st.lists(st.tuples(*[entries] * dim).filter(any), min_size=1, max_size=3)
+        )
+        extra = [tuple(-c for c in draw(st.sampled_from(base))), draw(st.sampled_from(base))]
+        family = draw(st.permutations(base + extra))
+    records, eps = None, Fraction(0)
+    if draw(st.booleans()):
+        coordinates = st.tuples(
+            *[
+                st.lists(st.integers(min_value=1, max_value=3), min_size=a, max_size=a).map(
+                    lambda w: tuple(Fraction(x, sum(w)) for x in w)
+                )
+                for a in arities
+            ]
+        )
+        points = draw(st.lists(coordinates, min_size=2, max_size=8, unique=True))
+        values = st.tuples(*[st.sampled_from([Fraction(0), Fraction(1, 12), Fraction(1)])] * dim)
+        records = [(point, draw(values)) for point in points]
+        eps = draw(st.sampled_from([Fraction(0), Fraction(1, 12)]))
+    return arities, table, family, records, eps
+
+
+def analyze_text(arities, table, family, records, eps):
+    """Exit code and stdout of `gate analyze` on the case, timing masked, and
+    the reference document's text."""
+    dim = len(next(iter(table.values())))
+    with tempfile.TemporaryDirectory() as directory:
+        gate_path = pathlib.Path(directory) / "gate.json"
+        entries = [{"index": list(i), "output": [str(v) for v in table[i]]} for i in sorted(table)]
+        gate_path.write_text(json.dumps({"arities": list(arities), "output_dim": dim, "entries": entries}))
+        argv = ["gate", "analyze", str(gate_path)]
+        if family is not None:
+            family_path = pathlib.Path(directory) / "family.json"
+            family_path.write_text(json.dumps([[str(c) for c in w] for w in family]))
+            argv += ["--functionals", str(family_path)]
+        if records is not None:
+            csv_path = pathlib.Path(directory) / "records.csv"
+            header = [f"b{i + 1}_{j}" for i, a in enumerate(arities) for j in range(a)]
+            header += [f"y{c + 1}" for c in range(dim)]
+            rows = [[str(v) for block in point for v in block] + [str(v) for v in out] for point, out in records]
+            csv_path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+            argv += ["--data", str(csv_path), "--eps", str(eps)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    functionals = oracles.normalized_family(family or oracles.canonical_vectors(dim))
+    header = {"tool": "signelim", "version": __version__, "backend": backend_name()}
+    reference = oracles.analysis_document(arities, table, functionals, header, records, eps)
+    masked = re.sub(r'"timing_seconds": [^\n,}]+', '"timing_seconds": 0', out.getvalue())
+    return code, masked, json.dumps(reference, indent=2) + "\n"
+
+
+def golden_additive_case():
+    """The golden additive gate with its records at eps 1/12, as a case."""
+    golden = REPO_ROOT / "tests" / "golden"
+    gate = json.loads((golden / "additive_gate.json").read_text())
+    table = {tuple(e["index"]): tuple(map(Fraction, e["output"])) for e in gate["entries"]}
+    rows = oracles.read_experiment_csv(golden / "additive_records.csv", gate["arities"], gate["output_dim"])
+    records = [(point, output) for _, point, output in rows]
+    return tuple(gate["arities"]), table, None, records, Fraction(1, 12)
+
+
+class TestAnalysisDocument:
+    """The analysis document's text against json.dumps of a reference
+    document built from the definitions (tests/oracles.py)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(analysis_cases())
+    def test_the_text_is_the_reference_documents(self, case):
+        code, text, expected = analyze_text(*case)
+        assert code == 0
+        assert text == expected
+
+    @pytest.mark.parametrize(
+        "case, present",
+        [
+            # the additive golden gate and records: certificates, full lower
+            # sets, data_upper objects
+            (golden_additive_case(), ['"certificate": {', '"data_upper": {', '"sens_lower_size": 13']),
+            # random, a custom family with a negated and a duplicate member:
+            # no certificate, some lower sets neither empty nor full
+            (
+                (
+                    (2, 2, 2),
+                    {i: (Fraction(sum(i) % 2), Fraction(i[0] * i[2], 3)) for i in itertools.product(range(2), repeat=3)},
+                    [(1, -1), (-1, 1), (0, 2), (1, -1)],
+                    None,
+                    Fraction(0),
+                ),
+                ['"certificate": null,\n  "counting', '"data_upper": null'],
+            ),
+            # constant: every lower set empty, records that collide nowhere
+            (
+                (
+                    (2, 3),
+                    dict.fromkeys(itertools.product(range(2), range(3)), (Fraction(1, 3),)),
+                    None,
+                    [(((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))), (Fraction(0),))],
+                    Fraction(0),
+                ),
+                ['"sens_lower": []', '"data_upper": null'],
+            ),
+        ],
+    )
+    def test_fixed_cases_cover_each_kind_of_value(self, case, present):
+        code, text, expected = analyze_text(*case)
+        assert code == 0
+        assert text == expected
+        for piece in present:
+            assert piece in text
+
+
+class TestStreamedEmit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gate", "analyze", str(FIXTURE_PATH)],
+            ["gate", "certify", str(FIXTURE_PATH)],
+            ["zs", "--n", "4"],
+        ],
+    )
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_small_bounds_write_the_same_bytes_in_bounded_writes(
+        self, capsys, monkeypatch, argv, bound
+    ):
+        def masked(text):
+            return re.sub(r'"timing_seconds": [^\n,}]+', '"timing_seconds": 0', text)
+
+        code, expected, _ = run(capsys, *argv)
+        emitted, writes = [], []
+        json_pieces = cli._json_pieces
+        # _emit's call is the last: the document's texts are rendered first
+        monkeypatch.setattr(cli, "_json_pieces", lambda *a: emitted.append(json_pieces(*a)) or emitted[-1])
+        monkeypatch.setattr(cli, "_EMIT_PIECES", bound)
+        monkeypatch.setattr(sys, "stdout", type("Writes", (), {"write": staticmethod(writes.append)})())
+        assert main(argv) == code
+        pieces = emitted[-1]
+        assert pieces[-1] == "\n"
+        assert masked("".join(writes)) == masked(expected)
+        assert writes == ["".join(pieces[k : k + bound]) for k in range(0, len(pieces), bound)]
+        assert len(writes) > 1

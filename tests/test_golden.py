@@ -4,7 +4,8 @@ The expected files under tests/golden/ were written by the CLI, with the
 value of "timing_seconds" replaced by 0: those of `gate analyze` and
 `gate certify` on the default family before the document assembly worked
 from masks, the two with a custom family before witness lists were rendered
-from per-functional text, the others while the output still went through
+from per-functional text, `additive_data_analyze` before the reports were
+rendered as text in one pass, the others while the output still went through
 `json.dumps(payload, indent=2)`. Any change to a byte of the output, other
 than the timing, fails here.
 """
@@ -54,6 +55,11 @@ COMMANDS = {
     ],
     "additive_functionals_certify": [
         "gate", "certify", str(GATES["additive"]), "--functionals", str(FUNCTIONALS),
+    ],
+    # the same records through analyze: every report's data_upper is an object
+    "additive_data_analyze": [
+        "gate", "analyze", str(GATES["additive"]),
+        "--data", str(GOLDEN / "additive_records.csv"), "--eps", "1/12",
     ],
     # records at the additive gate's exact values on a 4 x 3 interior grid
     "data_bound": [
