@@ -88,10 +88,6 @@ _SCALAR_TEXT = {
     type(None): lambda value: "null",
 }
 
-# _emit writes at most this many pieces of a document per stdout write
-_EMIT_PIECES = 1024
-
-
 class _Text(tuple):
     """JSON text rendered for its depth, as str pieces _json_pieces writes as is."""
 
@@ -162,12 +158,11 @@ def _indented_json(payload, depth: int = 0) -> str:
 
 
 def _emit(payload) -> None:
-    """Print _indented_json(payload), _EMIT_PIECES pieces per write."""
+    """Print _indented_json(payload): its pieces go to one writelines call,
+    so the document is never one string."""
     pieces = _json_pieces(payload)
     pieces.append("\n")
-    write = sys.stdout.write
-    for start in range(0, len(pieces), _EMIT_PIECES):
-        write("".join(pieces[start : start + _EMIT_PIECES]))
+    sys.stdout.writelines(pieces)
 
 
 @_kept_up_to_12

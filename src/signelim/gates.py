@@ -138,9 +138,10 @@ def _validate_tensor(
 ) -> dict[Index, Vector]:
     """A gate's table, which is its expansion's coefficients, checked.
 
-    Every arity is an int >= 2, output_dim an int >= 1, every index in range,
-    every entry a vector of output_dim rationals, and no index is missing:
-    the table size minus the entries, so no index set of a huge gate is built.
+    Every arity is an int >= 2, output_dim an int >= 1, every index a tuple
+    of ints in range, every entry a vector of output_dim rationals, and no
+    index is missing: the table size minus the entries, so no index set of a
+    huge gate is built.
     """
     for i, a in enumerate(arities):
         if not isinstance(a, int) or a < 2:
@@ -154,7 +155,8 @@ def _validate_tensor(
     out = {}
     for idx, vec in entries.items():
         key = tuple(idx)
-        if len(key) != len(arities) or not all(k in range(a) for k, a in zip(key, arities)):
+        # type(): True and 1.0 are in range(2), but would not round-trip as JSON
+        if len(key) != len(arities) or not all(type(k) is int and 0 <= k < a for k, a in zip(key, arities)):
             raise ValidationError(f"table index {key!r} out of range for arities {arities}")
         if type(vec) is tuple and len(vec) == output_dim and all(type(v) is Fraction for v in vec):
             out[key] = vec  # parsed already, as gate_from_json does

@@ -8,19 +8,21 @@ reduced dimension N.
 
 The region-sign rule decides the sign of a scalar multilinear form over the
 region exactly from its coefficient tensor, which any positive scale keeps:
-the sign is 0 when no coefficient is nonzero; +1 when none is negative and
-the anchor (all-base) coefficient is positive (every region point gives
-positive weight to the anchor monomial, and every coefficient is a limit of
-region values); -1 symmetrically; otherwise UNDETERMINED ("u"). _region_sign
-is that rule, elementwise, and the only copy of it.
+the anchor (all-base) coefficient's own sign, except UNDETERMINED ("u") when
+the coefficients take both signs, or when the anchor is 0 and some is not
+(every region point gives positive weight to the anchor monomial, and every
+coefficient is a limit of region values). _region_sign is that rule, on the
+coefficients' signs, and the only copy of it.
 
 The total sign of a projection w at z collects the region signs of the N
 reduced partial derivatives of w composed with the expansion. They come for
 every base point and functional at once from the expansion's integer tensor
-T. With the functionals W scaled to integers too, S = T . W^T holds every
-functional's value at every table cell. Along block i, let D[j, c] = S[i =
-j] - S[i = c], a tensor over the other blocks: the reduced partial along (i,
-j) at z is D[j, z_i], whose anchor coefficient sits at z_{-i}.
+T. With the functionals scaled to integers W too (a family's ``weights``),
+S = T . W^T holds every functional's value at every table cell. Row c of
+_free(a), the one free-coordinate rule, lists the j != c of a block of arity
+a. Along block i, D[c, k] = S[i = _free(a)[c, k]] - S[i = c], a tensor over
+the other blocks, is the reduced partial along (i, _free(a)[c, k]) at z_i =
+c, whose anchor coefficient sits at z_{-i}.
 
 Total signs eliminate sign vectors; the union of eliminated sets over a
 projection family is a lower approximation of the sensitive directions at z,
@@ -120,17 +122,26 @@ def _check_caps(expansion: MultilinearExpansion) -> None:
     check_cap(n_reduced, ENV_MAX_N, DEFAULT_MAX_N, "reduced dimension")
 
 
+def _weights(functionals: Sequence[Sequence[Fraction]], width: int) -> np.ndarray:
+    """The functionals of ``width`` components scaled by _cleared (which keeps
+    every sign), one row each of exact Python ints in an object matrix."""
+    scaled, _ = _cleared(functionals)
+    return np.array(scaled, dtype=object).reshape(len(scaled), width)
+
+
 @dataclass(frozen=True)
 class ProjectionFamily:
     """Nonzero rational output functionals, one representative per +- class.
 
     Every entry is read by parse_rational (errors name ``functional <pos>``);
     each functional's sign is normalized (first nonzero component positive)
-    and duplicates are dropped, keeping first occurrences.
+    and duplicates are dropped, keeping first occurrences. ``weights`` holds
+    them scaled once by _weights, read-only.
     """
 
     functionals: tuple[Vector, ...]
     output_dim: int
+    weights: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # type(), not isinstance: True is a bool, which subclasses int
@@ -150,6 +161,8 @@ class ProjectionFamily:
         if not seen:
             raise DomainError("a projection family must be nonempty")
         object.__setattr__(self, "functionals", tuple(seen))
+        object.__setattr__(self, "weights", _weights(self.functionals, self.output_dim))
+        self.weights.setflags(write=False)
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], output_dim: int) -> "ProjectionFamily":
@@ -178,12 +191,19 @@ def reduced_coordinates(arities: Sequence[int], z: Sequence[int]) -> list[tuple[
     ]
 
 
-def _region_sign(pos, neg, above, below) -> np.ndarray:
-    """The region-sign rule as int8 codes, elementwise, from whether some
-    coefficient is > 0 (pos) or < 0 (neg) and whether the anchor coefficient
-    is > 0 (above) or < 0 (below)."""
-    signed = np.where(~neg & above, 1, np.where(~pos & below, -1, UNDETERMINED))
-    return np.where(pos | neg, signed, 0).astype(np.int8)
+def _free(a: int) -> np.ndarray:
+    """Row c: the coordinates j != c of a block of arity a, in order."""
+    k = np.arange(a - 1)
+    return k + (k >= np.arange(a)[:, None])
+
+
+def _region_sign(signs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The region-sign rule as int8 codes, elementwise: each entry of the
+    int8 ``signs`` is an anchor whose coefficients are the entries along
+    ``axes``."""
+    pos = (signs > 0).any(axis=axes, keepdims=True)
+    neg = (signs < 0).any(axis=axes, keepdims=True)
+    return np.where(pos & neg | (signs == 0) & (pos | neg), UNDETERMINED, signs)
 
 
 def sign_over_region(form: MultilinearExpansion, base: Sequence[int]) -> int:
@@ -195,49 +215,34 @@ def sign_over_region(form: MultilinearExpansion, base: Sequence[int]) -> int:
     """
     if form.output_dim != 1:
         raise DomainError("sign_over_region expects a scalar form")
-    values = form.tensor[..., 0]
-    anchor = values[validate_base_point(form, base)]
-    return int(_region_sign((values > 0).any(), (values < 0).any(), anchor > 0, anchor < 0))
+    anchor = validate_base_point(form, base)
+    # over zero blocks np.sign of the 0-d array is a Python int
+    signs = np.asarray(np.sign(form.tensor[..., 0]), dtype=np.int8)
+    return int(_region_sign(signs, tuple(range(signs.ndim)))[anchor])
 
 
-def _total_signs(
-    expansion: MultilinearExpansion, functionals: Sequence[Sequence]
-) -> np.ndarray:
+def _total_signs(expansion: MultilinearExpansion, weights: np.ndarray) -> np.ndarray:
     """Total sign of every functional at every base point, as int8 codes.
 
-    Entry [z][f] is the total sign of functionals[f] at base point z, in
-    reduced_coordinates order; the shape is arities + (len(functionals), N).
+    ``weights`` holds the functionals as _weights scales them, one row each.
+    Entry [z][f] is the total sign of functional f at base point z, in
+    reduced_coordinates order; the shape is arities + (len(weights), N).
     An expansion over zero blocks has no free coordinate, so no total sign.
     """
-    arities = expansion.arities
-    dim = expansion.output_dim
+    arities, dim = expansion.arities, expansion.output_dim
     if not arities:
         raise DomainError("vector length must be a positive int, got 0")
-    for w in functionals:
-        if len(w) != dim:
-            raise DomainError(f"functional must have {dim} components, got {len(w)}")
-    # A positive scale for the functionals keeps every sign, and every
-    # comparison between values of one functional. Object arrays of Python
-    # ints keep the products exact at any size.
-    scaled, _ = _cleared(functionals)
-    weights = np.array(scaled, dtype=object).reshape(len(scaled), dim)
+    if weights.shape[1] != dim:
+        raise DomainError(f"functional must have {dim} components, got {weights.shape[1]}")
     values = expansion.tensor @ weights.T
     blocks = []
     for i, a in enumerate(arities):
         x = np.moveaxis(values, i, 0)
-        # [j, c, rest..., f]: the partial along (i, j) at z_i = c is > 0 / < 0
-        above = x[:, None] > x[None, :]
-        below = x[:, None] < x[None, :]
-        rest = tuple(range(2, above.ndim - 1))
-        pos = above.any(axis=rest, keepdims=True)
-        neg = below.any(axis=rest, keepdims=True)
-        codes = _region_sign(pos, neg, above, below)
-        # to [z..., f, j], then drop j == z_i
-        codes = np.moveaxis(np.moveaxis(codes, 0, -1), 0, i)
-        free = np.array([[j for j in range(a) if j != c] for c in range(a)])
-        shape = [1] * codes.ndim
-        shape[i], shape[-1] = a, a - 1
-        blocks.append(np.take_along_axis(codes, free.reshape(shape), axis=-1))
+        # [c, j, rest..., f]: the sign of the partial's coefficient along
+        # (i, _free(a)[c, j]) at z_i = c
+        signs = np.sign(x[_free(a)] - x[:, None]).astype(np.int8)
+        codes = _region_sign(signs, tuple(range(2, signs.ndim - 1)))
+        blocks.append(np.moveaxis(codes, (0, 1), (i, -1)))  # to [z..., f, j]
     return np.concatenate(blocks, axis=-1)
 
 
@@ -247,7 +252,7 @@ def total_sign(
     """Region signs of the N reduced partials of w composed with the expansion."""
     base = validate_base_point(expansion, z)
     w = parse_rational_vector(w, "w")
-    return tuple(_total_signs(expansion, [w])[base][0].tolist())
+    return tuple(_total_signs(expansion, _weights([w], len(w)))[base][0].tolist())
 
 
 def _paired(
@@ -267,7 +272,7 @@ def witness_signs(
             f"family works on dimension {family.output_dim}, "
             f"gate outputs have dimension {expansion.output_dim}"
         )
-    return _paired(family.functionals, _total_signs(expansion, family.functionals)[base])
+    return _paired(family.functionals, _total_signs(expansion, family.weights)[base])
 
 
 def sensitivity_lower_set(
@@ -447,13 +452,10 @@ def verify_certificate(
     except DomainError:
         return False
     witnesses = certificate.witnesses
-    functionals = [
-        parse_rational_vector(w, f"certificate witness {k}")
-        for k, (w, _) in enumerate(witnesses)
-    ]
+    functionals = [parse_rational_vector(w, f"certificate witness {k}") for k, (w, _) in enumerate(witnesses)]
     if any(len(w) != expansion.output_dim for w in functionals):
         return False
-    codes = _total_signs(expansion, functionals)[z]
+    codes = _total_signs(expansion, _weights(functionals, expansion.output_dim))[z]
     if codes.tolist() != [list(ts) for _, ts in witnesses]:
         return False
     return bool(eliminated_any_mask(table(n_reduced), codes).all())
@@ -693,9 +695,9 @@ def _collision_scores(
     The records are coded and checked once, and _collision_pairs gives every
     pair's int8 sign row, block by block. The distinct sign rows, projected
     onto each base point's free coordinates, go through _sweep in blocks of
-    base points, each gathered from one array of column indices, the same
-    sweep witness total signs take; each base point scores the popcount of
-    its mask.
+    base points, each gathered from one array of column indices read off
+    _free, the same sweep witness total signs take; each base point scores
+    the popcount of its mask.
     Returns ({}, None) when no two records collide at distinct points.
     """
     coded = _validate_records(records, expansion, delta)
@@ -710,9 +712,8 @@ def _collision_scores(
     distinct = signs[order[first]]
     # row k: the columns of base point zs[k]'s free coordinates, in order
     zs = list(base_points(expansion))
-    free = np.ones((len(zs), width), dtype=bool)
-    free[np.arange(len(zs))[:, None], np.cumsum((0,) + expansion.arities[:-1]) + zs] = False
-    columns = np.nonzero(free)[1].reshape(len(zs), n_reduced)
+    bases, starts = np.array(zs), np.cumsum((0,) + expansion.arities[:-1])
+    columns = np.hstack([starts[i] + _free(a)[bases[:, i]] for i, a in enumerate(expansion.arities)])
     # blocks of base points: the distinct rows on their free coordinates
     projected = _in_blocks(
         zs, distinct.shape[0] * n_reduced, lambda part: distinct[:, columns[part]].swapaxes(0, 1)
@@ -805,7 +806,7 @@ def _witness_sweep(
     zs = list(base_points(expansion))
 
     def every():
-        signs = _total_signs(expansion, family.functionals)
+        signs = _total_signs(expansion, family.weights)
         signs = signs.reshape((-1,) + signs.shape[-2:])
         if one_at_a_time:
             yield from (([z], signs[k : k + 1]) for k, z in enumerate(zs))

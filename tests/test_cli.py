@@ -1138,32 +1138,71 @@ class TestAnalysisDocument:
             assert piece in text
 
 
+class _RawWrites(io.RawIOBase):
+    """A raw stream that keeps each write it is given."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+EMIT_ARGVS = [
+    ["gate", "analyze", str(FIXTURE_PATH)],
+    ["gate", "certify", str(FIXTURE_PATH)],
+    ["zs", "--n", "4"],
+]
+
+
 class TestStreamedEmit:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["gate", "analyze", str(FIXTURE_PATH)],
-            ["gate", "certify", str(FIXTURE_PATH)],
-            ["zs", "--n", "4"],
-        ],
-    )
+    @staticmethod
+    def masked(text):
+        return re.sub(r'"timing_seconds": [^\n,}]+', '"timing_seconds": 0', text)
+
+    @staticmethod
+    def emitted_pieces(monkeypatch):
+        emitted = []
+        json_pieces = cli._json_pieces
+        # _emit's call is the last: the document's texts are rendered first
+        monkeypatch.setattr(cli, "_json_pieces", lambda *a: emitted.append(json_pieces(*a)) or emitted[-1])
+        return emitted
+
+    @pytest.mark.parametrize("argv", EMIT_ARGVS)
+    def test_the_writers_pieces_go_to_one_writelines_call(self, capsys, monkeypatch, argv):
+        code, expected, _ = run(capsys, *argv)
+        calls = []
+        emitted = self.emitted_pieces(monkeypatch)
+        monkeypatch.setattr(sys, "stdout", type("Writes", (), {"writelines": staticmethod(calls.append)})())
+        assert main(argv) == code
+        pieces = emitted[-1]
+        assert pieces[-1] == "\n"
+        assert len(calls) == 1 and calls[0] is pieces
+        assert self.masked("".join(pieces)) == self.masked(expected)
+        assert len(pieces) > 1
+
+    @pytest.mark.parametrize("argv", EMIT_ARGVS)
     @pytest.mark.parametrize("bound", [1, 3])
     def test_small_bounds_write_the_same_bytes_in_bounded_writes(
         self, capsys, monkeypatch, argv, bound
     ):
-        def masked(text):
-            return re.sub(r'"timing_seconds": [^\n,}]+', '"timing_seconds": 0', text)
-
+        # a text stream whose chunk and buffer hold ``bound`` bytes passes
+        # the writer's pieces on as they come: no write is the document
         code, expected, _ = run(capsys, *argv)
-        emitted, writes = [], []
-        json_pieces = cli._json_pieces
-        # _emit's call is the last: the document's texts are rendered first
-        monkeypatch.setattr(cli, "_json_pieces", lambda *a: emitted.append(json_pieces(*a)) or emitted[-1])
-        monkeypatch.setattr(cli, "_EMIT_PIECES", bound)
-        monkeypatch.setattr(sys, "stdout", type("Writes", (), {"write": staticmethod(writes.append)})())
+        emitted = self.emitted_pieces(monkeypatch)
+        raw = _RawWrites()
+        stream = io.TextIOWrapper(io.BufferedWriter(raw, buffer_size=bound), encoding="utf-8")
+        stream._CHUNK_SIZE = bound
+        monkeypatch.setattr(sys, "stdout", stream)
         assert main(argv) == code
-        pieces = emitted[-1]
-        assert pieces[-1] == "\n"
-        assert masked("".join(writes)) == masked(expected)
-        assert writes == ["".join(pieces[k : k + bound]) for k in range(0, len(pieces), bound)]
+        stream.flush()
+        sizes = [len(piece.encode()) for piece in emitted[-1]]
+        writes = raw.writes
+        assert self.masked(b"".join(writes).decode()) == self.masked(expected)
+        assert set(itertools.accumulate(map(len, writes))) <= set(itertools.accumulate(sizes))
+        assert max(map(len, writes)) < bound + max(sizes)
         assert len(writes) > 1

@@ -325,6 +325,8 @@ class TestExpansion:
             ((2, 2), 1, {(0, 2): (F(0),)}, r"index \(0, 2\) out of range"),
             ((2, 2), 1, {(0, 0): (F(0),)}, "is missing 3 entries"),
             ((2, 2), 1, {(0, 0): (F(0), F(1))}, "expected 1 components, got 2"),
+            ((2, 2), 1, {(True, 0): (F(0),)}, r"index \(True, 0\) out of range"),
+            ((2, 2), 1, {(1.0, 0): (F(0),)}, r"index \(1.0, 0\) out of range"),
         ],
     )
     def test_gates_and_expansions_share_one_rule(self, arities, output_dim, entries, message):
@@ -334,6 +336,13 @@ class TestExpansion:
             Gate(arities, output_dim, entries)
         with pytest.raises(ValidationError, match=message):
             MultilinearExpansion(arities, output_dim, entries)
+
+    def test_an_accepted_table_round_trips_through_json(self):
+        # a gate takes only int indices, so its JSON reads back as the gate
+        gate = Gate((2, 3), 2, {idx: (F(idx[0], 2), F(-idx[1], 3)) for idx in product(range(2), range(3))})
+        text = dumps_gate(gate)
+        assert gate_from_json(json.loads(text)) == gate
+        assert all(type(j) is int for entry in json.loads(text)["entries"] for j in entry["index"])
 
 
 class TestOneRepresentation:

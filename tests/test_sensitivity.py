@@ -34,6 +34,7 @@ from signelim import (
     log3_value,
     parse_experiment_csv,
     reduced_coordinates,
+    reduced_dimension,
     reduced_partial,
     reversibility_certificate,
     sensitivity_lower_set,
@@ -363,6 +364,21 @@ def functionals(dim):
     )
 
 
+@st.composite
+def wide_gates(draw):
+    """Arities 2-5 over at most two blocks, with ties and zeros, and one
+    entry of denominator 2**64 + 1, so every nonzero cleared int of the
+    table exceeds int64."""
+    arities = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)))
+    dim = draw(st.integers(1, 2))
+    cells = list(product(*(range(a) for a in arities)))
+    entry = st.one_of(st.sampled_from([F(-1), F(0), F(1)]), st.integers(-2**80, 2**80).map(F))
+    table = {idx: tuple(draw(entry) for _ in range(dim)) for idx in cells}
+    idx = draw(st.sampled_from(cells))
+    table[idx] = (F(1, 2**64 + 1),) + table[idx][1:]
+    return Gate(arities=arities, output_dim=dim, table=table)
+
+
 class TestProjectionFamily:
     @pytest.mark.parametrize("dim", range(1, 6))
     def test_default_family_is_the_canonical_enumeration(self, dim):
@@ -390,6 +406,10 @@ class TestProjectionFamily:
             2,
         )
         assert family.functionals == ((1, -2), (0, 3), (2, 1), (0, 1))
+        assert family.weights.tolist() == [[1, -2], [0, 3], [2, 1], [0, 1]]
+        assert not family.weights.flags.writeable
+        # one scale for the whole family, so values of one functional compare
+        assert ProjectionFamily(((F(1, 2), F(1, 3)), (1, 0)), 2).weights.tolist() == [[3, 2], [6, 0]]
 
 
 class TestTotalSignsAgainstTheOracle:
@@ -418,6 +438,20 @@ class TestTotalSignsAgainstTheOracle:
                 assert ts == oracles.total_sign(
                     gate.arities, gate.table, report.base_point, w
                 )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_entry_at_arities_up_to_five_beyond_int64(self, data):
+        gate = data.draw(wide_gates())
+        expansion = expand(gate)
+        assert expansion.scale > 2**63
+        vectors = [w for w in data.draw(functionals(gate.output_dim)) if any(w)]
+        family = ProjectionFamily.from_vectors(vectors + [[1] * gate.output_dim], gate.output_dim)
+        signs = sensitivity._total_signs(expansion, family.weights)
+        assert signs.shape == gate.arities + (len(family.functionals), reduced_dimension(expansion))
+        for z in base_points(expansion):
+            for f, w in enumerate(family.functionals):
+                assert tuple(signs[z][f].tolist()) == oracles.total_sign(gate.arities, gate.table, z, w)
 
 
 @st.composite
@@ -769,7 +803,7 @@ class TestKernelRouting:
         gate = SWEEP_GATES[seed]
         expansion = expand(gate)
         family = default_family(gate.output_dim)
-        signs = sensitivity._total_signs(expansion, family.functionals)
+        signs = sensitivity._total_signs(expansion, family.weights)
         every = (list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:]))
         for _, _, mask, _ in sensitivity._sweep([every]):
             assert mask.dtype == bool
@@ -915,7 +949,7 @@ class TestCertificates:
         gate = SWEEP_GATES[5]
         expansion = expand(gate)
         family = default_family(gate.output_dim)
-        signs = sensitivity._total_signs(expansion, family.functionals)
+        signs = sensitivity._total_signs(expansion, family.weights)
         own = set(map(tuple, signs[0, 0].tolist()))
         assert not own >= set(map(tuple, signs.reshape(-1, signs.shape[-1]).tolist()))
         scanned, row_masks = [], backend._row_masks
