@@ -6,18 +6,18 @@ call; ``tests/test_kernels.py`` checks both against the brute-force oracles.
 
 * Eliminator rows, which may contain "u" (witness total signs, certificates,
   collision rows, covers, the set functions of ``signvec``): the scan. One
-  per-row rule, ``_row_masks``, is evaluated for a block of eliminator rows
-  against a slice of the table at once, and one schedule, ``_blocks``, cuts
-  every scan into blocks of at most ``_CHUNK_ROWS`` eliminator-row pairs, so
-  temporaries stay bounded on large tables; it costs about
+  per-row rule, ``_row_masks``, is evaluated for all eliminator rows of a
+  call against a slice of the table at once, and one schedule, ``_blocks``,
+  cuts only the table, into slices of about ``_CHUNK_ROWS`` eliminator-row
+  pairs, so temporaries stay bounded on large tables; it costs about
   len(elim) * rows * n. Its two outputs read the same blocks. The union of
   each group's rows, ``eliminated_any_masks``, takes a list of groups (the
   new row sets of one block of a sweep, or one group for
   ``eliminated_any_mask``), concatenates them in _batches of at most
-  ``_BATCH_CELLS`` eliminator-row pairs and ORs each group's rows of a
-  block into its own mask. One set per row, ``row_mask_bits``, packs them
-  one bit per table row for the certificate, the cover search and the joint
-  count.
+  ``_BATCH_CELLS`` eliminator-row pairs and writes the union of each
+  group's rows in a block, where no group is split, into its own mask. One
+  set per row, ``row_mask_bits``, packs them one bit per table row for the
+  certificate, the cover search and the joint count.
 * A set given as a boolean mask over table(n), the complement of the set a
   base point scores: the transform, ``_elimination_counts``. Let C+- be the
   members and their negations. For a sign vector s let f(s) count the
@@ -47,7 +47,6 @@ as digits 0 -> 0, +1 -> 1, -1 -> 2, the first entry most significant.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import lru_cache, wraps
 from itertools import accumulate
 from typing import Sequence
@@ -57,8 +56,9 @@ import numpy as np
 #: int8 code for the undetermined total-sign entry, serialized as "u".
 UNDETERMINED = 2
 
-# The scan materializes (eliminators x rows) int8 temporaries; blocks of at
-# most this many cells keep peak memory bounded on large tables.
+# The scan materializes (eliminators x rows) int8 temporaries; table slices
+# of at most this many cells, or of 8 rows where a call's eliminators alone
+# exceed it, keep peak memory bounded on large tables.
 _CHUNK_ROWS = 1 << 18
 
 _BATCH_CELLS = 1 << 14
@@ -193,20 +193,19 @@ def _row_masks(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
 
 
 def _blocks(table: np.ndarray, elim: np.ndarray):
-    """Yield (k, i, _row_masks(table[i], elim[k])) for slices k and i over all pairs.
+    """Yield (i, _row_masks(table[i], elim)) for slices i over the table.
 
-    The one block schedule of the scan: eliminators outer, table inner. A
-    block holds up to _CHUNK_ROWS // 8 eliminators (at least one) against a
-    slice of the table whose length is a multiple of 8 (8 when _CHUNK_ROWS
-    is smaller), so at most max(_CHUNK_ROWS, 8) pairs, and every slice but
-    the table's last packs to whole bytes.
+    The one block schedule of the scan: every block holds all of the call's
+    eliminators against a slice of the table whose length is a multiple of
+    8, so at most max(_CHUNK_ROWS, 8 * len(elim)) pairs, and every slice
+    but the table's last packs to whole bytes. Without eliminators it yields
+    nothing.
     """
-    step = max(1, min(elim.shape[0], _CHUNK_ROWS // 8))
-    width = max(8, _CHUNK_ROWS // step // 8 * 8)
-    for first in range(0, elim.shape[0], step):
+    if elim.shape[0]:
+        width = max(8, _CHUNK_ROWS // elim.shape[0] // 8 * 8)
         for start in range(0, table.shape[0], width):
-            k, i = slice(first, first + step), slice(start, start + width)
-            yield k, i, _row_masks(table[i], elim[k])
+            i = slice(start, start + width)
+            yield i, _row_masks(table[i], elim)
 
 
 def _batches(cells: Sequence[int]):
@@ -231,9 +230,9 @@ def eliminated_any_masks(table: np.ndarray, groups: Sequence[np.ndarray]) -> np.
 
     The groups go through the scan in _batches of consecutive groups, a
     group costing its rows times the table's rows. A batch is one
-    eliminator matrix cut by _blocks, and each group ORs its rows in a block
-    into its own mask, so a group split between blocks is OR-ed in block by
-    block. A group without rows eliminates nothing.
+    eliminator matrix cut by _blocks, whose every block holds all of the
+    batch's rows, so each group writes the union of its rows in a block
+    into its own mask once. A group without rows eliminates nothing.
     """
     out = np.zeros((len(groups), table.shape[0]), dtype=bool)
     sizes = [group.shape[0] for group in groups]
@@ -242,12 +241,9 @@ def eliminated_any_masks(table: np.ndarray, groups: Sequence[np.ndarray]) -> np.
         ends = list(accumulate(sizes[lo:hi]))
         firsts = [0] + ends[:-1]
         elim = groups[lo] if hi - lo == 1 else np.concatenate(groups[lo:hi])
-        for k, i, block in _blocks(table, elim):
-            # the group holding the block's first row, then each one starting
-            # inside the block
-            for g in range(bisect_right(firsts, k.start) - 1, bisect_left(firsts, k.stop)):
-                rows = block[max(firsts[g] - k.start, 0) : ends[g] - k.start]
-                out[lo + g, i] |= rows.any(axis=0)
+        for i, block in _blocks(table, elim):
+            for g, (first, end) in enumerate(zip(firsts, ends), lo):
+                out[g, i] = block[first:end].any(axis=0)
     return out
 
 
@@ -263,8 +259,8 @@ def row_mask_bits(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
     table are zero).
     """
     out = np.empty((elim.shape[0], (table.shape[0] + 7) // 8), dtype=np.uint8)
-    for k, i, block in _blocks(table, elim):
-        out[k, i.start // 8 : i.stop // 8] = np.packbits(block, axis=1)
+    for i, block in _blocks(table, elim):
+        out[:, i.start // 8 : i.stop // 8] = np.packbits(block, axis=1)
     return out
 
 

@@ -308,20 +308,22 @@ def base_points(expansion: MultilinearExpansion) -> Iterable[Index]:
     return product(*(range(a) for a in expansion.arities))
 
 
-def validate_base_point(expansion: MultilinearExpansion, z: Sequence[int]) -> Index:
+def _base_point(arities: Sequence[int], z: Sequence[int]) -> Index:
+    """z as a tuple, checked as a base point of blocks of these arities."""
     point = tuple(z)
-    if len(point) != expansion.block_count:
-        raise DomainError(
-            f"base point must have {expansion.block_count} entries, got {len(point)}"
-        )
-    for i, j in enumerate(point):
+    if len(point) != len(arities):
+        raise DomainError(f"base point must have {len(arities)} entries, got {len(point)}")
+    for i, (j, arity) in enumerate(zip(point, arities)):
         # type(), not isinstance: a bool would index arrays as a mask
-        if type(j) is not int or not 0 <= j < expansion.arities[i]:
+        if type(j) is not int or not 0 <= j < arity:
             raise DomainError(
-                f"base point entry {j!r} out of range for block {i} "
-                f"(arity {expansion.arities[i]})"
+                f"base point entry {j!r} out of range for block {i} (arity {arity})"
             )
     return point
+
+
+def validate_base_point(expansion: MultilinearExpansion, z: Sequence[int]) -> Index:
+    return _base_point(expansion.arities, z)
 
 
 def reduced_partial(

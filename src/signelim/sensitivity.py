@@ -60,6 +60,7 @@ from .errors import DomainError, ValidationError, check_cap
 from .gates import (
     Gate,
     MultilinearExpansion,
+    _base_point,
     _cleared,
     base_points,
     expand,
@@ -183,12 +184,8 @@ def default_family(output_dim: int) -> ProjectionFamily:
 
 def reduced_coordinates(arities: Sequence[int], z: Sequence[int]) -> list[tuple[int, int]]:
     """The free (block, coordinate) pairs at base point z, in report order."""
-    return [
-        (i, j)
-        for i, arity in enumerate(arities)
-        for j in range(arity)
-        if j != z[i]
-    ]
+    point = _base_point(arities, z)
+    return [(i, j) for i, (a, c) in enumerate(zip(arities, point)) for j in _free(a)[c].tolist()]
 
 
 def _free(a: int) -> np.ndarray:

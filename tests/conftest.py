@@ -33,6 +33,17 @@ def random_total_sign(rng, n, allow_undetermined=True):
             return t
 
 
+def closed_form_union(rows):
+    """|eliminated(rows)| of total-sign rows, "u" allowed: oracles.union_count
+    over the package's closed-form intersection count."""
+    import oracles
+    from signelim import SignMatrix, count_eliminated_intersection
+
+    return oracles.union_count(
+        rows, lambda reduced: count_eliminated_intersection(SignMatrix.from_rows(reduced))
+    )
+
+
 def write_gate(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2) + "\n")

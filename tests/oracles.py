@@ -9,7 +9,7 @@ import csv
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 UNDET = 2
 
@@ -58,6 +58,39 @@ def jointly_eliminated(X, n):
     return {
         s for s in canonical_vectors(n) if all(eliminates(t, s) for t in members)
     }
+
+
+def live_classes(rows):
+    """One row per +- class of the rows with a +-1 entry, the first +-1
+    made +1 ("u" kept), sorted."""
+    out = set()
+    for t in rows:
+        first = next((e for e in t if e in (-1, 1)), None)
+        if first:
+            out.add(tuple(e if e == UNDET else first * e for e in t))
+    return sorted(out)
+
+
+def union_count(rows, intersection_count):
+    """|eliminated(rows)| for total-sign rows that may contain "u", by
+    inclusion-exclusion over live_classes(rows).
+
+    The rows of a subset T eliminate together only vectors that are 0 on W,
+    the union of T's "u" positions. Off W the rows are sign vectors, so the
+    term is the intersection count of T's rows with W deleted, each negated
+    to lead with +1 and repeats dropped, or 0 when a row has no +-1 left.
+    ``intersection_count`` takes such distinct canonical rows, as the
+    package's closed form does; this function only reduces to it.
+    """
+    live, total = live_classes(rows), 0
+    for size in range(1, len(live) + 1):
+        for subset in combinations(live, size):
+            w = {j for t in subset for j, e in enumerate(t) if e == UNDET}
+            reduced = [tuple(e for j, e in enumerate(t) if j not in w) for t in subset]
+            if all(any(t) for t in reduced):
+                signed = intersection_count(sorted({canonical(t) for t in reduced}))
+                total += signed if size % 2 else -signed
+    return total
 
 
 def aligned_columns(rows, alpha):

@@ -21,7 +21,7 @@ from signelim import counting
 from signelim.errors import ResourceLimitError
 
 import oracles
-from conftest import fail_if_called
+from conftest import closed_form_union, fail_if_called
 
 
 def matrices(max_n=4, max_rows=3):
@@ -277,6 +277,44 @@ class TestUnion:
         monkeypatch.setenv("SIGNELIM_MAX_N", "3")
         with pytest.raises(ResourceLimitError, match="SIGNELIM_MAX_N"):
             count_eliminated_union([(1, 0), (0, 1), (1, 1), (1, -1)])
+
+
+@st.composite
+def total_sign_rows(draw):
+    """(n, rows): total-sign rows of length 1-6 with "u" at random
+    positions, and all-"u", dead, duplicate and negated rows mixed in."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((-1, 0, 1, UNDETERMINED))
+    rows = draw(st.lists(st.tuples(*[entry] * n), max_size=4))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    if rows and draw(st.booleans()):
+        t = draw(st.sampled_from(rows))
+        rows.append(tuple(e if e == UNDETERMINED else -e for e in t))
+    if draw(st.booleans()):
+        rows.append((UNDETERMINED,) * n)
+    if draw(st.booleans()):
+        rows.append(draw(st.tuples(*[st.sampled_from((0, UNDETERMINED))] * n)))
+    return n, draw(st.permutations(rows))
+
+
+class TestUnionWithUndetermined:
+    """oracles.union_count, the closed form of a scan mask, against brute force."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(total_sign_rows())
+    @example((3, [(1, UNDETERMINED, 0), (0, 1, -1), (-1, UNDETERMINED, 0), (0, -1, 1)]))
+    @example((2, [(UNDETERMINED, UNDETERMINED), (0, UNDETERMINED), (0, 0)]))
+    def test_matches_the_eliminated_set(self, case):
+        n, rows = case
+        assert closed_form_union(rows) == len(oracles.eliminated(rows, n))
+
+    def test_u_rows_reduce_to_the_sign_vector_union(self):
+        # the first row eliminates 3 vectors, the second 9, and both the 2
+        # of the pair's term: the "u" deletes column 1 from both rows, so it
+        # is the intersection count of (1, 1) and (1, 0)
+        rows = [(1, UNDETERMINED, 1), (1, 1, 0)]
+        assert closed_form_union(rows) == len(oracles.eliminated(rows, 3)) == 3 + 9 - 2
 
 
 class TestPairFormulas:

@@ -178,8 +178,8 @@ class TestBackendParity:
             assert np.array_equal(chunked, expect)
 
     def test_eliminator_blocks_are_invisible(self, rng, monkeypatch):
-        # More eliminators than _CHUNK_ROWS: each table row meets the
-        # eliminators in several blocks.
+        # More eliminators than _CHUNK_ROWS: every block is 8 table rows
+        # against all the eliminators, so the table is cut into many slices.
         monkeypatch.setattr(backend, "_CHUNK_ROWS", 2)
         table = sign_vector_table(4)
         elim = random_eliminators(rng, 4, 5, allow_undetermined=False)
@@ -272,16 +272,12 @@ class TestRowMaskBits:
             for scan in (row_mask_bits, eliminated_any_mask):
                 shapes.clear()
                 scan(table, elim)
-                # a few eliminators against the whole table or a slice of 8j
-                # table rows (only the last slice of the table may be shorter)
-                assert all(k * rows <= max(chunk, 8) for k, rows in shapes)
+                # all the eliminators against the whole table or a slice of
+                # 8j table rows (only the table's last slice may be shorter)
+                assert all(k == count for k, _ in shapes)
+                assert all(k * rows <= max(chunk, 8 * count) for k, rows in shapes)
                 assert sum(k * rows for k, rows in shapes) == count * table.shape[0]
-                done = 0
-                for k, rows in shapes:
-                    if rows < table.shape[0]:
-                        done += rows
-                        if done % table.shape[0]:  # not the table's last slice
-                            assert rows % 8 == 0
+                assert all(rows % 8 == 0 for _, rows in shapes[:-1])
 
     def test_row_masks_has_one_call_site(self):
         # _blocks, the one block schedule, is the rule's only caller in src/
@@ -418,6 +414,28 @@ class TestBatches:
             assert mask.tolist() == oracle_any(table, group)
         assert backend.eliminated_any_masks(table, []).shape == (0, table.shape[0])
 
+    @pytest.mark.parametrize("budget", [1, 1 << 14])
+    def test_empty_scans_make_no_kernel_call(self, rng, monkeypatch, budget):
+        calls, row_masks = [], backend._row_masks
+
+        def counted(table, elim):
+            calls.append(elim.shape[0])
+            return row_masks(table, elim)
+
+        monkeypatch.setattr(backend, "_row_masks", counted)
+        monkeypatch.setattr(backend, "_BATCH_CELLS", budget)
+        table, groups = scan_groups(rng, 4)
+        empty = np.zeros((0, 4), dtype=np.int8)
+        assert row_mask_bits(table, empty).shape == (0, 5)
+        assert backend.eliminated_any_masks(table, [empty, empty]).tolist() == [[False] * 40] * 2
+        assert calls == []
+        # empty groups first, last and between nonempty ones
+        mixed = [empty, *groups[:3], empty, *groups[3:], empty]
+        masks = backend.eliminated_any_masks(table, mixed)
+        assert masks.tolist() == [oracle_any(table, group) for group in mixed]
+        assert calls and 0 not in calls
+        assert sum(calls) == sum(group.shape[0] for group in groups)
+
     @pytest.mark.parametrize("chunk", [1, 8, 16, 24])
     @pytest.mark.parametrize("budget", [1, 13, 40, 121])
     def test_small_budgets_split_batches_and_blocks(self, rng, monkeypatch, chunk, budget):
@@ -431,26 +449,22 @@ class TestBatches:
 
         def spy(table, elim):
             batches.append([])
-            for k, i, block in blocks(table, elim):
-                batches[-1].append((k.start, min(k.stop, elim.shape[0])))
-                yield k, i, block
+            for i, block in blocks(table, elim):
+                batches[-1].append(block.shape[0])
+                yield i, block
 
         monkeypatch.setattr(backend, "_blocks", spy)
         assert backend.eliminated_any_masks(table, groups).tolist() == expected
         runs = reference_batches([size * table.shape[0] for size in sizes], budget)
         assert len(batches) == len(runs) > 1
-        straddles = 0
-        for (lo, hi), spans in zip(runs, batches):
-            # the batch's groups, in order, and their rows in its matrix
-            ends = np.cumsum(sizes[lo:hi]).tolist()
-            assert max([stop for _, stop in spans], default=0) == ends[-1]
-            assert hi - lo == 1 or ends[-1] * table.shape[0] <= budget
-            cuts = {stop for _, stop in spans[:-1]}
-            straddles += sum(
-                any(first < cut < end for cut in cuts) for first, end in zip([0] + ends, ends)
-            )
+        for (lo, hi), block_rows in zip(runs, batches):
+            # every block of a batch holds all of the batch's rows, so no
+            # group is split between blocks
+            rows = sum(sizes[lo:hi])
+            assert block_rows == [rows] * len(block_rows) and bool(block_rows) == bool(rows)
+            assert hi - lo == 1 or rows * table.shape[0] <= budget
         if chunk <= 16:
-            assert straddles  # some group's rows are split between two blocks
+            assert any(len(block_rows) > 1 for block_rows in batches)  # the table is cut
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_transform_matches_per_mask_calls_and_the_oracle(self, rng, n):

@@ -41,6 +41,7 @@ from signelim import (
     sensitivity_score,
     sign_over_region,
     total_sign,
+    validate_base_point,
     verify_certificate,
     witness_signs,
 )
@@ -50,7 +51,7 @@ from signelim.signvec import eliminated_mask, jointly_eliminated_count
 from signelim.errors import ResourceLimitError
 
 import oracles
-from conftest import fail_if_called, random_total_sign
+from conftest import closed_form_union, fail_if_called, random_total_sign
 
 F = Fraction
 
@@ -72,8 +73,9 @@ OFF_ORIGIN = Gate(
 )
 
 
-def seeded_gate(seed, arities, output_dim, kind):
-    """A random table, or an additive one (a sum of per-block vectors)."""
+def seeded_gate(seed, arities, output_dim, kind, perturbed=0):
+    """A random table, or an additive one (a sum of per-block vectors) with
+    ``perturbed`` entries moved by +-1/3 in one output."""
     rng = random.Random(seed)
     thirds = [F(k, 3) for k in range(4)]
     cells = list(product(*(range(a) for a in arities)))
@@ -94,6 +96,9 @@ def seeded_gate(seed, arities, output_dim, kind):
             )
             for idx in cells
         }
+        for idx in rng.sample(cells, perturbed):
+            c, bump = rng.randrange(output_dim), F(rng.choice((-1, 1)), 3)
+            table[idx] = tuple(v + bump if k == c else v for k, v in enumerate(table[idx]))
     return Gate(arities=arities, output_dim=output_dim, table=table)
 
 
@@ -282,6 +287,36 @@ class TestTotalSign:
             (2, 1),
         ]
         assert len(total_sign(expansion, (0, 1, 0), (1,))) == 3
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            ((5, 0), "base point entry 5 out of range for block 0 (arity 2)"),
+            ((True, 0), "base point entry True out of range for block 0 (arity 2)"),
+            ((0,), "base point must have 2 entries, got 1"),
+        ],
+    )
+    def test_reduced_coordinates_check_the_base_point(self, z, message):
+        with pytest.raises(DomainError) as caught:
+            reduced_coordinates((2, 2), z)
+        assert str(caught.value) == message
+        with pytest.raises(DomainError) as same:
+            validate_base_point(expand(AND), z)
+        assert str(same.value) == message
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), max_size=5).flatmap(
+            lambda arities: st.tuples(
+                st.just(arities), st.tuples(*(st.integers(0, a - 1) for a in arities))
+            )
+        )
+    )
+    def test_reduced_coordinates_leave_out_the_base_point(self, case):
+        arities, z = case
+        assert reduced_coordinates(arities, z) == [
+            (i, j) for i, a in enumerate(arities) for j in range(a) if j != z[i]
+        ]
 
     def test_witness_signs_follow_family_order(self, color_gate):
         expansion = expand(color_gate)
@@ -1012,6 +1047,24 @@ class TestAnalyzeGate:
         for report in analysis.reports:
             assert report.score.value <= analysis.lower.value
             assert len(report.witnesses) == 40
+
+    @pytest.mark.parametrize(
+        "arities, output_dim, perturbed", [((2,) * 9, 2, 3), ((3,) * 5, 2, 3), ((2,) * 11, 1, 2)]
+    )
+    def test_large_n_masks_match_the_closed_form(self, arities, output_dim, perturbed):
+        # N = 9-11, where the document's counting cross-check skips every
+        # set: each distinct mask of at most 6 live witness rows against
+        # the union count of its rows, "u" included
+        gate = seeded_gate(7, arities, output_dim, "additive", perturbed)
+        analysis = analyze_gate(expand(gate))
+        masks = {id(report.mask): report for report in analysis.reports}
+        checked = []
+        for report in masks.values():
+            rows = [signs for _, signs in report.witnesses]
+            if len(oracles.live_classes(rows)) <= 6:
+                checked.append((int(report.mask.sum()), closed_form_union(rows)))
+        assert len(checked) > 200
+        assert [count for count, _ in checked] == [union for _, union in checked]
 
     def test_base_point_cap(self, monkeypatch):
         monkeypatch.setenv("SIGNELIM_BASE_POINT_CAP", "4")
