@@ -64,7 +64,8 @@ _CHUNK_ROWS = 1 << 18
 _BATCH_CELLS = 1 << 14
 """The cells of one batch or block: eliminator rows times table rows in a
 batch of the scan, sets times 3**n grid cells in a batch of the transform,
-and int8 sign entries in a block of base points of the sweep.
+int8 sign entries in a block of base points of the sweep, and (set, pair)
+rows in a pass of the counting module's union count.
 
 Derivation. Batching serves short tables, where a call's numpy overhead
 outweighs its work; at n >= 9 a batch must hold one set, as one call per

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .backend import _kept_up_to_12, backend_name
+from .backend import _batches, _kept_up_to_12, backend_name, eliminated_any_masks
 from .counting import (
     SignMatrix,
     count_eliminated_intersection,
@@ -31,6 +31,7 @@ from .counting import (
     count_intersection_oracle,
     count_pair,
     pair_profile,
+    _union_counts,
 )
 from .covers import cover_reports
 from .errors import DomainError, SignElimError, ValidationError
@@ -247,15 +248,27 @@ def _load_family(path, output_dim) -> ProjectionFamily:
         return ProjectionFamily.from_vectors(obj, output_dim)
 
 
-def _crosscheck(rows: np.ndarray, mask: np.ndarray, negated: bool, size: int, n: int) -> str:
-    """The counting cross-check of the ``size`` rows ``mask`` selects, or
-    leaves out when negated: "skipped" unless 1 <= size <= 6, else whether the
-    closed-form union count equals the oracle's, "passed" or "failed"."""
-    if not 1 <= size <= 6:
-        return "skipped"
-    vectors = rows[~mask if negated else mask].tolist()
-    agrees = count_eliminated_union(vectors) == count_eliminated_oracle(vectors, n)
-    return "passed" if agrees else "failed"
+def _crosscheck(rows: np.ndarray, masks: Sequence, sizes: Sequence[int]) -> list[str]:
+    """The counting cross-check of each mask's set and complement, two
+    outcomes a mask: "skipped" unless the side has 1 to 6 of the ``rows``,
+    else "passed" or "failed", whether its closed-form union count equals
+    its popcount in the scan. A complement is built only to be checked. All
+    sides take one _union_counts call and one scan, counted in _batches of
+    sides, so only one batch's masks are held. Their size bounds them (at
+    most 2,016 pairs a side), so no user cap applies."""
+    sides = {}  # by outcome slot
+    for k, (mask, size) in enumerate(zip(masks, sizes)):
+        if 1 <= size <= 6:
+            sides[2 * k] = rows[mask]
+        if 1 <= mask.size - size <= 6:
+            sides[2 * k + 1] = rows[~mask]
+    outcomes, groups = ["skipped"] * (2 * len(masks)), list(sides.values())
+    if groups:
+        cuts = _batches([rows.shape[0]] * len(groups))
+        scan = [np.count_nonzero(eliminated_any_masks(rows, groups[lo:hi]), axis=1) for lo, hi in cuts]
+        for slot, closed, counted in zip(sides, _union_counts(groups), np.concatenate(scan).tolist()):
+            outcomes[slot] = "passed" if closed == counted else "failed"
+    return outcomes
 
 
 # the keys of a report, in order, each as written after the value before it
@@ -273,9 +286,9 @@ def _analysis_document(
     through one layout: its _REPORT_KEYS with their values at depth 3. Only
     the base point and a certificate are rendered per report; every other
     value is a text shared by all reports with that value:
-    - per mask, memoized by its id: ``sens_lower`` (a _sign_list), its size,
-      and the _crosscheck outcomes of the set and of its complement, which
-      is built only when its size is 1 to 6; the tally counts them once per
+    - per mask, memoized by its id: ``sens_lower`` (a _sign_list) and its
+      size; after the pass, one _crosscheck of every distinct mask gives the
+      outcomes of its set and complement, which the tally counts once per
       report;
     - per witnesses tuple, which analyze_gate shares among reports with
       equal total signs: the witness list;
@@ -295,10 +308,7 @@ def _analysis_document(
         if id(mask) not in masks:
             size = int(np.count_nonzero(mask))
             lower = keys[2], *_sign_list(lines, mask, 3), keys[3] + str(size) + keys[4]
-            masks[id(mask)] = lower, (
-                _crosscheck(rows, mask, False, size, n_reduced),
-                _crosscheck(rows, mask, True, mask.size - size, n_reduced),
-            )
+            masks[id(mask)] = lower, mask, size
         certificate, data = report.certificate, report.data_upper
         if certificate is not None:
             certificate = _indented_json(_certificate_json(certificate, witness_text, 3), 3)
@@ -309,7 +319,10 @@ def _analysis_document(
         )
     pieces[0] = "[" + pieces[0][1:]  # the first report has no comma before it
     pieces.append("\n  ]")
-    tally = Counter(outcome for r in analysis.reports for outcome in masks[id(r.mask)][1])
+    _, shared, sizes = zip(*masks.values())
+    outcomes = _crosscheck(rows, shared, sizes)
+    checks = {key: outcomes[2 * k : 2 * k + 2] for k, key in enumerate(masks)}
+    tally = Counter(outcome for r in analysis.reports for outcome in checks[id(r.mask)])
     document = {
         "tool": "signelim",
         "version": __version__,

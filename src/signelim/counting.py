@@ -6,23 +6,31 @@ enumeration scan, whose per-row rule is also ``signvec.eliminates``, so the
 two routes can be compared at any scale the enumeration cap allows:
 
   * ``count_eliminated_single(x)``    = 3**z * (2**(n - z) - 1), z zeros of x
-  * ``count_eliminated_intersection`` sums signed powers of 2 over canonical
-    row-sign assignments, weighted by aligned column counts (``_aligned``,
-    the one alignment rule, which ``aligned_columns`` also reads)
-  * ``count_eliminated_union``        inclusion-exclusion over row subsets
+  * ``count_eliminated_union``        inclusion-exclusion over row subsets:
+    signed powers of 3 and 2 over every pair (row subset S, canonical
+    row-sign assignment on S), weighted by aligned column counts
+  * ``count_eliminated_intersection`` the same sum over the pairs whose S
+    is all rows
   * ``count_pair``                    the two-row case in closed form, from a
                                       column-type profile
+
+Both sums are one evaluator, ``_union_counts``, which counts a batch of
+sets at once: a column is a bitmask of its +1 rows and one of its -1 rows,
+a pair three bitmasks (S and the +1 and -1 rows of the assignment), and
+alignment (``_aligned``, the one rule, which ``aligned_columns`` also
+calls), zero columns, z and |S| are bit operations over columns x pairs,
+_ALPHA_CHUNK pairs at a time, whose exponents one bincount tallies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .backend import _batches
 from .errors import DomainError, check_cap
 from .signvec import (
     DEFAULT_MAX_N,
@@ -30,7 +38,6 @@ from .signvec import (
     eliminated_count,
     jointly_eliminated_count,
     sign_rows,
-    table,
     zero_count,
 )
 
@@ -52,8 +59,9 @@ __all__ = [
 DEFAULT_SUBSET_CAP = 12
 ENV_SUBSET_CAP = "SIGNELIM_SUBSET_CAP"
 
-# Row-sign assignments per broadcast in _intersection_count; one chunk covers
-# every assignment up to m = 9 rows.
+# Pairs (row subset, row-sign assignment) per array pass of _union_counts,
+# and the codes _pairs decodes at a time: one chunk covers every pair of a
+# set of up to 7 rows, the union's 4**7 codes or the intersection's 3**8.
 _ALPHA_CHUNK = 1 << 14
 
 
@@ -101,13 +109,31 @@ def count_eliminated_single(x: Sequence[int]) -> int:
     return 3**z * (2 ** (n - z) - 1)
 
 
-def _aligned(cols: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Entry [a, j]: whether column c = cols[:, j] (a nonzero column) is aligned
-    with alpha = alphas[a], that is c[i] in {0, alpha[i]} for every row i or
-    c[i] in {0, -alpha[i]} for every row i (so c[i] = 0 wherever alpha[i] = 0)."""
-    blank = cols == 0
-    alphas = alphas[:, :, None]
-    return (blank | (cols == alphas)).all(axis=1) | (blank | (cols == -alphas)).all(axis=1)
+def _aligned(cols, S, plus, minus, shift: int) -> np.ndarray:
+    """Entry [j, a]: whether column j is aligned on the row set S[a] with
+    the assignment alpha whose +1 and -1 rows are plus[a] and minus[a],
+    both within S[a]: on S, c[i] in {0, alpha[i]} for every row i or
+    c[i] in {0, -alpha[i]} for every row i. cols[j, a] is column j as one
+    bitmask, bit i set where c[i] = +1 and bit shift + i where c[i] = -1. A
+    column that is 0 on S passes; callers leave it out."""
+    not_plus, not_minus = S ^ plus, S ^ minus
+    same = (cols & (not_plus | not_minus << shift)) == 0
+    return same | ((cols & (not_minus | not_plus << shift)) == 0)
+
+
+def _column_masks(sets: Sequence[np.ndarray], shift: int) -> np.ndarray:
+    """Entry [j, g]: column j of the sign matrix sets[g] as one bitmask, bit
+    i set where row i is +1 and bit shift + i where it is -1. A set
+    narrower than the widest has 0 in its missing columns."""
+    width = max(s.shape[1] for s in sets)
+    rows = np.concatenate(
+        [s if s.shape[1] == width else np.pad(s, ((0, 0), (0, width - s.shape[1]))) for s in sets]
+    )
+    counts = [s.shape[0] for s in sets]
+    starts = np.cumsum(counts) - counts
+    row = np.arange(rows.shape[0]) - np.repeat(starts, counts)  # within its set
+    unit = (rows == 1) | (rows == -1).astype(np.int64) << shift
+    return np.add.reduceat(unit << row[:, None], starts).T
 
 
 def aligned_columns(matrix: SignMatrix, alpha: Sequence[int]) -> frozenset[int]:
@@ -116,70 +142,159 @@ def aligned_columns(matrix: SignMatrix, alpha: Sequence[int]) -> frozenset[int]:
     (assignment,) = sign_rows([alpha])
     if len(assignment) != matrix.m:
         raise DomainError(f"assignment length {len(assignment)} != row count {matrix.m}")
-    rows = np.array(matrix.rows, dtype=np.int8)
-    nonzero = np.flatnonzero(rows.any(axis=0))
-    hits = _aligned(rows[:, nonzero], np.array([assignment], dtype=np.int8))[0]
-    return frozenset(nonzero[hits].tolist())
+    m = matrix.m
+    cols = _column_masks([np.array(matrix.rows, dtype=np.int8)], m)
+    plus, minus = (sum(1 << i for i, a in enumerate(assignment) if a == v) for v in (1, -1))
+    hits = _aligned(cols, (1 << m) - 1, plus, minus, m) & (cols != 0)
+    return frozenset(np.flatnonzero(hits).tolist())
 
 
-@lru_cache(maxsize=1 << 16)
-def _intersection_count(rows: tuple[tuple[int, ...], ...]) -> int:
-    """The aligned_columns sum over every assignment alpha, as array work.
+# a row's state in a pair (S, alpha): (in S, alpha = +1, alpha = -1)
+_STATES = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 1]])
 
-    _aligned marks each chunk's aligned columns. The weights z(alpha) +
-    aligned count are small ints, so their bincount, split by the parity of
-    z(alpha), times Python-int powers of 2 keeps the sum exact. Assignments
-    go in chunks to bound the temporaries. ``rows`` are a SignMatrix's rows,
-    already checked by both callers.
+
+def _words(codes: np.ndarray, rows: int, radix: int) -> np.ndarray:
+    """Rows (S, plus, minus): the bitmasks of the pairs whose row states
+    are the base-``radix`` digits of ``codes``, row i's digit the i-th least
+    significant: outside S (base 4 only), then 0, +1 or -1 on S."""
+    states = _STATES[4 - radix :]
+    out = np.zeros((3, codes.size), dtype=np.int64)
+    for i in range(rows):
+        out |= states[codes // radix**i % radix].T << i
+    return out
+
+
+def _canonical(words: np.ndarray) -> np.ndarray:
+    """Positions of the words whose assignment is nonzero and canonical:
+    its first (lowest) nonzero row is +1."""
+    live = words[1] | words[2]
+    return np.flatnonzero(live & -live & words[1])
+
+
+@lru_cache(maxsize=None)
+def _low_words(rows: int, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """_words of all radix**rows codes, at most _ALPHA_CHUNK, and the
+    _canonical positions among them, read-only."""
+    words = _words(np.arange(radix**rows), rows, radix)
+    keep = _canonical(words)
+    words.setflags(write=False)
+    keep.setflags(write=False)
+    return words, keep
+
+
+def _pairs(m: int, subsets: bool):
+    """Yield (codes, words) over the pairs of m rows in code order, from at
+    most _ALPHA_CHUNK codes at a time, words[:, k] = (S, plus, minus) of
+    codes[k]: a row set S (any nonempty one when ``subsets``, else all m
+    rows) and a nonzero canonical assignment alpha on S, of +1 rows plus
+    and -1 rows minus. As a code below 4**k has rows k on outside S, with
+    ``subsets`` the pairs of the first k rows lead."""
+    radix = 4 if subsets else 3
+    low = next(r for r in range(m, -1, -1) if radix**r <= _ALPHA_CHUNK)
+    lo, keep = _low_words(low, radix)
+    if low == m:
+        yield keep, lo[:, keep]
+        return
+    high = np.arange(radix ** (m - low))
+    step = _ALPHA_CHUNK // lo.shape[1]
+    for start in range(0, high.size, step):
+        hi = _words(high[start : start + step], m - low, radix)
+        words = (hi[:, :, None] << low | lo[:, None, :]).reshape(3, -1)
+        keep = _canonical(words)
+        yield start * lo.shape[1] + keep, words[:, keep]
+
+
+def _union_counts(sets: Sequence, subsets: bool = True) -> list[int]:
+    """|union of the eliminated sets of a set's rows| for every set, by
+    inclusion-exclusion over row subsets, all sets in one array pass.
+
+    Sets are nonempty matrices of distinct canonical rows, checked by the
+    callers, of any row count and length. For a row subset S of k rows with
+    e of the n columns 0 on S, the rows' eliminated sets meet in
+    3**e * (-(-2)**(k - 1) + sum of (-1)**z * 2**(z + a) over the canonical
+    alpha on S), z the rows of S where alpha is 0 and a the columns nonzero
+    on S and _aligned with alpha. Weighed by (-1)**(k + 1), each subset adds
+    -2**(k - 1) * 3**e and each pair (S, alpha) (-1)**(k + 1 + z) *
+    3**e * 2**(z + a): bincounts over (set, e, 2-exponent, sign), times
+    Python-int powers, so the sums are exact. Without ``subsets`` a set's
+    one subset is all its m rows, every set has the same m, and the count
+    is (-1)**(m + 1) times the rows' intersection count.
     """
-    m, n = len(rows), len(rows[0])
-    cols = np.array(rows, dtype=np.int8)
-    cols = cols[:, cols.any(axis=0)]
-    size = 2 * (m + cols.shape[1] + 1)
-    tally = np.zeros(size, dtype=np.int64)  # at 2 * weight + parity of z(alpha)
-    assignments = table(m)
-    for start in range(0, assignments.shape[0], _ALPHA_CHUNK):
-        alphas = assignments[start : start + _ALPHA_CHUNK]
-        z_alpha = (alphas == 0).sum(axis=1)
-        weights = z_alpha + _aligned(cols, alphas).sum(axis=1)
-        tally += np.bincount(2 * weights + z_alpha % 2, minlength=size)
-    even, odd = tally[0::2].tolist(), tally[1::2].tolist()
-    acc = -((-2) ** (m - 1))
-    acc += sum((e - o) << w for w, (e, o) in enumerate(zip(even, odd)))
-    return 3 ** (n - cols.shape[1]) * acc
+    sets = [np.asarray(s, dtype=np.int8) for s in sets]
+    ms = np.array([s.shape[0] for s in sets])
+    top = int(ms.max())
+    cols = _column_masks(sets, top)
+    width, count = cols.shape
+    span = 2 * (top + width + 1)  # bins of one (set, e): 2-exponent, sign
+    subs = np.arange(1 << top)
+    live = np.count_nonzero((cols | cols >> top)[:, :, None] & subs, axis=0)
+    k = np.bitwise_count(subs)
+    e = np.array([s.shape[1] for s in sets])[:, None] - live
+    full = (1 << ms)[:, None] - 1
+    family = (subs <= full) & (k > 0) if subsets else subs == full
+    # the (set, e) of its subsets, in order, so the bins grow with n, not n**2
+    classes, slot = np.unique((np.arange(count)[:, None] * (width + 1) + e)[family], return_inverse=True)
+    # per set and row subset of the top rows: its bin of 2-exponent 0 less
+    # twice its columns that are 0 on S, and the subset's constant
+    first = np.zeros(family.shape, dtype=np.intp)
+    first[family] = span * slot - 2 * (width - live[family])
+    size = classes.size * span
+    tally = np.bincount((first + 2 * (width - live + k) - 1)[family], minlength=size)
+    first = first.ravel()
+    bits = np.min_scalar_type((1 << 2 * top) - 1)  # the narrowest column mask
+    cols = cols.astype(bits)
+    for codes, words in _pairs(top, subsets):
+        S, plus, minus = words.astype(bits)
+        ends = np.searchsorted(codes, (4 if subsets else 3) ** ms)  # each set's pairs lead
+        for lo, hi in _batches(ends.tolist()):
+            run = ends[lo:hi]
+            g = np.repeat(np.arange(lo, hi), run)
+            i = np.arange(g.size) - np.repeat(np.cumsum(run) - run, run)
+            s, alpha_p, alpha_m = S.take(i), plus.take(i), minus.take(i)
+            z = np.bitwise_count(s ^ alpha_p ^ alpha_m)
+            # every column 0 on S passes _aligned, and first discounts it
+            aligned = _aligned(cols.take(g, axis=1), s, alpha_p, alpha_m, top)
+            a = np.add.reduce(aligned, axis=0, dtype=np.intp)  # 2 * (z + a) may pass 255
+            sign = (np.bitwise_count(s) + z + 1) & 1
+            tally += np.bincount(first.take(g << top | s) + 2 * (z + a) + sign, minlength=size)
+    diff = (tally[0::2] - tally[1::2]).reshape(classes.size, -1)
+    e = classes % (width + 1)
+    # every partial sum is at most sum |diff| * 3**max(e) * 2**max(y) in size
+    top_weight = 3 ** int(e.max()) << span // 2 - 1
+    exact = np.int64 if max(int(np.abs(diff).sum()), 1) * top_weight < 2**63 else object
+    twos = np.array([1 << y for y in range(span // 2)], dtype=exact)
+    threes = np.array([3 ** int(x) for x in e], dtype=exact)
+    starts = np.searchsorted(classes, np.arange(count) * (width + 1))  # each set's first
+    return np.add.reduceat((diff.astype(exact) @ twos) * threes, starts).tolist()
 
 
 def count_eliminated_intersection(matrix: SignMatrix) -> int:
     """Exact size of the intersection of the rows' eliminated sets.
 
-    The sum enumerates the canonical row-sign assignments, table(m), so the
-    row count m is checked against SIGNELIM_MAX_N (default 16) first.
+    The sum runs over the canonical row-sign assignments of all m rows, so
+    the row count m is checked against SIGNELIM_MAX_N (default 16) first.
     """
     check_cap(matrix.m, ENV_MAX_N, DEFAULT_MAX_N, "intersection row count")
-    return _intersection_count(matrix.rows)
+    (signed,) = _union_counts([matrix.rows], subsets=False)
+    return signed if matrix.m % 2 else -signed
 
 
 def count_eliminated_union(X: Iterable[Sequence[int]]) -> int:
     """|union of eliminated sets| by inclusion-exclusion over row subsets.
 
     For m distinct vectors there are 2**m - 1 subsets, and a subset of k rows
-    enumerates its (3**k - 1) // 2 canonical row-sign assignments, so the
-    cost grows as (4**m - 2**m) / 2 assignments in all, about 4x per row. The
-    row count is checked before any subset is counted, against the subset cap
-    (default 12, env SIGNELIM_SUBSET_CAP) and, because the full subset
-    enumerates the assignments of all m rows, against SIGNELIM_MAX_N.
+    has (3**k - 1) // 2 canonical row-sign assignments, so _union_counts
+    evaluates (4**m - 2**m) / 2 pairs, about 4x per row. The row count is
+    checked before any pair is counted, against the subset cap (default 12,
+    env SIGNELIM_SUBSET_CAP) and, as the subset of all m rows takes the
+    assignments of length m, against SIGNELIM_MAX_N.
     """
     rows = sign_rows(X)
     if not rows:
         raise DomainError("need at least one vector")
     check_cap(len(rows), ENV_SUBSET_CAP, DEFAULT_SUBSET_CAP, "union row count")
     check_cap(len(rows), ENV_MAX_N, DEFAULT_MAX_N, "union row count")
-    total = 0
-    for size in range(1, len(rows) + 1):
-        sign = 1 if size % 2 else -1
-        for subset in combinations(rows, size):
-            total += sign * _intersection_count(subset)
-    return total
+    return _union_counts([rows])[0]
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,21 @@ def sign_over_region(form: MultilinearExpansion, base: Sequence[int]) -> int:
     return int(_region_sign(signs, tuple(range(signs.ndim)))[anchor])
 
 
+def _sign_dtype(tensor: np.ndarray, weights: np.ndarray):
+    """int64 when it holds every integer _total_signs forms, else object.
+
+    Let B = max |T| * max_f sum_k |W[f, k]| for the tensor T and the weight
+    rows W[f]. A value of T @ W.T is a sum of products whose magnitudes add
+    up to at most B, so the value and every partial sum of it lie in
+    [-B, B], and a pair difference of two values lies in [-2B, 2B]. So when
+    2B < 2**63 every one of them is an int64, and int64 arithmetic is exact.
+    Each factor of B is taken as at least 1, so T and W fit as well.
+    """
+    largest = int(np.abs(tensor).max(initial=1))
+    weight = int(np.abs(weights).sum(axis=1).max(initial=1))
+    return np.int64 if 2 * largest * weight < 2**63 else object
+
+
 def _total_signs(expansion: MultilinearExpansion, weights: np.ndarray) -> np.ndarray:
     """Total sign of every functional at every base point, as int8 codes.
 
@@ -231,7 +246,8 @@ def _total_signs(expansion: MultilinearExpansion, weights: np.ndarray) -> np.nda
         raise DomainError("vector length must be a positive int, got 0")
     if weights.shape[1] != dim:
         raise DomainError(f"functional must have {dim} components, got {weights.shape[1]}")
-    values = expansion.tensor @ weights.T
+    exact = _sign_dtype(expansion.tensor, weights)
+    values = expansion.tensor.astype(exact) @ weights.T.astype(exact)
     blocks = []
     for i, a in enumerate(arities):
         x = np.moveaxis(values, i, 0)

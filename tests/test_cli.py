@@ -167,6 +167,11 @@ class TestCountCommands:
         assert code == 0
         assert json.loads(out) == {"value": 12, "oracle": 12, "match": True}
 
+    def test_set_union_of_a_row_past_255_columns(self, capsys):
+        code, out, _ = run(capsys, "count", "set", "--x", "+" * 128)
+        assert code == 0
+        assert json.loads(out) == 2**128 - 1
+
     def test_pair(self, capsys):
         code, payload, _ = run_json(
             capsys, "count", "pair", "--x", "+0", "--y", "0+", "--verify"
@@ -230,7 +235,7 @@ class TestCountCommands:
     def test_set_union_caps_its_row_count_at_twelve(self, capsys, monkeypatch):
         # 13 rows are minutes of inclusion-exclusion; the default cap rejects
         # them before any subset is counted
-        monkeypatch.setattr(counting, "_intersection_count", fail_if_called)
+        monkeypatch.setattr(counting, "_union_counts", fail_if_called)
         rows = [f"--x={sign_string(v)}" for v in canonical_sign_vectors(3)]
         assert len(rows) == 13
         code, out, err = run(capsys, "count", "set", *rows)
@@ -368,8 +373,8 @@ class TestGateCommands:
         assert all(r["data_upper"] is not None for r in payload["reports"])
 
     def test_failed_crosscheck_exits_three(self, capsys, monkeypatch):
-        union = cli.count_eliminated_union
-        monkeypatch.setattr(cli, "count_eliminated_union", lambda X: union(X) + 1)
+        union = cli._union_counts
+        monkeypatch.setattr(cli, "_union_counts", lambda sides: [c + 1 for c in union(sides)])
         code, out, err = run(capsys, "gate", "analyze", str(FIXTURE_PATH))
         assert code == 3
         assert "counting cross-check failed" in err
@@ -382,9 +387,11 @@ class TestGateCommands:
     ):
         # The four reports share one mask of three vectors; its one-vector
         # complement is the side the closed form now gets wrong.
-        union = cli.count_eliminated_union
+        union = cli._union_counts
         monkeypatch.setattr(
-            cli, "count_eliminated_union", lambda X: union(X) + (len(X) == 1)
+            cli,
+            "_union_counts",
+            lambda sides: [c + (len(X) == 1) for c, X in zip(union(sides), sides)],
         )
         code, out, _ = run(capsys, "gate", "analyze", str(first_gate_path))
         assert code == 3
@@ -413,8 +420,8 @@ class TestGateCommands:
             reports=tuple(replace(r, mask=spies[id(r.mask)]) for r in analysis.reports),
         )
         checked = []
-        union = cli.count_eliminated_union
-        monkeypatch.setattr(cli, "count_eliminated_union", lambda X: checked.append(X) or union(X))
+        union = cli._union_counts
+        monkeypatch.setattr(cli, "_union_counts", lambda sides: checked.extend(sides) or union(sides))
         family = sensitivity.default_family(1)
         document, ok = cli._analysis_document(spied, gate, family, 0.0)
         sizes = sorted(int(np.count_nonzero(m)) for m in spies.values())
@@ -435,6 +442,60 @@ class TestGateCommands:
         }
         plain, _ = cli._analysis_document(analysis, gate, family, 0.0)
         assert {**document, "timing_seconds": 0} == {**plain, "timing_seconds": 0}
+
+    def test_a_flipped_oracle_bit_fails_one_check(self, capsys, monkeypatch, and_gate_path):
+        scan = cli.eliminated_any_masks
+
+        def flipped(rows, sides):
+            masks = scan(rows, sides)
+            masks[0, 0] = ~masks[0, 0]  # the first side's oracle count is off by one
+            return masks
+
+        monkeypatch.setattr(cli, "eliminated_any_masks", flipped)
+        code, out, err = run(capsys, "gate", "analyze", str(and_gate_path))
+        assert code == 3
+        assert err == "counting cross-check failed\n"
+        assert json.loads(out)["counting_crosscheck"] == {
+            "checked": 7,
+            "passed": 6,
+            "failed": 1,
+            "skipped": 1,
+        }
+
+    def test_one_oracle_scan_per_document(self, monkeypatch):
+        # AND of three bits: its four distinct sides of 1 to 6 rows (three
+        # one-row lower sets and one six-row complement) share one scan
+        scans = []
+        scan = cli.eliminated_any_masks
+        monkeypatch.setattr(
+            cli, "eliminated_any_masks", lambda rows, sides: scans.append(len(sides)) or scan(rows, sides)
+        )
+        monkeypatch.setattr(cli, "count_eliminated_oracle", fail_if_called)
+        gate = boolean_gate([0] * 7 + [1], 3)
+        analysis = sensitivity.analyze_gate(expand(gate))
+        document, ok = cli._analysis_document(analysis, gate, sensitivity.default_family(1), 0.0)
+        assert ok
+        assert scans == [4]
+        assert document["counting_crosscheck"]["failed"] == 0
+
+    @pytest.mark.parametrize(
+        "variable, value, gate",
+        [
+            ("SIGNELIM_SUBSET_CAP", "2", FIXTURE_PATH),
+            ("SIGNELIM_MAX_N", "3", REPO_ROOT / "tests" / "golden" / "random_gate.json"),
+        ],
+    )
+    def test_no_user_cap_fires_inside_the_crosscheck(self, capsys, monkeypatch, variable, value, gate):
+        # the sides' 1 to 6 rows are the cross-check's own bound; a lower
+        # union row cap used to stop the analysis after its work was done
+        code, out, err = run(capsys, "gate", "analyze", str(gate))
+        assert (code, err) == (0, "")
+        assert max(len(r["sens_lower"]) for r in json.loads(out)["reports"]) > int(value)
+        monkeypatch.setenv(variable, value)
+        capped = run(capsys, "gate", "analyze", str(gate))
+        timing = re.compile(r'"timing_seconds": [-+.e0-9]+')
+        assert (capped[0], capped[2]) == (0, "")
+        assert timing.sub("", capped[1]) == timing.sub("", out)
 
     def test_certify_fixture(self, capsys):
         code, payload, _ = run_json(capsys, "gate", "certify", str(FIXTURE_PATH))

@@ -1,3 +1,6 @@
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from signelim import (
     count_pair,
     pair_profile,
 )
-from signelim import counting
+from signelim import backend, counting
 from signelim.errors import ResourceLimitError
 
 import oracles
@@ -169,11 +172,10 @@ class TestAlignedColumns:
             assert aligned_columns(matrix, alpha) == expected, alpha
 
     def test_one_helper_serves_both_callers(self, monkeypatch):
-        def broken(cols, alphas):
+        def broken(*args):
             raise AssertionError("alignment helper called")
 
         monkeypatch.setattr(counting, "_aligned", broken)
-        counting._intersection_count.cache_clear()
         m = SignMatrix.from_rows([(1, 0, 1), (0, 1, 1)])
         with pytest.raises(AssertionError, match="alignment helper called"):
             aligned_columns(m, (1, 1))
@@ -230,7 +232,8 @@ class TestIntersection:
         rows = ((1, 0, 1), (0, 1, -1))
         expected = count_intersection_oracle(SignMatrix(rows))
         monkeypatch.setattr(counting, "SignMatrix", rebuilt)
-        assert counting._intersection_count.__wrapped__(rows) == expected
+        # without subsets the evaluator gives (-1)**(m + 1) times the count
+        assert counting._union_counts([rows], subsets=False) == [-expected]
 
 
 class TestUnion:
@@ -273,10 +276,75 @@ class TestUnion:
 
     def test_row_count_is_capped_before_any_subset(self, monkeypatch):
         # the four-row subset would enumerate table(4), past SIGNELIM_MAX_N = 3
-        monkeypatch.setattr(counting, "_intersection_count", fail_if_called)
+        monkeypatch.setattr(counting, "_union_counts", fail_if_called)
         monkeypatch.setenv("SIGNELIM_MAX_N", "3")
         with pytest.raises(ResourceLimitError, match="SIGNELIM_MAX_N"):
             count_eliminated_union([(1, 0), (0, 1), (1, 1), (1, -1)])
+
+
+def long_pairs():
+    """Two distinct canonical rows of length 30-300, so the inclusion-
+    exclusion sums pass int64 and take the Python-int route, and from 128
+    columns on an exponent z + a summed in uint8 would wrap."""
+    entry = st.sampled_from((-1, 0, 1))
+    rows = st.integers(30, 300).flatmap(lambda n: st.lists(st.tuples(*[entry] * n), min_size=2, max_size=2))
+    rows = rows.map(lambda pair: sorted({oracles.canonical(r) for r in pair if any(r)}, key=oracles.order_key))
+    return rows.filter(lambda pair: len(pair) == 2)
+
+
+class TestUnionCounts:
+    """counting._union_counts, the one evaluator of both closed forms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(column_matrices(), min_size=1, max_size=6))
+    @example([WIDE_MATRIX, SignMatrix.from_rows([(1,)]), SignMatrix.from_rows([(1, 0), (0, 1)])])
+    def test_mixed_batches_match_both_oracles(self, matrices):
+        counts = counting._union_counts([m.rows for m in matrices])
+        assert counts == [count_eliminated_oracle(m.rows, m.n) for m in matrices]
+        assert counts == [len(oracles.eliminated(m.rows, m.n)) for m in matrices]
+
+    @pytest.mark.parametrize("chunk, cells", [(1, 1), (4, 5), (16, 64), (64, 16)])
+    def test_small_chunks_give_the_same_counts(self, monkeypatch, chunk, cells):
+        # several code chunks per set, and a chunk's sets cut between passes
+        monkeypatch.setattr(counting, "_ALPHA_CHUNK", chunk)
+        monkeypatch.setattr(backend, "_BATCH_CELLS", cells)
+        batch = [WIDE_MATRIX.rows, ((1, 1, 0), (0, 1, -1), (1, 0, 1)), ((1, -1),)]
+        assert counting._union_counts(batch) == [
+            len(oracles.eliminated(rows, len(rows[0]))) for rows in batch
+        ]
+        assert count_eliminated_intersection(WIDE_MATRIX) == count_intersection_oracle(WIDE_MATRIX)
+
+    def test_pairs_cover_every_subset_and_assignment_once(self):
+        for m in range(1, 6):
+            for subsets in (True, False):
+                seen, total = set(), 0
+                for codes, (S, plus, minus) in counting._pairs(m, subsets):
+                    assert (np.diff(codes) > 0).all()
+                    seen.update(zip(S.tolist(), plus.tolist(), minus.tolist()))
+                    total += codes.size
+                expected = {
+                    (s, sum(1 << i for i in range(m) if a[i] == 1), sum(1 << i for i in range(m) if a[i] == -1))
+                    for s in (range(1, 1 << m) if subsets else [(1 << m) - 1])
+                    for a in product((-1, 0, 1), repeat=m)
+                    if any(a[i] for i in range(m))
+                    and all(a[i] == 0 for i in range(m) if not s >> i & 1)
+                    and a[next(i for i in range(m) if a[i])] == 1
+                }
+                assert seen == expected
+                assert total == len(seen) == ((4**m - 2**m) // 2 if subsets else (3**m - 1) // 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_pairs())
+    def test_long_rows_match_the_pair_formulas(self, rows):
+        inter, union = count_pair(pair_profile(SignMatrix.from_rows(rows)))
+        assert counting._union_counts([rows, rows[:1]]) == [union, count_eliminated_single(rows[0])]
+        assert count_eliminated_intersection(SignMatrix.from_rows(rows)) == inter
+
+    @pytest.mark.parametrize("n", [127, 128, 255, 256, 300])
+    def test_an_all_plus_row_of_any_length(self, n):
+        plus = [(1,) * n]
+        assert count_eliminated_union(plus) == count_eliminated_single(plus[0]) == 2**n - 1
+        assert count_eliminated_intersection(SignMatrix.from_rows(plus)) == 2**n - 1
 
 
 @st.composite

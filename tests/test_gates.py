@@ -192,6 +192,61 @@ class TestGateValidation:
         with pytest.raises(ValidationError):
             gate_from_json(payload)
 
+    @pytest.mark.parametrize(
+        "position, index, message",
+        [
+            (0, [0, True], "entry 0: index must be a list of ints"),
+            (2, [0, 1.0], "entry 2: index must be a list of ints"),
+            (1, [[0], 1], "entry 1: index must be a list of ints"),
+            (3, "01", "entry 3: index must be a list of ints"),
+            (3, None, "entry 3: index must be a list of ints"),
+            (1, [0, 2], "table index (0, 2) out of range for arities (2, 2)"),
+            (2, [-1, 0], "table index (-1, 0) out of range for arities (2, 2)"),
+            (0, [0], "table index (0,) out of range for arities (2, 2)"),
+            (3, [1, 1, 0], "table index (1, 1, 0) out of range for arities (2, 2)"),
+            (0, [2**70, 0], f"table index ({2**70}, 0) out of range for arities (2, 2)"),
+        ],
+    )
+    def test_each_index_fault_keeps_its_message(self, position, index, message):
+        payload = minimal_payload()
+        payload["entries"][position]["index"] = index
+        with pytest.raises(ValidationError) as exc:
+            gate_from_json(payload)
+        assert str(exc.value) == message
+
+    def test_the_first_faulty_entry_is_named(self):
+        # the indices are checked all at once, but an error still names the
+        # first faulty entry, whatever its fault
+        payload = minimal_payload()
+        payload["entries"][1]["output"] = "0"
+        payload["entries"][2]["index"] = [1, False]
+        with pytest.raises(ValidationError, match="^entry 1: output must be a list$"):
+            gate_from_json(payload)
+        payload = minimal_payload()
+        payload["entries"][1]["index"] = [0, 0.5]
+        payload["entries"][3]["index"] = [True, 1]
+        with pytest.raises(ValidationError, match="^entry 1: index must be a list of ints$"):
+            gate_from_json(payload)
+        payload = minimal_payload()
+        payload["entries"][1]["output"] = ["x"]
+        payload["entries"][2]["index"] = [1, 7]
+        with pytest.raises(ValidationError, match=r"^entry 1: .*'x'"):
+            gate_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({(0, 0): (1,), (0, True): (0,)}, "table index (0, True) out of range for arities (2, 2)"),
+            ({(0, 0): (1,), (1.0, 0): (0,)}, "table index (1.0, 0) out of range for arities (2, 2)"),
+            ({(0, 0): (0.5,), (0, 3): (0,)}, "entry (0, 0): floats are inexact"),
+            ({(0, 3): (0.5,), (0, 0): (0,)}, "table index (0, 3) out of range for arities (2, 2)"),
+        ],
+    )
+    def test_a_python_table_names_its_first_faulty_key(self, table, message):
+        with pytest.raises(ValidationError) as exc:
+            Gate(arities=(2, 2), output_dim=1, table=table)
+        assert str(exc.value).startswith(message)
+
     def test_rejects_arity_below_two(self):
         with pytest.raises(ValidationError):
             Gate(arities=(1, 2), output_dim=1, table={})

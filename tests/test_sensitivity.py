@@ -402,7 +402,7 @@ def functionals(dim):
 @st.composite
 def wide_gates(draw):
     """Arities 2-5 over at most two blocks, with ties and zeros, and one
-    entry of denominator 2**64 + 1, so every nonzero cleared int of the
+    entry (2**64 + 2) / (2**64 + 1), so every nonzero cleared int of the
     table exceeds int64."""
     arities = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)))
     dim = draw(st.integers(1, 2))
@@ -410,7 +410,7 @@ def wide_gates(draw):
     entry = st.one_of(st.sampled_from([F(-1), F(0), F(1)]), st.integers(-2**80, 2**80).map(F))
     table = {idx: tuple(draw(entry) for _ in range(dim)) for idx in cells}
     idx = draw(st.sampled_from(cells))
-    table[idx] = (F(1, 2**64 + 1),) + table[idx][1:]
+    table[idx] = (F(2**64 + 2, 2**64 + 1),) + table[idx][1:]
     return Gate(arities=arities, output_dim=dim, table=table)
 
 
@@ -482,11 +482,27 @@ class TestTotalSignsAgainstTheOracle:
         assert expansion.scale > 2**63
         vectors = [w for w in data.draw(functionals(gate.output_dim)) if any(w)]
         family = ProjectionFamily.from_vectors(vectors + [[1] * gate.output_dim], gate.output_dim)
+        assert sensitivity._sign_dtype(expansion.tensor, family.weights) is object
         signs = sensitivity._total_signs(expansion, family.weights)
         assert signs.shape == gate.arities + (len(family.functionals), reduced_dimension(expansion))
         for z in base_points(expansion):
             for f, w in enumerate(family.functionals):
                 assert tuple(signs[z][f].tolist()) == oracles.total_sign(gate.arities, gate.table, z, w)
+
+    @pytest.mark.parametrize("value, exact", [(2**62 - 1, np.int64), (2**62, object)])
+    def test_int64_only_while_twice_the_bound_fits(self, value, exact):
+        # every value is +-value and the weight sums are 1, so B = value; the
+        # pair differences reach 2 * value, which int64 holds below 2**63
+        arities = (2, 2)
+        table = {idx: (value if sum(idx) % 2 else -value, 0) for idx in product(range(2), repeat=2)}
+        gate = Gate(arities=arities, output_dim=2, table=table)
+        expansion = expand(gate)
+        family = ProjectionFamily.from_vectors([(1, 0), (0, 1)], 2)
+        assert sensitivity._sign_dtype(expansion.tensor, family.weights) is exact
+        signs = sensitivity._total_signs(expansion, family.weights)
+        for z in base_points(expansion):
+            for f, w in enumerate(family.functionals):
+                assert tuple(signs[z][f].tolist()) == oracles.total_sign(arities, gate.table, z, w)
 
 
 @st.composite
