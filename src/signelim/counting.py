@@ -91,7 +91,7 @@ class SignMatrix:
         return len(self.rows[0])
 
     def column(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.n:
+        if type(j) is not int or not 0 <= j < self.n:
             raise DomainError(f"column index {j} out of range")
         return tuple(row[j] for row in self.rows)
 

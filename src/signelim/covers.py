@@ -130,7 +130,7 @@ def unit_vectors(n: int, positions: Optional[Iterable[int]] = None) -> frozenset
         positions = range(n)
     out = set()
     for i in positions:
-        if not 0 <= i < n:
+        if type(i) is not int or not 0 <= i < n:
             raise DomainError(f"unit position {i} out of range for length {n}")
         out.add(tuple(1 if j == i else 0 for j in range(n)))
     if not out:
@@ -181,7 +181,7 @@ def _cover_search(n: int, max_size: int):
     is built. Subsets of one size are judged in chunks of combinations of
     about _CHUNK_BYTES each.
     """
-    if max_size < 1:
+    if type(max_size) is not int or max_size < 1:
         raise DomainError(f"max_size must be >= 1, got {max_size}")
     _check_length(n)
     count = vector_count(n)

@@ -224,7 +224,7 @@ def apply_permutation(sigma: Sequence[int], x: Sequence[int]) -> tuple[int, ...]
     """
     vec = _require_canonical(x)
     perm = tuple(sigma)
-    if sorted(perm) != list(range(len(vec))):
+    if any(type(p) is not int for p in perm) or sorted(perm) != list(range(len(vec))):
         raise DomainError(f"{perm!r} is not a permutation of range({len(vec)})")
     moved = tuple(vec[perm[i]] for i in range(len(vec)))
     canon, _ = canonicalize(moved)
@@ -234,7 +234,7 @@ def apply_permutation(sigma: Sequence[int], x: Sequence[int]) -> tuple[int, ...]
 def negate_coordinate(x: Sequence[int], j: int) -> tuple[int, ...]:
     """Negate entry j and re-canonicalize. Involutive on canonical vectors."""
     vec = _require_canonical(x)
-    if not 0 <= j < len(vec):
+    if type(j) is not int or not 0 <= j < len(vec):
         raise DomainError(f"column index {j} out of range for length {len(vec)}")
     flipped = tuple(-e if i == j else e for i, e in enumerate(vec))
     canon, _ = canonicalize(flipped)
@@ -301,6 +301,7 @@ def parse_sign_string(text: str, *, total: bool = True) -> tuple[int, ...]:
 def as_fraction_dot(v: Sequence, x: Sequence[int]) -> Fraction:
     """Exact dot product of a rational vector with a sign vector."""
     values = parse_rational_vector(v, "v")
-    if len(values) != len(x):
-        raise DomainError(f"length mismatch: {len(values)} vs {len(x)}")
-    return sum((a * b for a, b in zip(values, x)), Fraction(0))
+    signs = _validate_sign_vector(x)
+    if len(values) != len(signs):
+        raise DomainError(f"length mismatch: {len(values)} vs {len(signs)}")
+    return sum((a * b for a, b in zip(values, signs)), Fraction(0))

@@ -131,6 +131,14 @@ def evaluate_table(arities, table, point):
     return tuple(total)
 
 
+def project(table, w):
+    """The scalar table of w . table: each cell's output dotted with w."""
+    return {
+        idx: sum((Fraction(c) * Fraction(v) for c, v in zip(w, vec)), Fraction(0))
+        for idx, vec in table.items()
+    }
+
+
 def reduced_partial(arities, scalar, z, block, coord):
     """Slice of a scalar table at coord minus its slice at z[block].
 
@@ -164,10 +172,7 @@ def region_sign(form, anchor):
 
 def total_sign(arities, table, z, w):
     """Region signs of the reduced partials of w . table at base point z."""
-    scalar = {
-        idx: sum((Fraction(c) * Fraction(v) for c, v in zip(w, vec)), Fraction(0))
-        for idx, vec in table.items()
-    }
+    scalar = project(table, w)
     return tuple(
         region_sign(reduced_partial(arities, scalar, z, i, j), z[:i] + z[i + 1 :])
         for i, a in enumerate(arities)

@@ -5,26 +5,33 @@ import pytest
 
 from signelim import (
     Certificate,
+    DomainError,
     ExperimentRecord,
     ProjectionFamily,
     ResourceLimitError,
+    SignMatrix,
     ValidationError,
     analyze_gate,
     apply_functional,
+    apply_permutation,
     as_fraction_dot,
     boolean_gate,
     canonical_sign_vectors,
     count_eliminated_union,
+    cover_reports,
     covers,
     data_upper_bound,
     evaluate,
     expand,
     gates,
     minimal_covers,
+    negate_column,
+    negate_coordinate,
     orthogonality_implication_holds,
     sensitivity,
     signvec,
     total_sign,
+    unit_vectors,
     verify_certificate,
 )
 
@@ -122,3 +129,48 @@ def test_exact_rationals_pass_parse_rational(monkeypatch, entry, good):
     assert parsed[name][0] == Fraction(good)
     if good is HALF:
         assert parsed[name][0] is HALF
+
+
+# The library entries that take an index or a size, other than a base point
+# (checked with the base point tests): the range-check message for a bad
+# value, and a call putting the value into that argument. Like a base point
+# entry, the value must be an int: a float is not an index, and a bool,
+# though an int, would be read as 0/1.
+INDEX_ENTRIES = {
+    "apply_permutation": (
+        "({j}, 0) is not a permutation of range(2)",
+        lambda j: apply_permutation((j, 0), (1, 0)),
+    ),
+    "negate_coordinate": (
+        "column index {j} out of range for length 2",
+        lambda j: negate_coordinate((1, 0), j),
+    ),
+    "negate_column": (
+        "column index {j} out of range for length 2",
+        lambda j: negate_column([(1, 0)], j),
+    ),
+    "SignMatrix.column": (
+        "column index {j} out of range",
+        lambda j: SignMatrix.from_rows([(1, 0), (0, 1)]).column(j),
+    ),
+    "unit_vectors": (
+        "unit position {j} out of range for length 3",
+        lambda j: unit_vectors(3, [j]),
+    ),
+    "minimal_covers": ("max_size must be >= 1, got {j}", lambda j: minimal_covers(2, j)),
+    "cover_reports": ("max_size must be >= 1, got {j}", lambda j: cover_reports(2, j)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
+@pytest.mark.parametrize("bad", [1.0, 1.5, True], ids=["whole-float", "float", "bool"])
+def test_non_int_indices_raise_the_range_message(entry, bad):
+    message, call = INDEX_ENTRIES[entry]
+    with pytest.raises(DomainError, match=f"^{re.escape(message.format(j=bad))}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("x", [(Fraction(1, 2), 0), (0.5, 0), (5, True)], ids=["Fraction", "float", "out-of-range"])
+def test_as_fraction_dot_reads_a_sign_vector(x):
+    with pytest.raises(DomainError, match=f"^invalid sign entry {re.escape(repr(x[0]))} in "):
+        as_fraction_dot([1, 1], x)

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 ``__all__`` entry is bound in its module, every name ``__init__.py``
-re-exports exists in the module it comes from, and no run of three code
-lines is written twice in the package.
+re-exports exists in the module it comes from, no run of three code
+lines is written twice in the package, and the test oracles import only the
+standard library.
 
 A standard-library stand-in for a lint rule: `__init__.py` is skipped by the
 unused-import scan because its imports are the package's re-exports.
@@ -9,6 +10,7 @@ unused-import scan because its imports are the package's re-exports.
 
 import ast
 import pathlib
+import sys
 from collections import defaultdict
 
 import pytest
@@ -193,3 +195,35 @@ def test_the_copy_scan_sees_a_repeated_block():
 def test_no_run_of_code_lines_is_written_twice():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert repeated_blocks(sources) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level module of every import, at any depth; a relative import
+    as its dots and module, e.g. ".errors"."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or "").partition(".")[0])
+    return names
+
+
+def test_the_module_scan_sees_every_import_form():
+    source = (
+        "import os.path\n"
+        "import numpy as np\n"
+        "from json import dumps\n"
+        "from . import oracles\n"
+        "from .errors import DomainError\n"
+        "def f():\n"
+        "    from signelim.gates import expand\n"
+    )
+    assert imported_modules(source) == {"os", "numpy", "json", ".", ".errors", "signelim"}
+
+
+def test_the_oracles_import_only_the_standard_library():
+    """The oracles are a second route to the package's results, so they may
+    not reach them through numpy or the package."""
+    source = (REPO_ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    assert sorted(imported_modules(source) - sys.stdlib_module_names) == []

@@ -16,6 +16,7 @@ from signelim import (
     DomainError,
     ExperimentRecord,
     Gate,
+    MultilinearExpansion,
     ProjectionFamily,
     UNDETERMINED,
     ValidationError,
@@ -190,6 +191,46 @@ def region_points(form, base, rng, samples=200):
     return points
 
 
+def oracle_partial(gate, w, z, block, coord):
+    """The reduced partial of w composed with the gate along (block, coord)
+    at base point z, by oracles.project and oracles.reduced_partial, as a
+    scalar expansion over the other blocks (original order)."""
+    scalar = oracles.project(gate.table, w)
+    form = oracles.reduced_partial(gate.arities, scalar, z, block, coord)
+    rest = gate.arities[:block] + gate.arities[block + 1 :]
+    return MultilinearExpansion(rest, 1, {idx: (v,) for idx, v in form.items()})
+
+
+def assert_verdict_holds(verdict, values):
+    """A region sign against exact values of its form on its region."""
+    if verdict == 0:
+        assert all(v == 0 for v in values)
+    elif verdict == 1:
+        assert all(v >= 0 for v in values)
+        assert any(v > 0 for v in values)
+    elif verdict == -1:
+        assert all(v <= 0 for v in values)
+        assert any(v < 0 for v in values)
+
+
+def assert_sound_by_sampling(gate, functionals, rng):
+    """Every total_sign entry of every functional at every base point against
+    exact values of its reduced partial, built by the oracles, at sampled
+    points of its region."""
+    expansion = expand(gate)
+    for w in functionals:
+        for z in base_points(expansion):
+            signs = total_sign(expansion, z, w)
+            for verdict, (block, j) in zip(signs, reduced_coordinates(gate.arities, z)):
+                form = oracle_partial(gate, w, z, block, j)
+                rest_base = z[:block] + z[block + 1 :]
+                values = [
+                    evaluate(form, p)[0]
+                    for p in region_points(form, rest_base, rng, samples=8)
+                ]
+                assert_verdict_holds(verdict, values)
+
+
 class TestSignOverRegion:
     def test_zero_form(self):
         form = reduced_partial(expand(CONST), (0, 0), 0, 1)
@@ -238,14 +279,7 @@ class TestSignOverRegion:
                         evaluate(form, p)[0]
                         for p in region_points(form, rest_base, rng, samples=8)
                     ]
-                    if verdict == 0:
-                        assert all(v == 0 for v in values)
-                    elif verdict == 1:
-                        assert all(v >= 0 for v in values)
-                        assert any(v > 0 for v in values)
-                    elif verdict == -1:
-                        assert all(v <= 0 for v in values)
-                        assert any(v < 0 for v in values)
+                    assert_verdict_holds(verdict, values)
 
     def test_positive_verdicts_are_strict_on_the_anchored_region(self, rng):
         # The region anchored at base point z is where every block gives its
@@ -338,12 +372,21 @@ class TestTotalSign:
         with pytest.raises(DomainError):
             reversibility_certificate(expand(color_gate), family)
 
+    def test_sound_against_exact_sampling(self, color_gate, rng):
+        assert_sound_by_sampling(color_gate, [w for w, _ in COLOR_WITNESSES], rng)
+
+    def test_sound_against_exact_sampling_at_arity_three(self, rng):
+        # a block of arity 3 has two free coordinates: on either side of the
+        # base coordinate, or both after it
+        gate = seeded_gate(2, (3, 2), 2, "additive", perturbed=2)
+        assert_sound_by_sampling(gate, [(1, 0), (0, 1), (1, -1)], rng)
+
     def test_functional_width_must_match(self, color_gate):
         with pytest.raises(DomainError):
             total_sign(expand(color_gate), (0, 0, 0), (1,))
 
     def test_zero_block_expansions_raise_the_sweep_s_error(self):
-        constant = reduced_partial(expand(boolean_gate([0, 1], 1)), (0,), 0, 1)
+        constant = MultilinearExpansion((), 1, {(): (F(1),)})
         assert constant.arities == ()
         with pytest.raises(DomainError) as sweep:
             analyze_gate(constant)
