@@ -390,16 +390,22 @@ def _cmd_ze(args) -> int:
     return 0
 
 
+def _checked(payload: dict, match: bool) -> int:
+    """Emit the payload; unless ``match``, say so on stderr and return
+    INVARIANT_VIOLATION."""
+    _emit(payload)
+    if match:
+        return 0
+    print("closed form disagrees with the oracle", file=sys.stderr)
+    return INVARIANT_VIOLATION
+
+
 def _verified(value: int, oracle: Optional[int], verify: bool) -> int:
     if not verify:
         print(value)
         return 0
     match = value == oracle
-    _emit({"value": value, "oracle": oracle, "match": match})
-    if not match:
-        print("closed form disagrees with the oracle", file=sys.stderr)
-        return INVARIANT_VIOLATION
-    return 0
+    return _checked({"value": value, "oracle": oracle, "match": match}, match)
 
 
 def _cmd_count_single(args) -> int:
@@ -444,11 +450,7 @@ def _cmd_count_pair(args) -> int:
         oracle_union = count_eliminated_oracle([x, y], len(x))
         payload["oracle"] = {"intersection": oracle_inter, "union": oracle_union}
         payload["match"] = intersection == oracle_inter and union == oracle_union
-    _emit(payload)
-    if not payload.get("match", True):
-        print("closed form disagrees with the oracle", file=sys.stderr)
-        return INVARIANT_VIOLATION
-    return 0
+    return _checked(payload, payload.get("match", True))
 
 
 def _cmd_count_oracle(args) -> int:
@@ -720,10 +722,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except SignElimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
+    except (SignElimError, OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -331,19 +331,49 @@ def _score(n_reduced: int, eliminated: int) -> ScorePair:
     return ScorePair(value=value, log3=log3_value(value))
 
 
-def _lower_scores(n_reduced: int, masks: Sequence[np.ndarray]) -> list[ScorePair]:
-    """Score of each set ``masks`` marks over the length-N enumeration.
+class _LowerSet:
+    """A set of sign vectors of length n, marked by ``mask`` over table(n),
+    with ``one_live``: the live total sign (one with a +-1 entry) that
+    eliminates it when it is the only one up to sign, else None. The set as
+    a frozenset of tuples is built on first use."""
 
-    An empty set scores 1, since every vector eliminates itself and so the
-    complement eliminates everything, and a full set scores 3**N, since its
-    empty complement eliminates nothing; neither calls the kernel. The other
-    complements go to the transform, whose cost does not grow with their
-    size, stacked in _batches of 3**N grid cells per set.
+    def __init__(self, mask: np.ndarray, n: int, one_live: Optional[np.ndarray] = None) -> None:
+        self.mask, self.n, self.one_live = mask, n, one_live
+
+    @cached_property
+    def vectors(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(map(tuple, table(self.n)[self.mask].tolist()))
+
+
+def _lower_scores(n_reduced: int, records: Sequence[_LowerSet]) -> list[ScorePair]:
+    """Score of each set ``records`` holds, all of length N.
+
+    Elimination is symmetric and reflexive on sign vectors, so the score of
+    a set S is also 1 + 2 * #{s in S : E(s) within S}, and three closed forms
+    need no kernel call:
+
+    * an empty set scores 1;
+    * a full set scores 3**N, since its empty complement eliminates nothing;
+    * a set with ``one_live`` t scores 3 when t has no "u" and 1 when it has
+      one. Up to sign, an s in S = E(t) equals t on a nonempty part A of t's
+      +-1 positions P, is 0 on the rest of P and on t's "u" positions, and
+      is free on t's 0 positions. E(s) lies within S exactly when s = +-t
+      and t has no "u"; otherwise s eliminates a vector that t does not:
+      s_j e_j, for a nonzero s_j at a 0 position j of t; s - t_k e_k, for k
+      in P outside A; s + e_j, for a "u" position j of t.
+
+    The other complements go to the transform, whose cost does not grow with
+    their size, stacked in _batches of 3**N grid cells per set.
     """
-    scores: list[Optional[ScorePair]] = [None] * len(masks)
+    scores: list[Optional[ScorePair]] = [None] * len(records)
     mixed = []
-    for k, mask in enumerate(masks):
-        if not mask.any():
+    for k, record in enumerate(records):
+        mask, t = record.mask, record.one_live
+        if t is not None:
+            # S's complement eliminates every vector but t, or every one
+            # when t has a "u"
+            scores[k] = _score(n_reduced, mask.size - (UNDETERMINED not in t))
+        elif not mask.any():
             scores[k] = _score(n_reduced, mask.size)
         elif mask.all():
             scores[k] = _score(n_reduced, 0)
@@ -351,50 +381,17 @@ def _lower_scores(n_reduced: int, masks: Sequence[np.ndarray]) -> list[ScorePair
             mixed.append(k)
     for lo, hi in _batches([3**n_reduced] * len(mixed)):
         batch = mixed[lo:hi]
-        counts = _elimination_counts(n_reduced, ~np.stack([masks[k] for k in batch]))
+        counts = _elimination_counts(n_reduced, ~np.stack([records[k].mask for k in batch]))
         for k, eliminated in zip(batch, np.count_nonzero(counts, axis=1).tolist()):
             scores[k] = _score(n_reduced, eliminated)
     return scores
 
 
-def _witness_scores(
-    n_reduced: int, swept: Iterable[tuple[np.ndarray, Optional[np.ndarray]]]
-) -> list[ScorePair]:
-    """Score of each set ``mask`` marks, which the witnesses' total signs
-    eliminate, for the (mask, one_live) pairs ``swept``.
-
-    Elimination is symmetric and reflexive on sign vectors, so the score of
-    a set S is also 1 + 2 * #{s in S : E(s) within S}. When the live total
-    signs (those with a +-1 entry) are one t up to sign, which _sweep passes
-    as ``one_live`` (else None), that count is known.
-    Up to sign, an s in S = E(t) equals t on a nonempty part A of t's +-1
-    positions P, is 0 on the rest of P and on t's "u" positions, and is free
-    on t's 0 positions. E(s) lies within S exactly when s = +-t and t has no
-    "u"; otherwise s eliminates a vector that t does not:
-
-    * s_j e_j, for a nonzero s_j at a 0 position j of t;
-    * s - t_k e_k, for k in P outside A;
-    * s + e_j, for a "u" position j of t.
-
-    So the score is 3 when t has no "u" and 1 when it has one, with no
-    kernel call; the other sets go to _lower_scores together.
-    """
-    swept = list(swept)
-    lower = iter(_lower_scores(n_reduced, [mask for mask, one_live in swept if one_live is None]))
-    return [
-        # log3 of 1 and 3 are 0 and 1
-        next(lower) if one_live is None
-        else ScorePair(1, 0.0) if UNDETERMINED in one_live
-        else ScorePair(3, 1.0)
-        for _, one_live in swept
-    ]
-
-
 def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> ScorePair:
     """score(S) = 3**N - 2 * |eliminated set of the complement of S|.
 
-    S must consist of canonical vectors of length N. Monotone in S, 1 when S
-    is empty, 3**N when S is everything, so log3 ranges over [0, N].
+    S must consist of canonical vectors of length N. Monotone in S, from the
+    empty set to everything, so log3 ranges over [0, N].
     """
     rows = sign_rows(sens_subset, n_reduced)
     _check_length(n_reduced)
@@ -403,7 +400,7 @@ def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> S
         # table(N) is in ascending order of its rows' base-3 codes
         codes = _base3_index(np.array(rows, dtype=np.int8))
         mask[np.searchsorted(_canonical_index(n_reduced), codes)] = True
-    return _lower_scores(n_reduced, [mask])[0]
+    return _lower_scores(n_reduced, [_LowerSet(mask, n_reduced)])[0]
 
 
 @dataclass(frozen=True)
@@ -474,18 +471,6 @@ def verify_certificate(
     return bool(eliminated_any_mask(table(n_reduced), codes).all())
 
 
-class _LowerSet:
-    """The vectors a mask marks over table(n), as a frozenset of tuples built
-    on first use."""
-
-    def __init__(self, mask: np.ndarray, n: int) -> None:
-        self.mask, self.n = mask, n
-
-    @cached_property
-    def vectors(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(map(tuple, table(self.n)[self.mask].tolist()))
-
-
 @dataclass(frozen=True)
 class BasePointReport:
     """Everything computed at one base point.
@@ -495,7 +480,7 @@ class BasePointReport:
     equal witness signs share one array, and, being determined by the
     witnesses, it takes no part in equality or hashing. ``sens_lower`` is the
     same set as a frozenset of tuples, built on first access, once per
-    distinct mask of an analysis: its reports share one _LowerSet per mask.
+    distinct mask of an analysis: its reports share the sweep's _LowerSet.
     Reports with equal total signs share one ``witnesses`` tuple.
     """
 
@@ -732,8 +717,8 @@ def _collision_scores(
         zs, distinct.shape[0] * n_reduced, lambda part: distinct[:, columns[part]].swapaxes(0, 1)
     )
     scores = {
-        z: _score(n_reduced, int(np.count_nonzero(mask)))
-        for z, _, mask, _ in _sweep(projected)
+        z: _score(n_reduced, int(np.count_nonzero(record.mask)))
+        for z, _, record in _sweep(projected)
     }
     z = max(scores, key=lambda z: scores[z].value)
     return scores, DataBound(
@@ -762,7 +747,8 @@ def data_upper_bound(
 
 
 def _sweep(blocks: Iterable[tuple[Sequence[Index], np.ndarray]]):
-    """Lazily yield (z, rows, mask, one live row or None) per base point.
+    """Lazily yield (z, rows, _LowerSet of the rows' eliminated set) per base
+    point.
 
     ``blocks`` gives base points zs with their int8 sign rows shaped (len(zs),
     rows, N), a block of at most _BATCH_CELLS entries or of one base point:
@@ -771,32 +757,33 @@ def _sweep(blocks: Iterable[tuple[Sequence[Index], np.ndarray]]):
     eliminated vectors agree with it on a nonempty set of +-1 positions), so
     only live rows reach the kernel, once each up to sign, and a base point
     without one gets the all-false mask of the empty set, which the scan
-    returns without scanning a row. Masks are
+    returns without scanning a row. Records are
     memoized for the sweep by the set of live rows up to sign (t and -t
-    eliminate the same vectors): equal sets share one read-only array, and a
-    set with one member also hands out one of its rows. The sets a block
-    meets first go to the scan in one call, before its first base point is
-    yielded.
+    eliminate the same vectors): equal sets share one record, whose mask is
+    read-only and whose ``one_live`` is one of the rows of a set with one
+    member. The sets a block meets first go to the scan in one call, before
+    its first base point is yielded.
     """
-    masks: dict[frozenset[int], tuple[np.ndarray, Optional[np.ndarray]]] = {}
+    records: dict[frozenset[int], _LowerSet] = {}
     for zs, block in blocks:
+        n = block.shape[-1]
         live = (block % 2).any(axis=-1)  # the rows with a +-1 entry
         # A row and its negation as base-4 codes (0, +, u, - as 0, 1, 2, 3);
         # the smaller names a live row up to sign, and -1 a dead one.
-        powers = 4 ** np.arange(block.shape[-1], dtype=np.int64)
+        powers = 4 ** np.arange(n, dtype=np.int64)
         ids = np.where(live, np.minimum(block % 4 @ powers, -block % 4 @ powers), -1)
         keys, new = [], {}
         for rows, row_ids in zip(block, ids.tolist()):
             key = frozenset(row_ids).difference((-1,))
             keys.append(key)
-            if key not in masks and key not in new:
+            if key not in records and key not in new:
                 # one row per id
                 new[key] = rows[list({i: k for k, i in enumerate(row_ids) if i >= 0}.values())]
-        grid = table(block.shape[-1])
+        grid = table(n)
         for (key, kept), mask in zip(new.items(), eliminated_any_masks(grid, list(new.values()))):
             mask.setflags(write=False)
-            masks[key] = mask, kept[0] if len(key) == 1 else None
-        yield from ((z, rows, *masks[key]) for z, rows, key in zip(zs, block, keys))
+            records[key] = _LowerSet(mask, n, kept[0] if len(key) == 1 else None)
+        yield from ((z, rows, records[key]) for z, rows, key in zip(zs, block, keys))
 
 
 def _in_blocks(zs: Sequence[Index], cells: int, rows_of):
@@ -844,23 +831,20 @@ def analyze_gate(
     if records is not None:
         data_upper, data = _collision_scores(records, expansion, eps, delta)
     swept = list(sweep)
-    # The sweep hands out equal masks as one array and keeps each alive while
-    # it runs, so a mask's id names its score for the whole analysis.
-    distinct = {id(mask): (mask, one_live) for _, _, mask, one_live in swept}
-    scores = dict(zip(distinct, _witness_scores(n_reduced, distinct.values())))
-    lower_sets = {key: _LowerSet(mask, n_reduced) for key, (mask, _) in distinct.items()}
-    covering = {key: mask.all() for key, (mask, _) in distinct.items()}
+    # the sweep hands out one record per distinct mask, in first-seen order
+    records = list(dict.fromkeys(record for _, _, record in swept))
+    scores = dict(zip(records, _lower_scores(n_reduced, records)))
+    covering = {record: record.mask.all() for record in records}
     reports, paired = [], {}  # one witnesses tuple per distinct total-sign matrix
-    for z, rows, mask, _ in swept:
+    for z, rows, record in swept:
         key = rows.tobytes()
         witnesses = paired[key] = paired.get(key) or _paired(family.functionals, rows)
         certificate = None
-        if covering[id(mask)]:
+        if covering[record]:
             certificate = _greedy_certificate(z, family.functionals, rows, n_reduced)
         reports.append(
             BasePointReport(
-                z, witnesses, mask, scores[id(mask)], certificate, data_upper.get(z),
-                lower_sets[id(mask)],
+                z, witnesses, record.mask, scores[record], certificate, data_upper.get(z), record
             )
         )
     # max keeps the first of equal scores
@@ -886,8 +870,8 @@ def reversibility_certificate(
     the family eliminates every sign vector, and scores nothing.
     """
     family, n_reduced, sweep = _witness_sweep(expansion, family, one_at_a_time=True)
-    for z, rows, mask, _ in sweep:
-        if mask.all():
+    for z, rows, record in sweep:
+        if record.mask.all():
             return _greedy_certificate(z, family.functionals, rows, n_reduced)
     return None
 

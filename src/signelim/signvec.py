@@ -96,7 +96,8 @@ def _validate_sign_vector(v: Sequence[int], *, total: bool = False) -> tuple[int
         raise DomainError("sign vector must be nonempty")
     allowed = _TOTAL_ENTRIES if total else _SIGN_ENTRIES
     for entry in vec:
-        if entry not in allowed:
+        # type(), not isinstance: True is a bool, which subclasses int
+        if type(entry) is not int or entry not in allowed:
             kind = "total sign" if total else "sign"
             raise DomainError(f"invalid {kind} entry {entry!r} in {vec!r}")
     return vec
@@ -105,7 +106,7 @@ def _validate_sign_vector(v: Sequence[int], *, total: bool = False) -> tuple[int
 def is_canonical(v: Sequence[int]) -> bool:
     """True when v is a nonzero sign vector whose first nonzero entry is +1."""
     vec = tuple(v)
-    if any(entry not in _SIGN_ENTRIES for entry in vec):
+    if any(type(entry) is not int or entry not in _SIGN_ENTRIES for entry in vec):
         return False
     for entry in vec:
         if entry:

@@ -174,3 +174,26 @@ def test_non_int_indices_raise_the_range_message(entry, bad):
 def test_as_fraction_dot_reads_a_sign_vector(x):
     with pytest.raises(DomainError, match=f"^invalid sign entry {re.escape(repr(x[0]))} in "):
         as_fraction_dot([1, 1], x)
+
+
+# The library entries that read a sign vector, each given the vector
+# (entry, 0). A sign entry follows the index rule: 1.0 is not an int, and
+# True, though an int, would be kept as a bool.
+SIGN_ENTRIES = {
+    "sign_rows": lambda v: signvec.sign_rows([v]),
+    "eliminates": lambda v: signvec.eliminates(v, (1, 0)),
+    "sign_string": signvec.sign_string,
+    "as_fraction_dot": lambda v: as_fraction_dot([1, 1], v),
+    "eliminated_count": lambda v: signvec.eliminated_count([v], 2),
+    "count_eliminated_union": lambda v: count_eliminated_union([v]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIGN_ENTRIES) + ["is_canonical"])
+@pytest.mark.parametrize("bad", [1.0, True], ids=["whole-float", "bool"])
+def test_non_int_sign_entries_are_invalid(entry, bad):
+    if entry == "is_canonical":
+        assert signvec.is_canonical((bad, 0)) is False
+        return
+    with pytest.raises(DomainError, match=f"^invalid (total )?sign entry {bad!r} in "):
+        SIGN_ENTRIES[entry]((bad, 0))

@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 ``__all__`` entry is bound in its module, every name ``__init__.py``
-re-exports exists in the module it comes from, no run of three code
-lines is written twice in the package, and the test oracles import only the
-standard library.
+re-exports exists in the module it comes from, every private module-level
+name is referenced in the package, no run of three code lines is written
+twice in the package, and the test oracles import only the standard library.
 
 A standard-library stand-in for a lint rule: `__init__.py` is skipped by the
 unused-import scan because its imports are the package's re-exports.
@@ -45,16 +45,24 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-def module_names(source: str) -> set[str]:
-    """Names bound at module level: definitions, assignments and imports."""
-    names = set()
-    for node in ast.parse(source).body:
+def defined_names(tree: ast.Module) -> list[str]:
+    """Names bound at module level by definitions and assignments, in order."""
+    names = []
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
+            names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def module_names(source: str) -> set[str]:
+    """Names bound at module level: definitions, assignments and imports."""
+    tree = ast.parse(source)
+    names = set(defined_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(a.asname or a.name.partition(".")[0] for a in node.names)
     return names
 
@@ -120,6 +128,57 @@ def test_every_package_reexport_exists():
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     read = lambda module: (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert missing_reexports(init, read) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for every module-level function, class or assignment
+    named with one leading underscore that no source reads by a Name, an
+    Attribute or an import alias. Docstrings and comments do not count."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in defined_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    ]
+
+
+def test_the_private_name_scan_sees_an_unreferenced_helper():
+    helpers = (
+        "_LIMIT = 3\n"
+        "_unread = 0\n"
+        "__version__ = '1'\n"
+        "class _Kept: pass\n"
+        "def _shim(): pass\n"
+        "def _by_attribute(): pass\n"
+        "def _by_import(): pass\n"
+        "def public(): return _Kept(), _LIMIT\n"
+    )
+    caller = (
+        '"""Names _shim in a docstring only."""\n'
+        "from .helpers import _by_import\n"
+        "from . import helpers\n"
+        "helpers._by_attribute()\n"
+        "_unread = 1  # _shim in a comment\n"
+    )
+    sources = {"helpers.py": helpers, "caller.py": caller}
+    assert unreferenced_private_names(sources) == [
+        "helpers.py:_unread", "helpers.py:_shim", "caller.py:_unread"
+    ]
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
 
 
 def code_lines(source: str) -> list[tuple[int, str]]:

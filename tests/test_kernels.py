@@ -493,7 +493,8 @@ class TestBatches:
         vectors = oracles.canonical_vectors(n)
         masks = [np.array([rng.random() < p for _ in vectors]) for p in (0.0, 1.0) + (0.3, 0.6) * 4]
         masks[2][:2] = (True, False)  # at least one mixed mask
-        expected = [sensitivity._lower_scores(n, [mask])[0] for mask in masks]
+        records = [sensitivity._LowerSet(mask, n) for mask in masks]
+        expected = [sensitivity._lower_scores(n, [record])[0] for record in records]
         monkeypatch.setattr(backend, "_BATCH_CELLS", budget)
         transform, stacks = backend._elimination_counts, []
 
@@ -502,7 +503,7 @@ class TestBatches:
             return transform(n, members)
 
         monkeypatch.setattr(sensitivity, "_elimination_counts", spy)
-        assert sensitivity._lower_scores(n, masks) == expected
+        assert sensitivity._lower_scores(n, records) == expected
         mixed = sum(0 < mask.sum() < mask.size for mask in masks)
         assert sum(stacks) == mixed and max(stacks) <= max(1, budget // 27)
         assert len(stacks) == -(-mixed // max(1, budget // 27))

@@ -18,6 +18,7 @@ from signelim import (
     Gate,
     MultilinearExpansion,
     ProjectionFamily,
+    ScorePair,
     UNDETERMINED,
     ValidationError,
     analyze_gate,
@@ -779,10 +780,11 @@ class TestScoreRoutes:
         n, mask, witnesses = case
         members = [s for s, hit in zip(oracles.canonical_vectors(n), mask) if hit]
         expect = oracles.lower_score(members, n)
-        assert sensitivity._lower_scores(n, [mask])[0].value == expect
+        assert sensitivity._lower_scores(n, [sensitivity._LowerSet(mask, n)])[0].value == expect
         if witnesses is not None:
             one_live = one_live_sign(witnesses)
-            assert sensitivity._witness_scores(n, [(mask, one_live)])[0].value == expect
+            record = sensitivity._LowerSet(mask, n, one_live)
+            assert sensitivity._lower_scores(n, [record])[0].value == expect
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_one_live_sign_scores_three_or_one(self, n):
@@ -795,8 +797,10 @@ class TestScoreRoutes:
             hit = oracles.eliminated([t], n)
             mask = np.array([s in hit for s in oracles.canonical_vectors(n)])
             witnesses = [((1,), t), ((2,), negated), ((3,), (UNDETERMINED,) * n)]
-            (score,) = sensitivity._witness_scores(n, [(mask, one_live_sign(witnesses))])
+            record = sensitivity._LowerSet(mask, n, one_live_sign(witnesses))
+            (score,) = sensitivity._lower_scores(n, [record])
             assert score.value == (1 if UNDETERMINED in t else 3)
+            assert score == (ScorePair(1, 0.0) if UNDETERMINED in t else ScorePair(3, 1.0))
             if n <= 3:
                 assert score.value == oracles.lower_score(hit, n)
 
@@ -899,8 +903,8 @@ class TestKernelRouting:
         family = default_family(gate.output_dim)
         signs = sensitivity._total_signs(expansion, family.weights)
         every = (list(base_points(expansion)), signs.reshape((-1,) + signs.shape[-2:]))
-        for _, _, mask, _ in sensitivity._sweep([every]):
-            assert mask.dtype == bool
+        for _, _, record in sensitivity._sweep([every]):
+            assert record.mask.dtype == bool
         certificate = reversibility_certificate(expansion, family)
         if certificate is not None:
             assert verify_certificate(expansion, certificate)
@@ -929,7 +933,8 @@ class TestKernelRouting:
         mask = np.array([rng.random() < 0.5 for _ in vectors])
         mask[:2] = (True, False)
         chosen = [v for v, hit in zip(vectors, mask) if hit]
-        assert sensitivity._lower_scores(n, [mask])[0].value == oracles.lower_score(chosen, n)
+        (score,) = sensitivity._lower_scores(n, [sensitivity._LowerSet(mask, n)])
+        assert score.value == oracles.lower_score(chosen, n)
 
 
 class TestCertificates:
@@ -1254,7 +1259,7 @@ class TestDataBounds:
         # from an empty set, which scans no row.
         calls.clear()
         block = np.array([[[0, 0], [0, 0]], [[1, -1], [-1, 1]]], dtype=np.int8)
-        masks = [mask for _, _, mask, _ in sensitivity._sweep([([(0,), (1,)], block)])]
+        masks = [record.mask for _, _, record in sensitivity._sweep([([(0,), (1,)], block)])]
         assert calls == [[0, 1]]
         assert not masks[0].any() and not masks[0].flags.writeable
         assert masks[1].sum() == 3
@@ -1290,9 +1295,9 @@ class TestDataBounds:
                     drawn.extend(zs)
                     yield zs, block
 
-            for z, rows, mask, one_live in sweep(counted()):
+            for z, rows, record in sweep(counted()):
                 assert drawn[-1] == z
-                yield z, rows, mask, one_live
+                yield z, rows, record
 
         monkeypatch.setattr(sensitivity, "_sweep", spy)
         scores, _ = sensitivity._collision_scores(records, expand(gate), F(1, 4), F(0))
