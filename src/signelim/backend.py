@@ -1,4 +1,4 @@
-"""Array kernels for sign-vector tables and elimination masks.
+"""Array kernels for sign-vector tables and eliminated sets.
 
 Two kernels compute which rows of the enumeration table(n) a set of sign
 vectors eliminates. Each serves one job, named by the function its callers
@@ -10,17 +10,16 @@ call; ``tests/test_kernels.py`` checks both against the brute-force oracles.
   call against a slice of the table at once, and one schedule, ``_blocks``,
   cuts only the table, into slices of about ``_CHUNK_ROWS`` eliminator-row
   pairs, so temporaries stay bounded on large tables; it costs about
-  len(elim) * rows * n. Its two outputs read the same blocks. The union of
-  each group's rows, ``eliminated_any_masks``, takes a list of groups (the
-  new row sets of one block of a sweep, or one group for
-  ``eliminated_any_mask``), concatenates them in _batches of at most
-  ``_BATCH_CELLS`` eliminator-row pairs and writes the union of each
-  group's rows in a block, where no group is split, into its own mask. One
-  set per row, ``row_mask_bits``, packs them one bit per table row for the
-  certificate, the cover search and the joint count.
-* A set given as a boolean mask over table(n), the complement of the set a
-  base point scores: the transform, ``_elimination_counts``. Let C+- be the
-  members and their negations. For a sign vector s let f(s) count the
+  len(elim) * rows * n. Its two outputs pack each block: a set is a uint8
+  row, one bit per table row in ``np.packbits`` order and zero past the
+  table, so its size is its popcount (``unpacked`` gives its bool mask, for
+  code that selects rows). ``eliminated_any_masks`` ORs the rows of each of
+  a list of groups (the new row sets of one block of a sweep, or one group
+  for ``eliminated_any_mask``); ``row_mask_bits`` keeps one set per row, for
+  the certificate, the cover search and the joint count.
+* The complement of the set a base point scores, unpacked per batch into a
+  bool mask over table(n): the transform, ``_elimination_counts``. Let C+-
+  be the members and their negations. For a sign vector s let f(s) count the
   members of C+- that on supp(s) are 0 or equal to s, and g(s) those that
   are 0 on supp(s). Then f(s) - g(s) is the number of members that
   eliminate s. f and g are Kronecker-product (Yates, fast zeta) transforms
@@ -48,7 +47,6 @@ as digits 0 -> 0, +1 -> 1, -1 -> 2, the first entry most significant.
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -62,22 +60,21 @@ UNDETERMINED = 2
 _CHUNK_ROWS = 1 << 18
 
 _BATCH_CELLS = 1 << 14
-"""The cells of one batch or block: eliminator rows times table rows in a
-batch of the scan, sets times 3**n grid cells in a batch of the transform,
-int8 sign entries in a block of base points of the sweep, and (set, pair)
-rows in a pass of the counting module's union count.
+"""The cells of one batch or block: sets times 3**n grid cells in a batch of
+the transform, int8 sign entries in a block of base points of the sweep,
+table rows per side in a batch of the document's cross-check scan, and
+(set, pair) rows in a pass of the counting module's union count. The scan
+itself takes all its groups in one call; _CHUNK_ROWS bounds its blocks.
 
 Derivation. Batching serves short tables, where a call's numpy overhead
-outweighs its work; at n >= 9 a batch must hold one set, as one call per
-set did before. table(9) has (3**9 - 1) / 2 = 9,841 rows and its grid
-3**9 = 19,683 cells, so any budget below 2 * 9,841 = 19,682 keeps one set
-per scan batch and one mask per transform batch from n = 9 on; 2**14 is the
-largest power of two that does. At n = 5-6 (121-364 table rows, 243-729
-grid cells) a batch still holds 45-135 eliminator rows or 22-67 masks, so
-an analysis of a gate of that size makes one or a few calls per kernel.
-Batches of up to _CHUNK_ROWS cells raised the peak RSS of analyze_gate on
-large gates, in a fresh process: (3,)^5 with two outputs read 47.1 MB
-against 43.3 MB, and (2,)^9 with two outputs 43.4 MB against 38.5 MB.
+outweighs its work; at n >= 9 a transform batch must hold one set, as one
+call per set did before. The grid of n = 9 has 3**9 = 19,683 cells, and
+2**14 is the largest power of two below it. At n = 5-6 (243-729 grid
+cells) a batch still holds 22-67 masks, so an analysis of a gate of that
+size makes one or a few transform calls. Batches of up to _CHUNK_ROWS cells
+raised the peak RSS of analyze_gate on large gates, in a fresh process:
+(3,)^5 with two outputs read 47.1 MB against 43.3 MB, and (2,)^9 with two
+outputs 43.4 MB against 38.5 MB.
 """
 
 
@@ -227,38 +224,36 @@ def _batches(cells: Sequence[int]):
 
 
 def eliminated_any_masks(table: np.ndarray, groups: Sequence[np.ndarray]) -> np.ndarray:
-    """Row g: the mask over table rows eliminated by some row of groups[g].
+    """Row g: the table rows eliminated by some row of groups[g], packed.
 
-    The groups go through the scan in _batches of consecutive groups, a
-    group costing its rows times the table's rows. A batch is one
-    eliminator matrix cut by _blocks, whose every block holds all of the
-    batch's rows, so each group writes the union of its rows in a block
-    into its own mask once. A group without rows eliminates nothing.
+    All groups' rows make one eliminator matrix, cut by _blocks, whose every
+    block holds all of them; in a block, a group's union is the OR of its
+    rows' packed bits, one bitwise_or.reduceat over the groups' first rows.
+    A group without rows eliminates nothing and stays out of the reduceat,
+    which would give it a row.
     """
-    out = np.zeros((len(groups), table.shape[0]), dtype=bool)
-    sizes = [group.shape[0] for group in groups]
-    for lo, hi in _batches([size * table.shape[0] for size in sizes]):
-        # each group's first row and the row past it, in the batch's matrix
-        ends = list(accumulate(sizes[lo:hi]))
-        firsts = [0] + ends[:-1]
-        elim = groups[lo] if hi - lo == 1 else np.concatenate(groups[lo:hi])
-        for i, block in _blocks(table, elim):
-            for g, (first, end) in enumerate(zip(firsts, ends), lo):
-                out[g, i] = block[first:end].any(axis=0)
+    out = np.zeros((len(groups), (table.shape[0] + 7) // 8), dtype=np.uint8)
+    sizes = np.array([group.shape[0] for group in groups], dtype=np.intp)
+    live = np.flatnonzero(sizes)
+    if live.size:
+        firsts = (np.cumsum(sizes) - sizes)[live]
+        for i, block in _blocks(table, np.concatenate(groups)):
+            out[live, i.start // 8 : i.stop // 8] = np.bitwise_or.reduceat(np.packbits(block, axis=1), firsts)
     return out
 
 
 def eliminated_any_mask(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
-    """Mask over table rows eliminated by at least one eliminator row."""
+    """The table rows eliminated by at least one eliminator row, packed."""
     return eliminated_any_masks(table, [elim])[0]
 
 
-def row_mask_bits(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
-    """Each eliminator row's mask over table rows, packed one bit per row.
+def unpacked(bits: np.ndarray, rows: int) -> np.ndarray:
+    """The bool mask over ``rows`` table rows of each packed row of ``bits``."""
+    return np.unpackbits(bits, axis=-1, count=rows).view(bool)
 
-    Row k is ``np.packbits`` of eliminator row k's mask (the bits past the
-    table are zero).
-    """
+
+def row_mask_bits(table: np.ndarray, elim: np.ndarray) -> np.ndarray:
+    """Row k: the table rows eliminator row k eliminates, packed."""
     out = np.empty((elim.shape[0], (table.shape[0] + 7) // 8), dtype=np.uint8)
     for i, block in _blocks(table, elim):
         out[:, i.start // 8 : i.stop // 8] = np.packbits(block, axis=1)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .backend import _batches, _kept_up_to_12, backend_name, eliminated_any_masks
+from .backend import _batches, _kept_up_to_12, backend_name, eliminated_any_masks, unpacked
 from .counting import (
     SignMatrix,
     count_eliminated_intersection,
@@ -248,24 +248,17 @@ def _load_family(path, output_dim) -> ProjectionFamily:
         return ProjectionFamily.from_vectors(obj, output_dim)
 
 
-def _crosscheck(rows: np.ndarray, masks: Sequence, sizes: Sequence[int]) -> list[str]:
-    """The counting cross-check of each mask's set and complement, two
-    outcomes a mask: "skipped" unless the side has 1 to 6 of the ``rows``,
-    else "passed" or "failed", whether its closed-form union count equals
-    its popcount in the scan. A complement is built only to be checked. All
-    sides take one _union_counts call and one scan, counted in _batches of
-    sides, so only one batch's masks are held. Their size bounds them (at
-    most 2,016 pairs a side), so no user cap applies."""
-    sides = {}  # by outcome slot
-    for k, (mask, size) in enumerate(zip(masks, sizes)):
-        if 1 <= size <= 6:
-            sides[2 * k] = rows[mask]
-        if 1 <= mask.size - size <= 6:
-            sides[2 * k + 1] = rows[~mask]
-    outcomes, groups = ["skipped"] * (2 * len(masks)), list(sides.values())
+def _crosscheck(rows: np.ndarray, sides: dict, count: int) -> list[str]:
+    """The ``count`` outcomes of the counting cross-check, two a set (its
+    rows, then the rest of ``rows``): "skipped" for a slot without a side in
+    ``sides``, else "passed" or "failed", whether the side's closed-form
+    union count equals its popcount in the scan. All sides take one
+    _union_counts call and one scan, counted in _batches of sides. Their
+    size bounds them (at most 2,016 pairs a side), so no user cap applies."""
+    outcomes, groups = ["skipped"] * count, list(sides.values())
     if groups:
         cuts = _batches([rows.shape[0]] * len(groups))
-        scan = [np.count_nonzero(eliminated_any_masks(rows, groups[lo:hi]), axis=1) for lo, hi in cuts]
+        scan = [np.bitwise_count(eliminated_any_masks(rows, groups[lo:hi])).sum(axis=1) for lo, hi in cuts]
         for slot, closed, counted in zip(sides, _union_counts(groups), np.concatenate(scan).tolist()):
             outcomes[slot] = "passed" if closed == counted else "failed"
     return outcomes
@@ -286,10 +279,12 @@ def _analysis_document(
     through one layout: its _REPORT_KEYS with their values at depth 3. Only
     the base point and a certificate are rendered per report; every other
     value is a text shared by all reports with that value:
-    - per mask, memoized by its id: ``sens_lower`` (a _sign_list) and its
-      size; after the pass, one _crosscheck of every distinct mask gives the
-      outcomes of its set and complement, which the tally counts once per
-      report;
+    - per set, memoized by the sweep's record that its reports share, from
+      its packed row unpacked once: ``sens_lower`` (a _sign_list), its size,
+      and the cross-check's sides, its rows and the rest, each kept (and a
+      complement built) only with 1 to 6 rows; after the pass, one
+      _crosscheck of all sides gives each set's outcomes, which the tally
+      counts once per report;
     - per witnesses tuple, which analyze_gate shares among reports with
       equal total signs: the witness list;
     - per score value: ``cs_lower`` and ``data_upper``.
@@ -299,30 +294,32 @@ def _analysis_document(
     rows, lines = table(n_reduced), _sign_lines(n_reduced, 3)
     family_json, witness_text = _witness_text(family.functionals)
     score_text = lru_cache(maxsize=None)(lambda value: _indented_json(_score_json(value), 3))
-    masks, pieces = {}, []  # masks: by the id of a shared mask
+    sets, sides, pieces = {}, {}, []  # sets: by the record of a shared set; sides: by outcome slot
     keys = _REPORT_KEYS
     # a report's text up to its witnesses, a format of its base point's entries
     head = ",\n    {" + keys[0][1:] + _list_text(["%d"] * len(gate.arities), 3) + keys[1]
     for report in analysis.reports:
-        mask = report.mask
-        if id(mask) not in masks:
-            size = int(np.count_nonzero(mask))
-            lower = keys[2], *_sign_list(lines, mask, 3), keys[3] + str(size) + keys[4]
-            masks[id(mask)] = lower, mask, size
+        record = report._lower
+        if record not in sets:
+            mask, size, slot = unpacked(record.bits, rows.shape[0]), record.size, 2 * len(sets)
+            sets[record] = keys[2], *_sign_list(lines, mask, 3), keys[3] + str(size) + keys[4]
+            if 1 <= size <= 6:
+                sides[slot] = rows[mask]
+            if 1 <= rows.shape[0] - size <= 6:
+                sides[slot + 1] = rows[~mask]
         certificate, data = report.certificate, report.data_upper
         if certificate is not None:
             certificate = _indented_json(_certificate_json(certificate, witness_text, 3), 3)
         pieces += (
-            head % report.base_point, witness_text(report.witnesses, 3), *masks[id(mask)][0],
+            head % report.base_point, witness_text(report.witnesses, 3), *sets[record],
             score_text(report.score.value), keys[5], certificate or "null",
             keys[6], "null" if data is None else score_text(data.value), "\n    }",
         )
     pieces[0] = "[" + pieces[0][1:]  # the first report has no comma before it
     pieces.append("\n  ]")
-    _, shared, sizes = zip(*masks.values())
-    outcomes = _crosscheck(rows, shared, sizes)
-    checks = {key: outcomes[2 * k : 2 * k + 2] for k, key in enumerate(masks)}
-    tally = Counter(outcome for r in analysis.reports for outcome in checks[id(r.mask)])
+    outcomes = _crosscheck(rows, sides, 2 * len(sets))
+    checks = {record: outcomes[2 * k : 2 * k + 2] for k, record in enumerate(sets)}
+    tally = Counter(outcome for r in analysis.reports for outcome in checks[r._lower])
     document = {
         "tool": "signelim",
         "version": __version__,

@@ -315,9 +315,10 @@ class PairProfile:
     zero: int
 
     def __post_init__(self) -> None:
-        for name in ("agree", "oppose", "first_only", "second_only", "zero"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
+        for name, value in vars(self).items():
+            # type(), not isinstance: True is a bool, which subclasses int
+            if type(value) is not int or value < 0:
+                raise DomainError(f"{name} must be an int >= 0, got {value!r}")
         if self.agree + self.oppose + self.first_only == 0:
             raise DomainError("first row would be zero (not a sign vector)")
         if self.agree + self.oppose + self.second_only == 0:

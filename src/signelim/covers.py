@@ -5,8 +5,8 @@ the union of its eliminated sets is the full canonical enumeration. Covers
 form an upward-closed family; the minimal ones are those that stop covering
 after removing any single member (single removal suffices because eliminated
 sets grow monotonically with X), that is, those where every member alone
-eliminates some vector. Each member's eliminated set is held as a boolean
-mask over table(n), packed one bit per vector.
+eliminates some vector. Each member's eliminated set is held as the scan's
+packed row over table(n), one bit per vector.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _judge(members: np.ndarray, count: int):
     for j in range(members.shape[1]):
         twice |= once & members[:, j]
         once |= members[:, j]
-    covers = (once == np.packbits(np.ones(count, dtype=bool))).all(axis=1)
+    covers = np.bitwise_count(once).sum(axis=1) == count  # no bit past the table is set
     minimal = covers & (members & ~twice[:, None]).any(axis=2).all(axis=1)
     return once, covers, minimal
 

@@ -309,11 +309,13 @@ def base_points(expansion: MultilinearExpansion) -> Iterable[Index]:
 
 
 def _base_point(arities: Sequence[int], z: Sequence[int]) -> Index:
-    """z as a tuple, checked as a base point of blocks of these arities."""
+    """z as a tuple, checked as a base point of blocks of these arities (ints >= 2)."""
     point = tuple(z)
     if len(point) != len(arities):
         raise DomainError(f"base point must have {len(arities)} entries, got {len(point)}")
     for i, (j, arity) in enumerate(zip(point, arities)):
+        if type(arity) is not int or arity < 2:
+            raise DomainError(f"arity of block {i} must be an int >= 2, got {arity!r}")
         # type(), not isinstance: a bool would index arrays as a mask
         if type(j) is not int or not 0 <= j < arity:
             raise DomainError(

@@ -55,6 +55,7 @@ from .backend import (
     eliminated_any_mask,
     eliminated_any_masks,
     row_mask_bits,
+    unpacked,
 )
 from .errors import DomainError, ValidationError, check_cap
 from .gates import (
@@ -332,13 +333,21 @@ def _score(n_reduced: int, eliminated: int) -> ScorePair:
 
 
 class _LowerSet:
-    """A set of sign vectors of length n, marked by ``mask`` over table(n),
-    with ``one_live``: the live total sign (one with a +-1 entry) that
-    eliminates it when it is the only one up to sign, else None. The set as
-    a frozenset of tuples is built on first use."""
+    """A set of sign vectors of length n: ``bits``, its read-only packed row
+    over table(n), and ``size``, its popcount, with ``one_live``: the live
+    total sign (one with a +-1 entry) that eliminates it when it is the only
+    one up to sign, else None. Its bool ``mask`` and its frozenset of tuples
+    are built on first use."""
 
-    def __init__(self, mask: np.ndarray, n: int, one_live: Optional[np.ndarray] = None) -> None:
-        self.mask, self.n, self.one_live = mask, n, one_live
+    def __init__(self, bits: np.ndarray, n: int, one_live: Optional[np.ndarray] = None) -> None:
+        self.bits, self.n, self.one_live = bits, n, one_live
+        self.size = int(np.bitwise_count(bits).sum())
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        mask = unpacked(self.bits, vector_count(self.n))
+        mask.setflags(write=False)
+        return mask
 
     @cached_property
     def vectors(self) -> frozenset[tuple[int, ...]]:
@@ -366,22 +375,20 @@ def _lower_scores(n_reduced: int, records: Sequence[_LowerSet]) -> list[ScorePai
     their size, stacked in _batches of 3**N grid cells per set.
     """
     scores: list[Optional[ScorePair]] = [None] * len(records)
-    mixed = []
+    mixed, count = [], vector_count(n_reduced)
     for k, record in enumerate(records):
-        mask, t = record.mask, record.one_live
-        if t is not None:
-            # S's complement eliminates every vector but t, or every one
-            # when t has a "u"
-            scores[k] = _score(n_reduced, mask.size - (UNDETERMINED not in t))
-        elif not mask.any():
-            scores[k] = _score(n_reduced, mask.size)
-        elif mask.all():
-            scores[k] = _score(n_reduced, 0)
+        if record.one_live is not None:
+            # S's complement eliminates every vector but one_live, or every
+            # one when one_live has a "u"
+            scores[k] = _score(n_reduced, count - (UNDETERMINED not in record.one_live))
+        elif record.size in (0, count):  # S's complement is everything or nothing
+            scores[k] = _score(n_reduced, count - record.size)
         else:
             mixed.append(k)
     for lo, hi in _batches([3**n_reduced] * len(mixed)):
         batch = mixed[lo:hi]
-        counts = _elimination_counts(n_reduced, ~np.stack([records[k].mask for k in batch]))
+        complements = unpacked(~np.stack([records[k].bits for k in batch]), count)
+        counts = _elimination_counts(n_reduced, complements)
         for k, eliminated in zip(batch, np.count_nonzero(counts, axis=1).tolist()):
             scores[k] = _score(n_reduced, eliminated)
     return scores
@@ -400,7 +407,7 @@ def sensitivity_score(n_reduced: int, sens_subset: Iterable[Sequence[int]]) -> S
         # table(N) is in ascending order of its rows' base-3 codes
         codes = _base3_index(np.array(rows, dtype=np.int8))
         mask[np.searchsorted(_canonical_index(n_reduced), codes)] = True
-    return _lower_scores(n_reduced, [_LowerSet(mask, n_reduced)])[0]
+    return _lower_scores(n_reduced, [_LowerSet(np.packbits(mask), n_reduced)])[0]
 
 
 @dataclass(frozen=True)
@@ -430,8 +437,8 @@ def _greedy_certificate(
     """
     rows = table(n_reduced)
     masks = row_mask_bits(rows, signs)
-    full = np.packbits(np.ones(rows.shape[0], dtype=bool))  # 0 past the table, as masks
-    uncovered, left, chosen = full.copy(), rows.shape[0], []
+    # every vector, as the witnesses eliminate them all
+    uncovered, left, chosen = np.bitwise_or.reduce(masks), rows.shape[0], []
     while left:
         gains = np.bitwise_count(masks & uncovered).sum(axis=1)
         best = int(np.argmax(gains))  # first maximum
@@ -441,7 +448,7 @@ def _greedy_certificate(
     pruned = list(chosen)
     for k in chosen:
         trial = [j for j in pruned if j != k]
-        if trial and np.bitwise_or.reduce(masks[trial]).tobytes() == full.tobytes():
+        if trial and np.bitwise_count(np.bitwise_or.reduce(masks[trial])).sum() == rows.shape[0]:
             pruned = trial
     return Certificate(
         base_point=z,
@@ -468,7 +475,8 @@ def verify_certificate(
     codes = _total_signs(expansion, _weights(functionals, expansion.output_dim))[z]
     if codes.tolist() != [list(ts) for _, ts in witnesses]:
         return False
-    return bool(eliminated_any_mask(table(n_reduced), codes).all())
+    rows = table(n_reduced)
+    return int(np.bitwise_count(eliminated_any_mask(rows, codes)).sum()) == rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -476,25 +484,25 @@ class BasePointReport:
     """Everything computed at one base point.
 
     ``mask`` marks, over the length-N enumeration ``table(N)``, the vectors
-    some witness eliminates; it is read-only, reports of one analysis with
-    equal witness signs share one array, and, being determined by the
-    witnesses, it takes no part in equality or hashing. ``sens_lower`` is the
-    same set as a frozenset of tuples, built on first access, once per
-    distinct mask of an analysis: its reports share the sweep's _LowerSet.
-    Reports with equal total signs share one ``witnesses`` tuple.
+    some witness eliminates, and ``sens_lower`` holds them as tuples: views
+    of the packed set of the sweep's _LowerSet, built on first access once
+    per record, which reports of one analysis with equal witness signs
+    share. Determined by the witnesses, the record takes no part in
+    equality or hashing. Reports with equal total signs share one
+    ``witnesses`` tuple.
     """
 
     base_point: Index
     witnesses: tuple[tuple[Vector, tuple[int, ...]], ...]
-    mask: np.ndarray = field(compare=False, repr=False)
     score: ScorePair
     certificate: Optional[Certificate]
     data_upper: Optional[ScorePair]
-    _lower: Optional[_LowerSet] = field(default=None, compare=False, repr=False)
+    _lower: _LowerSet = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self._lower is None or self._lower.mask is not self.mask:
-            object.__setattr__(self, "_lower", _LowerSet(self.mask, len(self.witnesses[0][1])))
+    @property
+    def mask(self) -> np.ndarray:
+        """The bool mask over table(N) of the vectors some witness eliminates."""
+        return self._lower.mask
 
     @property
     def sens_lower(self) -> frozenset[tuple[int, ...]]:
@@ -695,7 +703,7 @@ def _collision_scores(
     onto each base point's free coordinates, go through _sweep in blocks of
     base points, each gathered from one array of column indices read off
     _free, the same sweep witness total signs take; each base point scores
-    the popcount of its mask.
+    the popcount of its set.
     Returns ({}, None) when no two records collide at distinct points.
     """
     coded = _validate_records(records, expansion, delta)
@@ -716,10 +724,7 @@ def _collision_scores(
     projected = _in_blocks(
         zs, distinct.shape[0] * n_reduced, lambda part: distinct[:, columns[part]].swapaxes(0, 1)
     )
-    scores = {
-        z: _score(n_reduced, int(np.count_nonzero(record.mask)))
-        for z, _, record in _sweep(projected)
-    }
+    scores = {z: _score(n_reduced, record.size) for z, _, record in _sweep(projected)}
     z = max(scores, key=lambda z: scores[z].value)
     return scores, DataBound(
         score=scores[z], base_point=z, collisions=len(signs), heuristic=eps > 0
@@ -756,13 +761,13 @@ def _sweep(blocks: Iterable[tuple[Sequence[Index], np.ndarray]]):
     in hand at a time. A row with no +-1 entry eliminates nothing (its
     eliminated vectors agree with it on a nonempty set of +-1 positions), so
     only live rows reach the kernel, once each up to sign, and a base point
-    without one gets the all-false mask of the empty set, which the scan
-    returns without scanning a row. Records are
-    memoized for the sweep by the set of live rows up to sign (t and -t
-    eliminate the same vectors): equal sets share one record, whose mask is
-    read-only and whose ``one_live`` is one of the rows of a set with one
-    member. The sets a block meets first go to the scan in one call, before
-    its first base point is yielded.
+    without one gets the all-zero row of the empty set, which the scan
+    returns without scanning a row. Records are memoized for the sweep by
+    the set of live rows up to sign (t and -t eliminate the same vectors):
+    equal sets share one record, whose packed row is read-only and whose
+    ``one_live`` is one of the rows of a set with one member. The sets a
+    block meets first go to the scan in one call, before its first base
+    point is yielded.
     """
     records: dict[frozenset[int], _LowerSet] = {}
     for zs, block in blocks:
@@ -779,10 +784,10 @@ def _sweep(blocks: Iterable[tuple[Sequence[Index], np.ndarray]]):
             if key not in records and key not in new:
                 # one row per id
                 new[key] = rows[list({i: k for k, i in enumerate(row_ids) if i >= 0}.values())]
-        grid = table(n)
-        for (key, kept), mask in zip(new.items(), eliminated_any_masks(grid, list(new.values()))):
-            mask.setflags(write=False)
-            records[key] = _LowerSet(mask, n, kept[0] if len(key) == 1 else None)
+        bits = eliminated_any_masks(table(n), list(new.values()))
+        bits.setflags(write=False)
+        for (key, kept), row in zip(new.items(), bits):
+            records[key] = _LowerSet(row, n, kept[0] if len(key) == 1 else None)
         yield from ((z, rows, records[key]) for z, rows, key in zip(zs, block, keys))
 
 
@@ -831,22 +836,18 @@ def analyze_gate(
     if records is not None:
         data_upper, data = _collision_scores(records, expansion, eps, delta)
     swept = list(sweep)
-    # the sweep hands out one record per distinct mask, in first-seen order
+    # the sweep hands out one record per distinct set, in first-seen order
     records = list(dict.fromkeys(record for _, _, record in swept))
     scores = dict(zip(records, _lower_scores(n_reduced, records)))
-    covering = {record: record.mask.all() for record in records}
+    count = vector_count(n_reduced)
     reports, paired = [], {}  # one witnesses tuple per distinct total-sign matrix
     for z, rows, record in swept:
         key = rows.tobytes()
         witnesses = paired[key] = paired.get(key) or _paired(family.functionals, rows)
         certificate = None
-        if covering[record]:
+        if record.size == count:
             certificate = _greedy_certificate(z, family.functionals, rows, n_reduced)
-        reports.append(
-            BasePointReport(
-                z, witnesses, record.mask, scores[record], certificate, data_upper.get(z), record
-            )
-        )
+        reports.append(BasePointReport(z, witnesses, scores[record], certificate, data_upper.get(z), record))
     # max keeps the first of equal scores
     lower = max(reports, key=lambda r: r.score.value)
     return GateAnalysis(
@@ -870,8 +871,9 @@ def reversibility_certificate(
     the family eliminates every sign vector, and scores nothing.
     """
     family, n_reduced, sweep = _witness_sweep(expansion, family, one_at_a_time=True)
+    count = vector_count(n_reduced)
     for z, rows, record in sweep:
-        if record.mask.all():
+        if record.size == count:
             return _greedy_certificate(z, family.functionals, rows, n_reduced)
     return None
 

@@ -157,6 +157,7 @@ def eliminates(t: Sequence[int], s: Sequence[int]) -> bool:
     if len(tv) != len(sv):
         raise DomainError(f"length mismatch: {len(tv)} vs {len(sv)}")
     rows = np.array((sv, tv), dtype=np.int8)
+    # one table row: its bit, and seven zero bits past the table
     return bool(backend.eliminated_any_mask(rows[:1], rows[1:])[0])
 
 
@@ -185,10 +186,10 @@ def sign_rows(
 
 
 def eliminated_mask(eliminators: Iterable[Sequence[int]], n: int) -> np.ndarray:
-    """Mask over the length-n enumeration: eliminated by some member."""
+    """Bool mask over the length-n enumeration: eliminated by some member."""
     grid = table(n)
     elim = np.array(sign_rows(eliminators, n, total=True), dtype=np.int8)
-    return backend.eliminated_any_mask(grid, elim.reshape(-1, n))
+    return backend.unpacked(backend.eliminated_any_mask(grid, elim.reshape(-1, n)), grid.shape[0])
 
 
 def eliminated_set(

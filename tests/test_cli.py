@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -414,17 +413,16 @@ class TestGateCommands:
 
         gate = boolean_gate([0] * 7 + [1], 3)
         analysis = sensitivity.analyze_gate(expand(gate))
-        spies = {id(r.mask): r.mask.view(Spy) for r in analysis.reports}
-        spied = replace(
-            analysis,
-            reports=tuple(replace(r, mask=spies[id(r.mask)]) for r in analysis.reports),
-        )
+        family = sensitivity.default_family(1)
+        plain, _ = cli._analysis_document(analysis, gate, family, 0.0)
+        # the bool mask of each set, as the document unpacks it
+        spies, unpacked = [], cli.unpacked
+        monkeypatch.setattr(cli, "unpacked", lambda *args: spies.append(unpacked(*args).view(Spy)) or spies[-1])
         checked = []
         union = cli._union_counts
         monkeypatch.setattr(cli, "_union_counts", lambda sides: checked.extend(sides) or union(sides))
-        family = sensitivity.default_family(1)
-        document, ok = cli._analysis_document(spied, gate, family, 0.0)
-        sizes = sorted(int(np.count_nonzero(m)) for m in spies.values())
+        document, ok = cli._analysis_document(analysis, gate, family, 0.0)
+        sizes = sorted(int(np.count_nonzero(m)) for m in spies)
         assert (len(analysis.reports), sizes) == (8, [0, 1, 1, 1, 7])
         # the one complement of 1 to 6 rows is the only one built, and each
         # distinct subset of 1 to 6 rows is cross-checked once
@@ -440,7 +438,6 @@ class TestGateCommands:
             "failed": 0,
             "skipped": 16 - expected,
         }
-        plain, _ = cli._analysis_document(analysis, gate, family, 0.0)
         assert {**document, "timing_seconds": 0} == {**plain, "timing_seconds": 0}
 
     def test_a_flipped_oracle_bit_fails_one_check(self, capsys, monkeypatch, and_gate_path):
@@ -448,7 +445,7 @@ class TestGateCommands:
 
         def flipped(rows, sides):
             masks = scan(rows, sides)
-            masks[0, 0] = ~masks[0, 0]  # the first side's oracle count is off by one
+            masks[0, 0] ^= 0x80  # the first side's oracle count is off by one
             return masks
 
         monkeypatch.setattr(cli, "eliminated_any_masks", flipped)

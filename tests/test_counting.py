@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -409,6 +410,16 @@ class TestPairFormulas:
             PairProfile(agree=0, oppose=0, first_only=0, second_only=1, zero=0)
         with pytest.raises(DomainError):
             PairProfile(agree=1, oppose=0, first_only=0, second_only=0, zero=2)
+
+    @pytest.mark.parametrize("field", ["agree", "oppose", "first_only", "second_only", "zero"])
+    @pytest.mark.parametrize("value", [1.5, True, np.int64(1)])
+    def test_profile_fields_are_exact_ints(self, field, value):
+        # a float field once built a profile whose counts were floats
+        counts = {**dict.fromkeys(("agree", "oppose", "first_only", "second_only", "zero"), 1), field: value}
+        with pytest.raises(DomainError, match=re.escape(f"{field} must be an int >= 0, got {value!r}")):
+            PairProfile(**counts)
+        with pytest.raises(DomainError, match=f"{field} must be an int >= 0, got -1"):
+            PairProfile(**{**counts, field: -1})
 
     def test_pair_needs_exactly_two_rows(self):
         with pytest.raises(DomainError):

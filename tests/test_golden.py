@@ -12,10 +12,13 @@ than the timing, fails here.
 
 import pathlib
 import re
+from fractions import Fraction
 
 import pytest
 
+from signelim import sensitivity
 from signelim.cli import main
+from signelim.gates import expand, load_gate
 
 from conftest import FIXTURE_PATH
 
@@ -89,3 +92,26 @@ def test_json_command_stdout_matches_the_recorded_bytes(capsys, name):
     masked = _masked_stdout(capsys)
     assert code == 0
     assert masked == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_no_golden_input_builds_the_bool_view_of_a_swept_set(capsys, monkeypatch):
+    # the packed row is the one set format from the kernel to the document
+    def refuse(record):
+        raise AssertionError("a swept set was unpacked into its bool view")
+
+    monkeypatch.setattr(sensitivity._LowerSet, "mask", property(refuse))
+    for gate, command in sorted(EXIT_CODES):
+        assert main(["gate", command, str(GATES[gate])]) == EXIT_CODES[gate, command]
+        assert _masked_stdout(capsys) == (GOLDEN / f"{gate}_{command}.out").read_text()
+    for name in sorted(COMMANDS):
+        assert main(COMMANDS[name]) == 0
+        assert _masked_stdout(capsys) == (GOLDEN / f"{name}.out").read_text()
+    for path in GATES.values():
+        expansion = expand(load_gate(path))
+        assert sensitivity.analyze_gate(expansion).reports
+        sensitivity.reversibility_certificate(expansion)
+    gate = load_gate(GATES["additive"])
+    records = sensitivity.parse_experiment_csv(GOLDEN / "additive_records.csv", gate)
+    bound = sensitivity.data_upper_bound(records, expand(gate), eps=Fraction(1, 12))
+    analysis = sensitivity.analyze_gate(expand(gate), records=records, eps=Fraction(1, 12))
+    assert bound is not None and bound == analysis.data

@@ -76,16 +76,21 @@ def transform_masks(table, elim, every):
     return mask[[position[tuple(s)] for s in table.tolist()]]
 
 
+def unpack(bits, table):
+    """The bool masks over ``table``'s rows of packed rows."""
+    return np.unpackbits(bits, axis=-1, count=table.shape[0]).astype(bool)
+
+
 def reduce_bits(table, elim, every):
     """The OR (or, with ``every``, the AND) of row_mask_bits' rows, unpacked."""
     reduce = np.bitwise_and if every else np.bitwise_or
-    joint = reduce.reduce(row_mask_bits(table, elim), axis=0)
-    return np.unpackbits(joint, count=table.shape[0]).astype(bool)
+    return unpack(reduce.reduce(row_mask_bits(table, elim), axis=0), table)
 
 
 def scan_masks(table, elim, every):
-    """The union scan; the all-mask is the AND of the packed per-row sets."""
-    return reduce_bits(table, elim, True) if every else eliminated_any_mask(table, elim)
+    """The union scan, unpacked; the all-mask is the AND of the packed
+    per-row sets."""
+    return reduce_bits(table, elim, True) if every else unpack(eliminated_any_mask(table, elim), table)
 
 
 KERNELS = {
@@ -308,6 +313,48 @@ class TestRowMaskBits:
                 )
 
 
+class TestPadBits:
+    """The bits past the table are 0 in every packed row, so a set's size is
+    its row's popcount. Only n = 4 (40 rows) has no pad bits up to n = 7."""
+
+    @pytest.mark.parametrize("chunk", [8, 1 << 18])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_scan_outputs_leave_the_pad_bits_zero(self, rng, monkeypatch, n, chunk):
+        monkeypatch.setattr(backend, "_CHUNK_ROWS", chunk)
+        table = sign_vector_table(n)
+        pad = 8 * ((table.shape[0] + 7) // 8) - table.shape[0]
+        assert (pad == 0) == (n == 4)
+        rows = random_eliminators(rng, n, 5)
+        empty = np.zeros((0, n), dtype=np.int8)
+        all_u = np.full((2, n), UNDETERMINED, dtype=np.int8)
+        groups = [
+            empty,
+            rows,
+            empty,
+            all_u,
+            np.concatenate([rows[:2], rows[:2]]),
+            with_negations(rows[2:]),
+            table,
+            *(random_eliminators(rng, n, rng.randint(1, 4)) for _ in range(4)),
+            empty,
+        ]
+        outputs = [backend.eliminated_any_masks(table, groups)]
+        outputs += [row_mask_bits(table, group) for group in groups]
+        for bits in outputs:
+            assert not np.unpackbits(bits, axis=-1)[..., table.shape[0] :].any()
+        union, per_row = outputs[0], outputs[1:]
+        for group, row, bits in zip(groups, union, per_row):
+            assert np.bitwise_count(row).sum() == sum(oracle_any(table, group))
+            assert row.tolist() == np.bitwise_or.reduce(bits, axis=0, initial=0).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_eliminates_reads_its_one_row_table_exactly(self, n):
+        # the scan's output there is one byte: the row's bit and 7 pad bits
+        for t in itertools.product((-1, 0, 1, UNDETERMINED), repeat=n):
+            for s in oracles.canonical_vectors(n):
+                assert signvec.eliminates(t, s) == oracles.eliminates(t, s)
+
+
 class TestTransform:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_axis_transform_matches_its_definition(self, rng, n):
@@ -408,11 +455,12 @@ class TestBatches:
     def test_scan_matches_per_group_calls_and_the_oracle(self, rng, n):
         table, groups = scan_groups(rng, n)
         masks = backend.eliminated_any_masks(table, groups)
-        assert masks.shape == (len(groups), table.shape[0]) and masks.dtype == bool
+        width = (table.shape[0] + 7) // 8
+        assert masks.shape == (len(groups), width) and masks.dtype == np.uint8
         for group, mask in zip(groups, masks):
             assert mask.tolist() == eliminated_any_mask(table, group).tolist()
-            assert mask.tolist() == oracle_any(table, group)
-        assert backend.eliminated_any_masks(table, []).shape == (0, table.shape[0])
+            assert unpack(mask, table).tolist() == oracle_any(table, group)
+        assert backend.eliminated_any_masks(table, []).shape == (0, width)
 
     @pytest.mark.parametrize("budget", [1, 1 << 14])
     def test_empty_scans_make_no_kernel_call(self, rng, monkeypatch, budget):
@@ -427,12 +475,12 @@ class TestBatches:
         table, groups = scan_groups(rng, 4)
         empty = np.zeros((0, 4), dtype=np.int8)
         assert row_mask_bits(table, empty).shape == (0, 5)
-        assert backend.eliminated_any_masks(table, [empty, empty]).tolist() == [[False] * 40] * 2
+        assert backend.eliminated_any_masks(table, [empty, empty]).tolist() == [[0] * 5] * 2
         assert calls == []
         # empty groups first, last and between nonempty ones
         mixed = [empty, *groups[:3], empty, *groups[3:], empty]
         masks = backend.eliminated_any_masks(table, mixed)
-        assert masks.tolist() == [oracle_any(table, group) for group in mixed]
+        assert unpack(masks, table).tolist() == [oracle_any(table, group) for group in mixed]
         assert calls and 0 not in calls
         assert sum(calls) == sum(group.shape[0] for group in groups)
 
@@ -454,17 +502,14 @@ class TestBatches:
                 yield i, block
 
         monkeypatch.setattr(backend, "_blocks", spy)
-        assert backend.eliminated_any_masks(table, groups).tolist() == expected
-        runs = reference_batches([size * table.shape[0] for size in sizes], budget)
-        assert len(batches) == len(runs) > 1
-        for (lo, hi), block_rows in zip(runs, batches):
-            # every block of a batch holds all of the batch's rows, so no
-            # group is split between blocks
-            rows = sum(sizes[lo:hi])
-            assert block_rows == [rows] * len(block_rows) and bool(block_rows) == bool(rows)
-            assert hi - lo == 1 or rows * table.shape[0] <= budget
+        assert unpack(backend.eliminated_any_masks(table, groups), table).tolist() == expected
+        # the budget makes no batches: one eliminator matrix of all groups,
+        # whose every block holds all of its rows, so no group is split
+        # between blocks
+        (block_rows,) = batches
+        assert block_rows == [sum(sizes)] * len(block_rows) and block_rows
         if chunk <= 16:
-            assert any(len(block_rows) > 1 for block_rows in batches)  # the table is cut
+            assert len(block_rows) > 1  # the table is cut
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_transform_matches_per_mask_calls_and_the_oracle(self, rng, n):
@@ -493,7 +538,7 @@ class TestBatches:
         vectors = oracles.canonical_vectors(n)
         masks = [np.array([rng.random() < p for _ in vectors]) for p in (0.0, 1.0) + (0.3, 0.6) * 4]
         masks[2][:2] = (True, False)  # at least one mixed mask
-        records = [sensitivity._LowerSet(mask, n) for mask in masks]
+        records = [sensitivity._LowerSet(np.packbits(mask), n) for mask in masks]
         expected = [sensitivity._lower_scores(n, [record])[0] for record in records]
         monkeypatch.setattr(backend, "_BATCH_CELLS", budget)
         transform, stacks = backend._elimination_counts, []

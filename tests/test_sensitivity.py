@@ -49,7 +49,7 @@ from signelim import (
 )
 from signelim import backend, sensitivity
 from signelim.backend import sign_vector_table
-from signelim.signvec import eliminated_mask, jointly_eliminated_count
+from signelim.signvec import eliminated_mask, jointly_eliminated_count, vector_count
 from signelim.errors import ResourceLimitError
 
 import oracles
@@ -341,7 +341,7 @@ class TestTotalSign:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.integers(1, 4), max_size=5).flatmap(
+        st.lists(st.integers(2, 4), max_size=5).flatmap(
             lambda arities: st.tuples(
                 st.just(arities), st.tuples(*(st.integers(0, a - 1) for a in arities))
             )
@@ -352,6 +352,15 @@ class TestTotalSign:
         assert reduced_coordinates(arities, z) == [
             (i, j) for i, a in enumerate(arities) for j in range(a) if j != z[i]
         ]
+
+    @pytest.mark.parametrize("arities", [(2.0,), (1,), (True,), (2, 0), (2, np.int64(2))])
+    def test_reduced_coordinates_check_the_arities(self, arities):
+        # a float arity once gave float coordinates, and arity 1 or True none
+        i, bad = next((i, a) for i, a in enumerate(arities) if type(a) is not int or a < 2)
+        message = f"arity of block {i} must be an int >= 2, got {bad!r}"
+        with pytest.raises(DomainError) as caught:
+            reduced_coordinates(arities, (0,) * len(arities))
+        assert str(caught.value) == message
 
     def test_witness_signs_follow_family_order(self, color_gate):
         expansion = expand(color_gate)
@@ -780,10 +789,11 @@ class TestScoreRoutes:
         n, mask, witnesses = case
         members = [s for s, hit in zip(oracles.canonical_vectors(n), mask) if hit]
         expect = oracles.lower_score(members, n)
-        assert sensitivity._lower_scores(n, [sensitivity._LowerSet(mask, n)])[0].value == expect
+        bits = np.packbits(mask)
+        assert sensitivity._lower_scores(n, [sensitivity._LowerSet(bits, n)])[0].value == expect
         if witnesses is not None:
             one_live = one_live_sign(witnesses)
-            record = sensitivity._LowerSet(mask, n, one_live)
+            record = sensitivity._LowerSet(bits, n, one_live)
             assert sensitivity._lower_scores(n, [record])[0].value == expect
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -797,7 +807,7 @@ class TestScoreRoutes:
             hit = oracles.eliminated([t], n)
             mask = np.array([s in hit for s in oracles.canonical_vectors(n)])
             witnesses = [((1,), t), ((2,), negated), ((3,), (UNDETERMINED,) * n)]
-            record = sensitivity._LowerSet(mask, n, one_live_sign(witnesses))
+            record = sensitivity._LowerSet(np.packbits(mask), n, one_live_sign(witnesses))
             (score,) = sensitivity._lower_scores(n, [record])
             assert score.value == (1 if UNDETERMINED in t else 3)
             assert score == (ScorePair(1, 0.0) if UNDETERMINED in t else ScorePair(3, 1.0))
@@ -835,9 +845,9 @@ class TestScoreRoutes:
             lower = shared[0].sens_lower
             assert all(r.sens_lower is lower for r in shared)
             assert lower == frozenset(map(tuple, rows[shared[0].mask].tolist()))
-        # a report given another mask derives the other mask's set
+        # a report given another set derives that set's vectors
         report = analysis.reports[0]
-        other = replace(report, mask=~report.mask)
+        other = replace(report, _lower=sensitivity._LowerSet(np.packbits(~report.mask), analysis.n_reduced))
         assert other.sens_lower == frozenset(map(tuple, rows[~report.mask].tolist()))
         assert replace(report).sens_lower is report.sens_lower
 
@@ -862,6 +872,30 @@ class TestScoreRoutes:
         assert not analysis.reports[0].mask.any()
         assert analysis.lower.value == 1
         assert analysis.certificate is None
+
+
+class TestSetFormat:
+    @pytest.mark.parametrize("seed", range(len(SWEEP_GATES)))
+    def test_every_swept_set_is_one_read_only_packed_row(self, monkeypatch, seed):
+        sweep, seen = sensitivity._sweep, []
+
+        def spy(blocks):
+            for z, rows, record in sweep(blocks):
+                seen.append(record)
+                yield z, rows, record
+
+        monkeypatch.setattr(sensitivity, "_sweep", spy)
+        gate = SWEEP_GATES[seed]
+        expansion = expand(gate)
+        n = reduced_dimension(expansion)
+        analysis = analyze_gate(expansion, records=seeded_records(seed, gate, count=64), eps=F(1, 4))
+        reversibility_certificate(expansion)
+        assert len(seen) > 2 * len(analysis.reports)  # witnesses, collisions and the certificate
+        for record in seen:
+            bits = record.bits
+            assert bits.dtype == np.uint8 and bits.shape == ((vector_count(n) + 7) // 8,)
+            assert not bits.flags.writeable
+            assert record.size == np.unpackbits(bits).sum()
 
 
 @st.composite
@@ -933,7 +967,7 @@ class TestKernelRouting:
         mask = np.array([rng.random() < 0.5 for _ in vectors])
         mask[:2] = (True, False)
         chosen = [v for v, hit in zip(vectors, mask) if hit]
-        (score,) = sensitivity._lower_scores(n, [sensitivity._LowerSet(mask, n)])
+        (score,) = sensitivity._lower_scores(n, [sensitivity._LowerSet(np.packbits(mask), n)])
         assert score.value == oracles.lower_score(chosen, n)
 
 
