@@ -56,6 +56,7 @@ from .sensitivity import (
     verify_certificate,
 )
 from .signvec import (
+    _CHARS,
     eliminated_mask,
     parse_sign_string,
     sign_rows,
@@ -192,47 +193,53 @@ def _score_json(value: int) -> dict:
     return {"value": value, "log3": format_log3(value)}
 
 
-def _witness_text(functionals):
-    """The functionals' strings, and a function (witnesses, depth) -> their
-    list's text at ``depth``, memoized by id (keep each alive), from each
-    functional's head text up to its total sign, built once per depth, and
-    each sign quoted once. A witness's functional must be one of these."""
-    strings = [[rational_string(v) for v in w] for w in functionals]
-    quoted_strings = [list(map(encode_basestring_ascii, w)) for w in strings]
-    position = {id(w): f for f, w in enumerate(functionals)}
-    quoted = lru_cache(maxsize=None)(lambda ts: '"' + sign_string(ts) + '"')
-
-    @lru_cache(maxsize=None)
-    def heads(depth: int) -> list[str]:
-        newline = "\n" + "  " * (depth + 1)
-        sign = "," + newline + '"total_sign": '
-        return ["{" + newline + '"w": ' + _list_text(w, depth + 1) + sign for w in quoted_strings]
-
-    texts = {}
-
-    def witness_text(witnesses, depth: int) -> str:
-        if not witnesses:
-            return "[]"
-        key = id(witnesses), depth
-        if key not in texts:
-            head, item = heads(depth + 1), "\n" + "  " * (depth + 1)
-            pieces = [item + "}," + item] * (3 * len(witnesses))  # separator, head, quoted sign
-            pieces[0] = "[" + item
-            pieces[1::3] = [head[position[id(w)]] for w, _ in witnesses]
-            pieces[2::3] = [quoted(ts) for _, ts in witnesses]
-            texts[key] = "".join(pieces) + item + "}\n" + "  " * depth + "]"
-        return texts[key]
-
-    return strings, witness_text
+@lru_cache(maxsize=16)  # four families: a document uses four depths of each
+def _functional_lists(strings: tuple[tuple[str, ...], ...], depth: int) -> list[str]:
+    """The JSON list text at ``depth`` of each functional of a family's ``strings``."""
+    return [_list_text(list(map(encode_basestring_ascii, w)), depth) for w in strings]
 
 
-def _certificate_json(cert: Optional[Certificate], witness_text, depth: int) -> Optional[dict]:
+@lru_cache(maxsize=16)
+def _witness_heads(strings: tuple[tuple[str, ...], ...], depth: int) -> list[bytes]:
+    """Each functional's witness object at ``depth`` up to its total sign's
+    text, ``{"w": [...], "total_sign": "``, as bytes."""
+    newline = "\n" + "  " * (depth + 1)
+    sign = "," + newline + '"total_sign": "'
+    return [("{" + newline + '"w": ' + w + sign).encode() for w in _functional_lists(strings, depth + 1)]
+
+
+def _witness_lists(strings, picks: Sequence[int], signs: np.ndarray, depth: int) -> list[str]:
+    """The JSON list text at ``depth`` of each (len(picks), N) matrix of the
+    int8 ``signs``, its row k the total sign of the functional strings[picks[k]].
+
+    One byte template of a list, with an N-byte slot per total sign, is
+    copied into a (lists, width) uint8 buffer; every slot is written in one
+    assignment, by code mod 4, and the buffer is decoded one list at a time.
+    """
+    lists, _, n = signs.shape
+    if not len(picks):
+        return ["[]"] * lists
+    heads, item = _witness_heads(strings, depth + 1), "\n" + "  " * (depth + 1)
+    parts, between = [("[" + item).encode()], ('"' + item + "}," + item).encode()
+    for p in picks:
+        parts += heads[p], bytes(n), between
+    parts[-1] = ('"' + item + "}\n" + "  " * depth + "]").encode()
+    ends = np.cumsum([len(part) for part in parts])  # each head ends where its slot starts
+    buffer = np.empty((lists, ends[-1]), dtype=np.uint8)
+    buffer[:] = np.frombuffer(b"".join(parts), dtype=np.uint8)
+    buffer[:, (ends[1::3, None] + np.arange(n)).ravel()] = _CHARS.view(np.uint8)[signs.reshape(lists, -1) % 4]
+    return [str(row.data, "ascii") for row in buffer]
+
+
+def _certificate_json(cert: Optional[Certificate], strings, depth: int) -> Optional[dict]:
+    """The certificate at ``depth``, its witnesses from the family's ``strings``."""
     if cert is None:
         return None
+    signs = np.array([ts for _, ts in cert.witnesses], dtype=np.int8).reshape(1, -1, cert.n_reduced)
     return {
         "base_point": list(cert.base_point),
         "n_reduced": cert.n_reduced,
-        "witnesses": _Text((witness_text(cert.witnesses, depth + 1),)),
+        "witnesses": _Text(_witness_lists(strings, cert._picks, signs, depth + 1)),
     }
 
 
@@ -285,20 +292,24 @@ def _analysis_document(
       complement built) only with 1 to 6 rows; after the pass, one
       _crosscheck of all sides gives each set's outcomes, which the tally
       counts once per report;
-    - per witnesses tuple, which analyze_gate shares among reports with
-      equal total signs: the witness list;
+    - per distinct total-sign matrix, keyed by the bytes of the reports'
+      int8 ``_signs``: the witness list, all of them from one _witness_lists
+      call before the pass;
     - per score value: ``cs_lower`` and ``data_upper``.
+    The family and every witness list are rendered from ``family.strings``.
     ``timing_seconds`` covers this rendering.
     """
-    n_reduced = analysis.n_reduced
+    n_reduced, strings = analysis.n_reduced, family.strings
     rows, lines = table(n_reduced), _sign_lines(n_reduced, 3)
-    family_json, witness_text = _witness_text(family.functionals)
+    signs = [r._signs.tobytes() for r in analysis.reports]
+    matrices = dict(zip(signs, [r._signs for r in analysis.reports]))  # equal keys, equal matrices
+    lists = dict(zip(matrices, _witness_lists(strings, range(len(strings)), np.stack([*matrices.values()]), 3)))
     score_text = lru_cache(maxsize=None)(lambda value: _indented_json(_score_json(value), 3))
     sets, sides, pieces = {}, {}, []  # sets: by the record of a shared set; sides: by outcome slot
     keys = _REPORT_KEYS
     # a report's text up to its witnesses, a format of its base point's entries
     head = ",\n    {" + keys[0][1:] + _list_text(["%d"] * len(gate.arities), 3) + keys[1]
-    for report in analysis.reports:
+    for report, key in zip(analysis.reports, signs):
         record = report._lower
         if record not in sets:
             mask, size, slot = unpacked(record.bits, rows.shape[0]), record.size, 2 * len(sets)
@@ -309,9 +320,9 @@ def _analysis_document(
                 sides[slot + 1] = rows[~mask]
         certificate, data = report.certificate, report.data_upper
         if certificate is not None:
-            certificate = _indented_json(_certificate_json(certificate, witness_text, 3), 3)
+            certificate = _indented_json(_certificate_json(certificate, strings, 3), 3)
         pieces += (
-            head % report.base_point, witness_text(report.witnesses, 3), *sets[record],
+            head % report.base_point, lists[key], *sets[record],
             score_text(report.score.value), keys[5], certificate or "null",
             keys[6], "null" if data is None else score_text(data.value), "\n    }",
         )
@@ -330,7 +341,7 @@ def _analysis_document(
             "reduced_dimension": n_reduced,
             "base_point_count": len(analysis.reports),
         },
-        "family": family_json,
+        "family": _Text((_list_text(_functional_lists(strings, 2), 1),)),
         "reports": _Text(pieces),
         "cs_lower": {
             **_score_json(analysis.lower.value),
@@ -346,7 +357,7 @@ def _analysis_document(
             if analysis.data is not None
             else None
         ),
-        "certificate": _certificate_json(analysis.certificate, witness_text, 1),
+        "certificate": _certificate_json(analysis.certificate, strings, 1),
         "counting_crosscheck": {
             "checked": tally["passed"] + tally["failed"],
             "passed": tally["passed"],
@@ -561,8 +572,7 @@ def _cmd_gate_certify(args) -> int:
     if not verify_certificate(expansion, cert):
         print("certificate failed replay verification", file=sys.stderr)
         return INVARIANT_VIOLATION
-    witness_text = _witness_text([w for w, _ in cert.witnesses])[1]
-    _emit({"certificate": _certificate_json(cert, witness_text, 1), "verified": True})
+    _emit({"certificate": _certificate_json(cert, family.strings, 1), "verified": True})
     return 0
 
 

@@ -67,6 +67,7 @@ from .gates import (
     expand,
     parse_rational,
     parse_rational_vector,
+    rational_string,
     reduced_dimension,
     validate_base_point,
 )
@@ -137,13 +138,15 @@ class ProjectionFamily:
 
     Every entry is read by parse_rational (errors name ``functional <pos>``);
     each functional's sign is normalized (first nonzero component positive)
-    and duplicates are dropped, keeping first occurrences. ``weights`` holds
-    them scaled once by _weights, read-only.
+    and duplicates are dropped, keeping first occurrences. Derived once:
+    ``weights``, the functionals scaled by _weights (read-only), and
+    ``strings``, each entry's rational_string, which the CLI prints.
     """
 
     functionals: tuple[Vector, ...]
     output_dim: int
     weights: np.ndarray = field(init=False, compare=False, repr=False)
+    strings: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # type(), not isinstance: True is a bool, which subclasses int
@@ -158,13 +161,14 @@ class ProjectionFamily:
                 )
             lead = next((c for c in w if c != 0), None)
             if lead is None:
-                raise DomainError("functionals must be nonzero")
+                raise ValidationError(f"functional {pos}: must be nonzero")
             seen.setdefault(w if lead > 0 else tuple(-c for c in w))
         if not seen:
-            raise DomainError("a projection family must be nonempty")
+            raise ValidationError("a projection family must be nonempty")
         object.__setattr__(self, "functionals", tuple(seen))
         object.__setattr__(self, "weights", _weights(self.functionals, self.output_dim))
         self.weights.setflags(write=False)
+        object.__setattr__(self, "strings", tuple(tuple(map(rational_string, w)) for w in seen))
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], output_dim: int) -> "ProjectionFamily":
@@ -416,12 +420,14 @@ class Certificate:
 
     Valid when the recorded total signs match a recomputation and their
     eliminated sets jointly cover every canonical vector of the reduced
-    dimension; verify_certificate replays exactly that.
+    dimension; verify_certificate replays exactly that. ``_picks``, not
+    compared, holds each witness's position in the family it was found in.
     """
 
     base_point: Index
     witnesses: tuple[tuple[Vector, tuple[int, ...]], ...]
     n_reduced: int
+    _picks: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
 
 def _greedy_certificate(
@@ -454,6 +460,7 @@ def _greedy_certificate(
         base_point=z,
         witnesses=_paired([functionals[k] for k in pruned], signs[pruned]),
         n_reduced=n_reduced,
+        _picks=tuple(pruned),
     )
 
 
@@ -487,9 +494,10 @@ class BasePointReport:
     some witness eliminates, and ``sens_lower`` holds them as tuples: views
     of the packed set of the sweep's _LowerSet, built on first access once
     per record, which reports of one analysis with equal witness signs
-    share. Determined by the witnesses, the record takes no part in
-    equality or hashing. Reports with equal total signs share one
-    ``witnesses`` tuple.
+    share. ``_signs`` is the witnesses' total signs as the sweep yielded
+    them, read-only int8 (F, N). Determined by the witnesses, the record and
+    ``_signs`` take no part in equality or hashing. Reports with equal total
+    signs share one ``witnesses`` tuple.
     """
 
     base_point: Index
@@ -498,6 +506,7 @@ class BasePointReport:
     certificate: Optional[Certificate]
     data_upper: Optional[ScorePair]
     _lower: _LowerSet = field(compare=False, repr=False)
+    _signs: np.ndarray = field(compare=False, repr=False)
 
     @property
     def mask(self) -> np.ndarray:
@@ -813,6 +822,7 @@ def _witness_sweep(
     def every():
         signs = _total_signs(expansion, family.weights)
         signs = signs.reshape((-1,) + signs.shape[-2:])
+        signs.setflags(write=False)  # the sweep hands out views of it
         if one_at_a_time:
             yield from (([z], signs[k : k + 1]) for k, z in enumerate(zs))
         else:
@@ -847,7 +857,7 @@ def analyze_gate(
         certificate = None
         if record.size == count:
             certificate = _greedy_certificate(z, family.functionals, rows, n_reduced)
-        reports.append(BasePointReport(z, witnesses, scores[record], certificate, data_upper.get(z), record))
+        reports.append(BasePointReport(z, witnesses, scores[record], certificate, data_upper.get(z), record, rows))
     # max keeps the first of equal scores
     lower = max(reports, key=lambda r: r.score.value)
     return GateAnalysis(

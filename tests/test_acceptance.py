@@ -10,8 +10,9 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from signelim import (
@@ -205,6 +206,59 @@ def test_criterion_5_boolean_sensitivity_inequality():
                 )
             assert analysis.lower.log3 <= classical.value
         assert time.perf_counter() - started < 300.0
+
+
+def npn_classes(n):
+    """The NPN classes of the n-input Boolean functions: each class's least
+    truth table, in increasing order, and each one's images under every
+    transform, one column per class.
+
+    Bit p of a truth table is the output at the input whose bits are those
+    of p. A transform permutes the inputs, negates some of them and negates
+    the output or not: 2**n * n! * 2 transforms. Each takes a table byte by
+    byte through a 256-entry lookup table, so all 2**(2**n) tables meet every
+    transform in array passes, a block of transforms at a time.
+    """
+    points, full = 2**n, 2 ** 2**n - 1
+    bits = np.arange(points)[:, None] >> np.arange(n) & 1
+    # the point read at point p: p's bits permuted, then some of them negated
+    moved = (bits[:, list(permutations(range(n)))] << np.arange(n)).sum(axis=-1).T
+    sources = (moved[:, None, :] ^ np.arange(points)[:, None]).reshape(-1, 1, 1, points).astype(np.uint32)
+    shifts = 8 * np.arange(-(-points // 8), dtype=np.uint32)
+    byte = np.arange(256, dtype=np.uint32)[:, None] << shifts  # by byte value and position
+    lookup = (byte[:, :, None] >> sources & 1) << np.arange(points, dtype=np.uint32)
+    lookup = lookup.sum(axis=-1, dtype=np.uint32)  # by transform, byte value and position
+
+    def images(tables, transforms=slice(None)):
+        image = np.bitwise_or.reduce([lookup[transforms][:, tables >> s & 255, h] for h, s in enumerate(shifts)])
+        return np.concatenate([image, image ^ full])  # the output negated or not
+
+    tables = np.arange(full + 1, dtype=np.uint32)
+    least = np.full(full + 1, full, dtype=np.uint32)
+    for block in np.array_split(np.arange(len(lookup)), 16):
+        least = np.minimum(least, images(tables, block).min(axis=0))
+    representatives = np.unique(least)
+    return representatives, images(representatives)
+
+
+def test_criterion_5_on_every_npn_class_of_four_inputs():
+    with criterion(5, "certified lower bound never exceeds boolean sensitivity, one function per NPN class"):
+        started = time.perf_counter()
+        for n, count, functions in ((3, 14, 256), (4, 222, 65536)):
+            representatives, images = npn_classes(n)
+            assert len(representatives) == count
+            assert (images.min(axis=0) == representatives).all()
+            # orbit sizes, from the distinct images of each representative
+            orbits = (np.diff(np.sort(images, axis=0), axis=0) != 0).sum(axis=0) + 1
+            assert orbits.sum() == functions
+        for table in representatives.tolist():
+            gate = boolean_gate([(table >> p) & 1 for p in range(16)], 4)
+            classical = boolean_sensitivity(gate)
+            analysis = analyze_gate(expand(gate))
+            for report in analysis.reports:
+                assert report.score.log3 <= classical.per_point[report.base_point]
+            assert analysis.lower.log3 <= classical.value
+        assert time.perf_counter() - started < 5.0
 
 
 def test_criterion_6_cover_poset():

@@ -542,6 +542,20 @@ class TestGateCommands:
         assert "floats are inexact" in err
         assert f"{family}: functional 0: " in err
 
+    def test_empty_functionals_file_names_the_file(self, capsys, tmp_path, two_output_gate_path):
+        family = tmp_path / "family.json"
+        family.write_text("[]")
+        code, out, err = run(capsys, "gate", "analyze", str(two_output_gate_path), "--functionals", str(family))
+        assert (code, out) == (1, "")
+        assert err == f"error: {family}: a projection family must be nonempty\n"
+
+    def test_zero_functional_names_the_file_and_its_position(self, capsys, tmp_path, two_output_gate_path):
+        family = tmp_path / "family.json"
+        family.write_text("[[1, 0], [0, 0]]")
+        code, out, err = run(capsys, "gate", "certify", str(two_output_gate_path), "--functionals", str(family))
+        assert (code, out) == (1, "")
+        assert err == f"error: {family}: functional 1: must be nonzero\n"
+
     def test_wrong_length_functional_exits_one(self, capsys, tmp_path, first_gate_path):
         family = tmp_path / "family.json"
         family.write_text('[["1/2", 1], [1, 0]]')
@@ -963,7 +977,7 @@ def documents_with_shared_lists(draw):
 
 
 rationals = st.one_of(
-    st.sampled_from([Fraction(-1, 3), Fraction(0), Fraction(7, 2)]),
+    st.sampled_from([Fraction(-1, 3), Fraction(0), Fraction(7, 2), Fraction(2**64 + 1, 3), Fraction(-(2**70))]),
     st.builds(
         Fraction,
         st.integers(min_value=-(10**30), max_value=10**30),
@@ -977,17 +991,30 @@ def witness_documents(draw):
     """A document holding witness lists as cli's texts, and the same
     document with plain [{"w", "total_sign"}] lists.
 
-    The reports' witnesses come in family order, each certificate's in any
-    order over a subset; the document sits inside up to three wrappers, each
-    a dict or a dict around a list, and every text is rendered for its depth.
+    The family's strings are those of rationals up to 10**30, past int64.
+    Each report's witnesses come in family order, from one _witness_lists
+    call over all reports, whose matrices repeat (equal matrices share a
+    list); each certificate's, and one more call over every report, picks a
+    subset in any order, possibly empty. Total signs have length N = 1-6 and
+    all four codes. The document sits inside up to three wrappers, each a
+    dict or a dict around a list, and every text is rendered for its depth.
     """
     dim = draw(st.integers(min_value=1, max_value=5))
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=6))
     family = draw(st.lists(st.tuples(*[rationals] * dim), min_size=1, max_size=6))
-    signs = st.tuples(*[st.sampled_from([1, 0, -1, UNDETERMINED])] * n)
+    strings = tuple(tuple(map(rational_string, w)) for w in family)
+    matrix = st.lists(
+        st.lists(st.sampled_from([1, 0, -1, UNDETERMINED]), min_size=n, max_size=n),
+        min_size=len(family),
+        max_size=len(family),
+    )
+    distinct = draw(st.lists(matrix, min_size=1, max_size=3))
+    matrices = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=5))
     wraps = draw(st.lists(st.booleans(), max_size=3))  # True: {"inner": [x]}
     depth = sum(2 if inner else 1 for inner in wraps)
-    strings, witness_text = cli._witness_text(family)
+    subset = st.lists(st.sampled_from(range(len(family))), unique=True)
+    signs = np.array(matrices, dtype=np.int8)
+    texts = cli._witness_lists(strings, range(len(family)), signs, depth + 3)
 
     def plain(witnesses):
         return [
@@ -996,15 +1023,15 @@ def witness_documents(draw):
         ]
 
     pairs = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        report = tuple((w, draw(signs)) for w in family)
-        chosen = draw(st.lists(st.sampled_from(range(len(family))), unique=True, min_size=1))
-        cert = Certificate((0,), tuple(report[f] for f in chosen), n)
+    for text, rows in zip(texts, matrices):
+        report = tuple((w, tuple(ts)) for w, ts in zip(family, rows))
+        chosen = draw(subset)
+        cert = Certificate((0,), tuple(report[f] for f in chosen), n, tuple(chosen))
         pairs.append(
             (
                 {
-                    "witnesses": cli._Text((witness_text(report, depth + 3),)),
-                    "certificate": cli._certificate_json(cert, witness_text, depth + 3),
+                    "witnesses": cli._Text((text,)),
+                    "certificate": cli._certificate_json(cert, strings, depth + 3),
                 },
                 {
                     "witnesses": plain(report),
@@ -1012,15 +1039,62 @@ def witness_documents(draw):
                 },
             )
         )
+    chosen = draw(subset)
+    picked = cli._witness_lists(strings, chosen, signs[:, chosen], depth + 2)
     fast = {
-        "family": strings,
+        "family": cli._Text((cli._list_text(cli._functional_lists(strings, depth + 2), depth + 1),)),
         "reports": [p[0] for p in pairs],
-        "none": cli._Text((witness_text((), depth + 1),)),
+        "picked": [cli._Text((text,)) for text in picked],
+        "none": cli._Text(cli._witness_lists(strings, (), np.zeros((1, 0, n), dtype=np.int8), depth + 1)),
     }
-    slow = {"family": [[rational_string(v) for v in w] for w in family], "reports": [p[1] for p in pairs], "none": []}
+    slow = {
+        "family": [[rational_string(v) for v in w] for w in family],
+        "reports": [p[1] for p in pairs],
+        "picked": [plain([(family[f], rows[f]) for f in chosen]) for rows in matrices],
+        "none": [],
+    }
     for inner in reversed(wraps):
         fast, slow = ({"inner": [fast]}, {"inner": [slow]}) if inner else ({"again": fast}, {"again": slow})
     return fast, slow
+
+
+class TestWitnessLists:
+    def test_a_second_document_builds_no_text_of_the_family(self, capsys, monkeypatch):
+        argv = ("gate", "analyze", str(FIXTURE_PATH))
+        first = masked_run(capsys, *argv)
+        assert first[0] == 0 and '"certificate": {' in first[1]  # report and analysis certificates
+        calls = []
+        for module in (cli, sensitivity):
+            monkeypatch.setattr(module, "rational_string", lambda value: calls.append(value) or str(value))
+        built = cli._witness_heads.cache_info().misses, cli._functional_lists.cache_info().misses
+        assert masked_run(capsys, *argv) == first
+        assert calls == []
+        assert (cli._witness_heads.cache_info().misses, cli._functional_lists.cache_info().misses) == built
+
+    def test_reports_with_one_matrix_render_one_list(self, capsys, monkeypatch, tmp_path):
+        rng = random.Random(0)
+        outputs = {idx: [str(rng.randint(0, 3)) + "/3" for _ in range(2)] for idx in itertools.product(range(2), repeat=5)}
+        entries = [{"index": list(idx), "output": value} for idx, value in outputs.items()]
+        path = tmp_path / "random_gate.json"
+        path.write_text(json.dumps({"arities": [2] * 5, "output_dim": 2, "entries": entries}))
+        analysis = sensitivity.analyze_gate(expand(load_gate(path)))
+        assert all((r._signs == UNDETERMINED).all() for r in analysis.reports)  # every total sign is "u"
+        rendered, render = [], cli._witness_lists
+        monkeypatch.setattr(cli, "_witness_lists", lambda *args: rendered.append(args[2].shape[0]) or render(*args))
+        code, out, _ = run(capsys, "gate", "analyze", str(path))
+        assert code == 0
+        assert rendered == [1]
+        assert len(json.loads(out)["reports"]) == 32
+
+    def test_report_signs_are_the_read_only_witness_signs(self, color_gate):
+        gates = [expand(color_gate), expand(boolean_gate([0, 1, 1, 0, 1, 0, 0, 1], 3))]
+        for expansion in gates:
+            for report in sensitivity.analyze_gate(expansion).reports:
+                assert report._signs.dtype == np.int8
+                assert not report._signs.flags.writeable
+                assert report._signs.tolist() == [list(ts) for _, ts in report.witnesses]
+                with pytest.raises(ValueError):
+                    report._signs[0, 0] = 0
 
 
 class TestIndentedJson:
