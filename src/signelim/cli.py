@@ -495,14 +495,10 @@ def _cmd_gate_expand(args) -> int:
             "arities": list(expansion.arities),
             "output_dim": expansion.output_dim,
             "reduced_dimension": reduced_dimension(expansion),
+            # in lexicographic order, as the coefficients list them
             "coefficients": [
-                {
-                    "index": list(idx),
-                    "value": [
-                        rational_string(v) for v in expansion.coefficients[idx]
-                    ],
-                }
-                for idx in sorted(expansion.coefficients)
+                {"index": list(idx), "value": list(map(rational_string, vec))}
+                for idx, vec in expansion.coefficients.items()
             ],
         }
     )

@@ -61,11 +61,12 @@ from .errors import DomainError, ValidationError, check_cap
 from .gates import (
     Gate,
     MultilinearExpansion,
+    _ValueIds,
     _base_point,
     _cleared,
+    _scaled,
     base_points,
     expand,
-    parse_rational,
     parse_rational_vector,
     rational_string,
     reduced_dimension,
@@ -577,7 +578,7 @@ def _coded(records, arities: Sequence[int], output_dim: int) -> _Coded:
     a _Coded passes through."""
     if isinstance(records, _Coded):
         return records
-    ids, flat = {}, []  # distinct value -> id; every entry's id, row-major
+    ids, flat = _ValueIds(), []  # every entry's id, row-major
     for pos, record in enumerate(records, start=1):
         if len(record.point) != len(arities):
             raise ValidationError(f"record {pos}: expected {len(arities)} blocks")
@@ -586,19 +587,11 @@ def _coded(records, arities: Sequence[int], output_dim: int) -> _Coded:
                 raise ValidationError(f"record {pos}: block {i} must have {arity} coordinates")
         if len(record.output) != output_dim:
             raise ValidationError(f"record {pos}: output must have {output_dim} components")
-        row = parse_rational_vector(chain(*record.point, record.output), f"record {pos}")
-        flat += [ids.setdefault(v, len(ids)) for v in row]
-    return _Coded.ranked(flat, list(ids), sum(arities) + output_dim)
-
-
-def _scaled(values: Sequence[Fraction], ids: np.ndarray, *extra: Fraction):
-    """The values under ``ids``, scaled by _cleared together with ``extra``,
-    gathered into an object matrix of Python ints, and the scale."""
-    present = np.flatnonzero(np.bincount(ids.ravel(), minlength=len(values))).tolist()
-    (used, _), scale = _cleared([[values[k] for k in present], extra])
-    ints = np.zeros(len(values), dtype=object)
-    ints[present] = used
-    return ints[ids], scale
+        try:
+            flat += ids.row(list(chain(*record.point, record.output)))
+        except ValidationError as exc:
+            raise ValidationError(f"record {pos}: {exc}")
+    return _Coded.ranked(flat, list(ids.values), sum(arities) + output_dim)
 
 
 def _first_faults(coded: _Coded, arities: Sequence[int], bad) -> tuple[np.ndarray, np.ndarray]:
@@ -934,29 +927,16 @@ def experiment_header(arities: Sequence[int], output_dim: int) -> list[str]:
     return head + [f"y{c + 1}" for c in range(output_dim)]
 
 
-class _CellIds(dict):
-    """Cell text -> value id. Each new text is stripped and parsed once, and
-    equal values share one id; ``values`` maps them to ids, in first-seen order."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.values: dict[Fraction, int] = {}
-
-    def __missing__(self, text: str) -> int:
-        value = parse_rational(text.strip())
-        self[text] = code = self.values.setdefault(value, len(self.values))
-        return code
-
-
 def _read_experiment_csv(path, gate: Gate | MultilinearExpansion) -> _Coded:
     """The CSV's rows as one coded matrix; exact rationals, header checked.
 
-    Rows stream through one _CellIds. A UTF-8 byte order mark is skipped;
-    blank lines are skipped but counted. The first faulty line raises, its
-    field count checked before its cells. Blocks are checked by the callers.
+    Rows stream, stripped, through one _ValueIds. A UTF-8 byte order mark is
+    skipped; blank lines are skipped but counted. The first faulty line
+    raises, its field count checked before its cells. Blocks are checked by
+    the callers.
     """
     expected = experiment_header(gate.arities, gate.output_dim)
-    cells = _CellIds()
+    cells = _ValueIds()
     ids: list[int] = []
     lines: list[int] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -966,19 +946,14 @@ def _read_experiment_csv(path, gate: Gate | MultilinearExpansion) -> _Coded:
         except StopIteration:
             raise ValidationError(f"{path}: empty file")
         if [h.strip() for h in header] != expected:
-            raise ValidationError(
-                f"{path}: header must be {','.join(expected)}, "
-                f"got {','.join(header)}"
-            )
+            raise ValidationError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(expected):
-                raise ValidationError(
-                    f"{path}:{line}: expected {len(expected)} fields, got {len(row)}"
-                )
+                raise ValidationError(f"{path}:{line}: expected {len(expected)} fields, got {len(row)}")
             try:
-                ids.extend(map(cells.__getitem__, row))
+                ids.extend(map(cells.__getitem__, map(str.strip, row)))
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{line}: {exc}")
             lines.append(line)

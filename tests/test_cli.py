@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signelim import __version__, boolean_gate, dumps_gate, expand, load_gate, parse_experiment_csv
-from signelim import cli, counting, covers, selftest, sensitivity
+from signelim import cli, counting, covers, gates, selftest, sensitivity
 from signelim.backend import backend_name
 from signelim.cli import main
 from signelim.gates import rational_string
@@ -621,6 +621,36 @@ class TestGateCommands:
         assert err.startswith("error: ")
         assert f"{path}: output_labels[0]: output must be a list" in err
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ({"input_labels": [["a", {"x": 1}], ["c", "d"]]}, "input_labels must be a list of lists of strings"),
+            ({"input_labels": [["a", "b"], ["c", 4]]}, "input_labels must be a list of lists of strings"),
+            ({"output_labels": [{"output": ["1"], "label": 5}]}, "output_labels[0]: label must be a string"),
+            (
+                {"output_labels": [{"output": ["0"], "label": "off"}, {"output": ["1"], "label": None}]},
+                "output_labels[1]: label must be a string",
+            ),
+            # one output vector, two labels: 2/2 is 1
+            (
+                {"output_labels": [{"output": ["1"], "label": "on"}, {"output": ["2/2"], "label": "one"}]},
+                "output label 'one': its output is labelled 'on' already",
+            ),
+            (
+                {"output_labels": [{"output": ["0"], "label": "off"}, {"output": [0], "label": "off"}]},
+                "output label 'off': its output is labelled 'off' already",
+            ),
+        ],
+    )
+    def test_a_label_that_is_not_one_string_per_output_exits_one(self, capsys, tmp_path, labels, message):
+        gate = json.loads(dumps_gate(boolean_gate([0, 0, 0, 1], 2)))
+        gate.update(labels)
+        path = tmp_path / "label_gate.json"
+        path.write_text(json.dumps(gate))
+        code, out, err = run(capsys, "gate", "expand", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
+
     def test_boolean_output_dim_exits_one(self, capsys, tmp_path):
         gate = json.loads(dumps_gate(boolean_gate([0, 0, 0, 1], 2)))
         gate["output_dim"] = True
@@ -830,10 +860,14 @@ class TestExperimentCsvInput:
             for cell in line.split(",")
         }
         parsed = []
-        parse = sensitivity.parse_rational
-        monkeypatch.setattr(
-            sensitivity, "parse_rational", lambda text: parsed.append(text) or parse(text)
-        )
+
+        class Counted(gates._ValueIds):
+            # the memo parses a text where it misses
+            def __missing__(self, text):
+                parsed.append(text)
+                return super().__missing__(text)
+
+        monkeypatch.setattr(sensitivity, "_ValueIds", Counted)
         built = []
         init = sensitivity.ExperimentRecord.__init__
 

@@ -1,5 +1,7 @@
 import ast
+import copy
 import json
+import pickle
 import time
 from fractions import Fraction
 from itertools import product
@@ -38,6 +40,7 @@ F = Fraction
 
 AND = boolean_gate([0, 0, 0, 1], 2)
 XOR = boolean_gate([0, 1, 1, 0], 2)
+NOT_A_RATIONAL = "cannot parse rational from 'x'"
 
 
 def minimal_payload():
@@ -247,6 +250,61 @@ class TestGateValidation:
             Gate(arities=(2, 2), output_dim=1, table=table)
         assert str(exc.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            # a file's entries are read in order, and a JSON-level fault
+            # (shape, duplicate, text) raises while reading
+            ({1: {"index": [0, 0]}, 2: {"output": ["x"]}}, "entry 1: duplicate index (0, 0)"),
+            ({1: {"output": ["x"]}, 2: {"index": [0, 0]}}, f"entry 1: {NOT_A_RATIONAL}"),
+            ({0: {"index": [0, 5]}, 2: {"output": ["x"]}}, f"entry 2: {NOT_A_RATIONAL}"),
+            ({1: {"output": [1]}, 2: {"output": [True]}}, "entry 2: expected a rational, got boolean True"),
+            # the table's faults are named in entry order, the index first
+            ({1: {"index": [0, 5]}, 2: {"output": ["0", "0"]}}, "table index (0, 5) out of range for arities (2, 2)"),
+            ({1: {"output": ["0", "0"]}, 2: {"index": [0, 5]}}, "entry (0, 1): expected 1 components, got 2"),
+            ({1: {"index": [0, 5], "output": ["0", "0"]}}, "table index (0, 5) out of range for arities (2, 2)"),
+            # the arities are checked before the table, after the file is read
+            ({"arities": [1, 2], 2: {"output": ["x"]}}, f"entry 2: {NOT_A_RATIONAL}"),
+            ({"arities": [1, 2], 2: {"index": [0, 5]}}, "arity of block 0 must be an int >= 2"),
+            # a missing entry is found after every other fault
+            ({3: None, 1: {"output": ["x"]}}, f"entry 1: {NOT_A_RATIONAL}"),
+            ({3: None, 1: {"index": [0, 5]}}, "table index (0, 5) out of range for arities (2, 2)"),
+            ({3: None, 1: {"output": ["0", "0"]}}, "entry (0, 1): expected 1 components, got 2"),
+            ({3: None, 0: {"output": [1]}, 1: {"output": [1]}}, "table is missing 1 entries, e.g. [(1, 1)]"),
+        ],
+    )
+    def test_a_file_with_two_faults_names_the_one_found_first(self, faults, message):
+        payload = minimal_payload()
+        payload["arities"] = faults.pop("arities", payload["arities"])
+        for position in sorted(faults, reverse=True):
+            if faults[position] is None:
+                del payload["entries"][position]
+            else:
+                payload["entries"][position].update(faults[position])
+        with pytest.raises(ValidationError) as exc:
+            gate_from_json(payload)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "arities, table, message",
+        [
+            ((2,), {(0,): (0,), (1,): ("x",), (5,): (0,)}, f"entry (1,): {NOT_A_RATIONAL}"),
+            ((2,), {(0,): (0,), (5,): (0,), (1,): ("x",)}, "table index (5,) out of range for arities (2,)"),
+            ((2,), {(5,): (0,), (1,): (0, 0)}, "table index (5,) out of range for arities (2,)"),
+            ((2,), {(1,): (0, 0), (5,): (0,)}, "entry (1,): expected 1 components, got 2"),
+            ((2,), {(1,): ("x", 0)}, f"entry (1,): {NOT_A_RATIONAL}"),
+            ((1, 2), {(0, 0): ("x",)}, "arity of block 0 must be an int >= 2"),
+            ((2,), {(0,): ("x",)}, f"entry (0,): {NOT_A_RATIONAL}"),
+            ((2,), {(1,): (7, 0)}, "entry (1,): expected 1 components, got 2"),
+            ((2,), {(0,): (1,), (1,): (True,)}, "entry (1,): expected a rational, got boolean True"),
+            ((2,), {(0,): (True,), (1,): (1,)}, "entry (0,): expected a rational, got boolean True"),
+        ],
+    )
+    def test_a_python_table_with_two_faults_names_the_one_found_first(self, arities, table, message):
+        with pytest.raises(ValidationError) as exc:
+            Gate(arities, 1, table)
+        assert str(exc.value).startswith(message)
+
     def test_rejects_arity_below_two(self):
         with pytest.raises(ValidationError):
             Gate(arities=(1, 2), output_dim=1, table={})
@@ -276,6 +334,15 @@ class TestGateValidation:
             for idx, vec in gate.table.items()
             for a, b in zip(vec, expand(gate).coefficients[idx])
         )
+
+    def test_an_output_has_at_most_one_label(self):
+        table = {(0,): (0,), (1,): (1,)}
+        assert Gate((2,), 1, table, output_labels={(0,): "off", (1,): "on"}).output_labels == {
+            (F(0),): "off", (F(1),): "on"
+        }
+        with pytest.raises(ValidationError) as exc:
+            Gate((2,), 1, table, output_labels={(1,): "on", ("2/2",): "one"})
+        assert str(exc.value) == "output label 'one': its output is labelled 'on' already"
 
     def test_input_labels_must_match_arities(self):
         payload = minimal_payload()
@@ -403,13 +470,13 @@ class TestExpansion:
 class TestOneRepresentation:
     def test_a_gate_is_checked_once_and_is_its_expansion(self, monkeypatch):
         calls = []
-        check = gates._validate_tensor
+        check = gates._checked
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(gates, "_validate_tensor", counted)
+        monkeypatch.setattr(gates, "_checked", counted)
         gate = gate_from_json(minimal_payload())
         assert expand(gate) is expand(gate)
         assert expand(gate).coefficients is gate.table
@@ -426,14 +493,37 @@ class TestOneRepresentation:
             assert tuple(F(v, 6) for v in expansion.tensor[idx]) == vec
 
     def test_only_gates_and_the_expand_command_read_coefficients(self):
+        # the dict views, built on access: a gate's table is its coefficients
         sites = set()
         for path in sorted(Path(gates.__file__).parent.glob("*.py")):
             for top in ast.parse(path.read_text(encoding="utf-8")).body:
                 for node in ast.walk(top):
-                    if isinstance(node, ast.Attribute) and node.attr == "coefficients":
+                    if isinstance(node, ast.Attribute) and node.attr in ("coefficients", "table"):
                         sites.add((path.name, getattr(top, "name", None)))
         outside = {site for site in sites if site[0] != "gates.py"}
         assert outside == {("cli.py", "_cmd_gate_expand")}
+
+    def test_the_dict_views_are_built_on_access_and_read_only(self):
+        gate = gate_from_json(minimal_payload())
+        expansion = expand(gate)
+        assert "coefficients" not in vars(expansion)
+        assert gate.table is expansion.coefficients is expansion.coefficients
+        assert gate.table == {(0, 0): (F(0),), (0, 1): (F(0),), (1, 0): (F(0),), (1, 1): (F(1),)}
+        with pytest.raises(TypeError):
+            gate.table[(0, 0)] = (F(1),)
+        # the view is left out of a copy, which builds its own
+        for again in (copy.deepcopy(gate), pickle.loads(pickle.dumps(gate))):
+            assert again == gate and again.table == gate.table and again.table is not gate.table
+
+    def test_equal_tables_in_any_spelling_are_one_expansion(self):
+        # the scale is the lcm of the reduced denominators, so the tensor is canonical
+        halves = Gate((2,), 1, {(0,): ("1/2",), (1,): (F(3, 2),)})
+        again = Gate((2,), 1, {(0,): ("2/4",), (1,): ("1.5",)})
+        assert (expand(halves).scale, expand(halves).tensor.tolist()) == (2, [[1], [3]])
+        assert halves == again and hash(halves) == hash(again)
+        assert expand(halves) != expand(Gate((2,), 1, {(0,): (F(1, 2),), (1,): (F(1, 2),)}))
+        # a partial keeps its scale canonical too
+        assert reduced_partial(expand(halves), (0,), 0, 1).scale == 1
 
 
 class TestHashing:
@@ -570,3 +660,14 @@ class TestBooleanGate:
             boolean_gate([0, 1], 2)
         with pytest.raises(DomainError):
             boolean_gate([0, 1, 2, 0], 2)
+
+    @pytest.mark.parametrize("inputs", [1.0, True, "1", 0])
+    def test_inputs_must_be_an_int_of_at_least_one(self, inputs):
+        with pytest.raises(DomainError, match="^inputs must be >= 1$"):
+            boolean_gate([0, 1], inputs)
+
+    @pytest.mark.parametrize("outputs, bad", [([False, True], False), ([0, 1.0], 1.0), ([0, F(1)], F(1))])
+    def test_outputs_must_be_the_ints_zero_and_one(self, outputs, bad):
+        with pytest.raises(DomainError) as exc:
+            boolean_gate(outputs, 1)
+        assert str(exc.value) == f"outputs must be 0/1, got {bad!r}"

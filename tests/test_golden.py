@@ -13,12 +13,13 @@ than the timing, fails here.
 import pathlib
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from signelim import sensitivity
 from signelim.cli import main
-from signelim.gates import expand, load_gate
+from signelim.gates import Gate, MultilinearExpansion, evaluate, expand, load_gate
 
 from conftest import FIXTURE_PATH
 
@@ -115,3 +116,26 @@ def test_no_golden_input_builds_the_bool_view_of_a_swept_set(capsys, monkeypatch
     bound = sensitivity.data_upper_bound(records, expand(gate), eps=Fraction(1, 12))
     analysis = sensitivity.analyze_gate(expand(gate), records=records, eps=Fraction(1, 12))
     assert bound is not None and bound == analysis.data
+
+
+def test_no_golden_analysis_builds_the_dict_view_of_a_gate(capsys, monkeypatch):
+    # the integer tensor is the one stored gate form: only `gate expand` and
+    # the serializers build the dict of Fractions
+    def refuse(form):
+        raise AssertionError("a gate's table was built as a dict")
+
+    monkeypatch.setattr(MultilinearExpansion, "coefficients", property(refuse))
+    monkeypatch.setattr(Gate, "table", property(refuse))
+    for gate, command in sorted(EXIT_CODES):
+        assert main(["gate", command, str(GATES[gate])]) == EXIT_CODES[gate, command]
+        assert _masked_stdout(capsys) == (GOLDEN / f"{gate}_{command}.out").read_text()
+    for name in sorted(COMMANDS):
+        if COMMANDS[name][:2] in (["gate", "analyze"], ["gate", "certify"], ["data", "bound"]):
+            assert main(COMMANDS[name]) == 0
+            assert _masked_stdout(capsys) == (GOLDEN / f"{name}.out").read_text()
+    # the packaged gate's exact values on a 3 x 3 x 3 interior grid
+    expansion = expand(load_gate(FIXTURE_PATH))
+    grid = [(Fraction(k, 4), 1 - Fraction(k, 4)) for k in range(1, 4)]
+    records = [sensitivity.ExperimentRecord(p, evaluate(expansion, p)) for p in product(grid, repeat=3)]
+    bound = sensitivity.data_upper_bound(records, expansion, eps=Fraction(1, 8))
+    assert (bound.collisions, bound.heuristic) == (37, True)
