@@ -292,8 +292,8 @@ def _analysis_document(
       complement built) only with 1 to 6 rows; after the pass, one
       _crosscheck of all sides gives each set's outcomes, which the tally
       counts once per report;
-    - per distinct total-sign matrix, keyed by the bytes of the reports'
-      int8 ``_signs``: the witness list, all of them from one _witness_lists
+    - per distinct total-sign matrix, keyed by the reports' stored
+      ``_sign_bytes``: the witness list, all of them from one _witness_lists
       call before the pass;
     - per score value: ``cs_lower`` and ``data_upper``.
     The family and every witness list are rendered from ``family.strings``.
@@ -301,15 +301,15 @@ def _analysis_document(
     """
     n_reduced, strings = analysis.n_reduced, family.strings
     rows, lines = table(n_reduced), _sign_lines(n_reduced, 3)
-    signs = [r._signs.tobytes() for r in analysis.reports]
-    matrices = dict(zip(signs, [r._signs for r in analysis.reports]))  # equal keys, equal matrices
-    lists = dict(zip(matrices, _witness_lists(strings, range(len(strings)), np.stack([*matrices.values()]), 3)))
+    distinct = list(dict.fromkeys(r._sign_bytes for r in analysis.reports))
+    matrices = np.frombuffer(b"".join(distinct), dtype=np.int8).reshape(len(distinct), len(strings), n_reduced)
+    lists = dict(zip(distinct, _witness_lists(strings, range(len(strings)), matrices, 3)))
     score_text = lru_cache(maxsize=None)(lambda value: _indented_json(_score_json(value), 3))
     sets, sides, pieces = {}, {}, []  # sets: by the record of a shared set; sides: by outcome slot
     keys = _REPORT_KEYS
     # a report's text up to its witnesses, a format of its base point's entries
     head = ",\n    {" + keys[0][1:] + _list_text(["%d"] * len(gate.arities), 3) + keys[1]
-    for report, key in zip(analysis.reports, signs):
+    for report in analysis.reports:
         record = report._lower
         if record not in sets:
             mask, size, slot = unpacked(record.bits, rows.shape[0]), record.size, 2 * len(sets)
@@ -322,7 +322,7 @@ def _analysis_document(
         if certificate is not None:
             certificate = _indented_json(_certificate_json(certificate, strings, 3), 3)
         pieces += (
-            head % report.base_point, lists[key], *sets[record],
+            head % report.base_point, lists[report._sign_bytes], *sets[record],
             score_text(report.score.value), keys[5], certificate or "null",
             keys[6], "null" if data is None else score_text(data.value), "\n    }",
         )
@@ -635,13 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_zs.set_defaults(func=_cmd_zs)
 
     p_ze = sub.add_parser("ze", help="eliminated set of total signs")
-    p_ze.add_argument(
-        "--t",
-        action="append",
-        required=True,
-        metavar="SIGNS",
-        help="total sign string over +0-u (repeatable)",
-    )
+    p_ze.add_argument("--t", action="append", required=True, metavar="SIGNS",
+                      help="total sign string over +0-u (repeatable); write one that starts with - as --t=-u")
     p_ze.add_argument("--n", type=int, default=None, help="expected length (optional)")
     p_ze.set_defaults(func=_cmd_ze)
 
@@ -670,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.set_defaults(func=_cmd_count_pair)
 
     p_oracle = count_sub.add_parser("oracle", help="brute-force union count")
-    p_oracle.add_argument("--x", action="append", required=True, metavar="SIGNS")
+    p_oracle.add_argument("--x", action="append", required=True, metavar="SIGNS",
+                          help="total sign string over +0-u (repeatable); write one that starts with - as --x=-+")
     p_oracle.add_argument("--n", type=int, default=None)
     p_oracle.set_defaults(func=_cmd_count_oracle)
 

@@ -44,6 +44,8 @@ __all__ = [
     "minimal_covers",
     "cover_reports",
     "orthogonality_implication_holds",
+    "describe_cover",
+    "covered_fraction",
 ]
 
 DEFAULT_SEARCH_CAP = 200_000

@@ -221,6 +221,13 @@ def _checked(arities: tuple[int, ...], output_dim: int, entries: _Entries) -> tu
     return tensor.reshape(arities + (output_dim,)), scale
 
 
+def _table(values: np.ndarray, scale: int) -> dict[Index, Vector]:
+    """values / scale as a dict by index, in lexicographic order, for values shaped like a tensor."""
+    rows = values.reshape(-1, values.shape[-1]).tolist()
+    cells = product(*map(range, values.shape[:-1]))
+    return {idx: tuple(Fraction(v, scale) for v in r) for idx, r in zip(cells, rows)}
+
+
 @dataclass(frozen=True, init=False)
 class MultilinearExpansion:
     """Coefficient tensor of a multilinear form on a product of simplices.
@@ -237,15 +244,13 @@ class MultilinearExpansion:
 
     arities: tuple[int, ...]
     output_dim: int
-    tensor: np.ndarray = field(compare=False, repr=False)
-    scale: int = field(repr=False)
-    _values: tuple[int, ...] = field(repr=False)
+    tensor: np.ndarray = field(init=False, compare=False, repr=False)
+    scale: int = field(init=False, repr=False)
+    _values: tuple[int, ...] = field(init=False, repr=False)
 
     def __init__(self, arities: Sequence[int], output_dim: int, coefficients: Mapping[Index, Vector]) -> None:
         entries = coefficients if type(coefficients) is _Entries else _read(coefficients)
-        self._hold(*_checked(tuple(arities), output_dim, entries))
-
-    def _hold(self, tensor: np.ndarray, scale: int) -> None:
+        tensor, scale = _checked(tuple(arities), output_dim, entries)
         tensor.setflags(write=False)
         self.__dict__.update(arities=tensor.shape[:-1], output_dim=tensor.shape[-1], tensor=tensor, scale=scale,
                              _values=tuple(tensor.ravel().tolist()))
@@ -256,9 +261,7 @@ class MultilinearExpansion:
 
     @cached_property
     def coefficients(self) -> Mapping[Index, Vector]:
-        rows = self.tensor.reshape(-1, self.output_dim).tolist()
-        cells = product(*map(range, self.arities))
-        return MappingProxyType({idx: tuple(Fraction(v, self.scale) for v in r) for idx, r in zip(cells, rows)})
+        return MappingProxyType(_table(self.tensor, self.scale))
 
     @property
     def block_count(self) -> int:
@@ -276,7 +279,7 @@ class Gate:
     output_dim: int
     input_labels: Optional[tuple[tuple[str, ...], ...]]
     output_labels: Optional[Mapping[Vector, str]] = field(compare=False)
-    _expansion: MultilinearExpansion = field(repr=False)
+    _expansion: MultilinearExpansion = field(init=False, repr=False)
 
     def __init__(self, arities: Sequence[int], output_dim: int, table: Mapping[Index, Vector],
                  input_labels: Optional[Sequence[Sequence[str]]] = None, output_labels=None) -> None:
@@ -313,15 +316,6 @@ class Gate:
     @property
     def block_count(self) -> int:
         return len(self.arities)
-
-
-def _from_tensor(values: np.ndarray, scale: int) -> MultilinearExpansion:
-    """The expansion with coefficients values / scale; values is shaped like
-    a tensor, and both are divided by their gcd, so the scale is canonical."""
-    common = math.gcd(scale, *values.ravel().tolist())
-    expansion = object.__new__(MultilinearExpansion)
-    expansion._hold(values // common, scale // common)
-    return expansion
 
 
 def expand(gate: Gate) -> MultilinearExpansion:
@@ -394,7 +388,7 @@ def reduced_partial(
         raise DomainError(f"coordinate {coord} is the base coordinate of block {block}; {reason}")
     t = expansion.tensor
     difference = np.take(t, coord, axis=block) - np.take(t, base[block], axis=block)
-    return _from_tensor(difference, expansion.scale)
+    return MultilinearExpansion(difference.shape[:-1], difference.shape[-1], _table(difference, expansion.scale))
 
 
 def apply_functional(expansion: MultilinearExpansion, w: Sequence) -> MultilinearExpansion:
@@ -404,7 +398,7 @@ def apply_functional(expansion: MultilinearExpansion, w: Sequence) -> Multilinea
         raise DomainError(f"functional must have {expansion.output_dim} components, got {len(weights)}")
     (ints,), scale = _cleared([weights])
     values = expansion.tensor @ np.array(ints, dtype=object)[:, None]
-    return _from_tensor(values, expansion.scale * scale)
+    return MultilinearExpansion(values.shape[:-1], values.shape[-1], _table(values, expansion.scale * scale))
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,8 @@ __all__ = [
     "boolean_sensitivity",
     "parse_experiment_csv",
     "data_upper_bound",
+    "witness_signs",
+    "experiment_header",
 ]
 
 DEFAULT_BASE_POINT_CAP = 4096
@@ -116,6 +118,7 @@ ENV_BASE_POINT_CAP = "SIGNELIM_BASE_POINT_CAP"
 
 Index = tuple[int, ...]
 Vector = tuple[Fraction, ...]
+Witnesses = tuple[tuple[Vector, tuple[int, ...]], ...]  # (functional, total sign) pairs
 
 
 def _check_caps(expansion: MultilinearExpansion) -> None:
@@ -274,16 +277,12 @@ def total_sign(
     return tuple(_total_signs(expansion, _weights([w], len(w)))[base][0].tolist())
 
 
-def _paired(
-    functionals: Sequence[Vector], codes: np.ndarray
-) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
+def _paired(functionals: Sequence[Vector], codes: np.ndarray) -> Witnesses:
     """(functional, total sign) pairs: functionals[k] with row k of ``codes``."""
     return tuple(zip(functionals, map(tuple, codes.tolist())))
 
 
-def witness_signs(
-    expansion: MultilinearExpansion, z: Sequence[int], family: ProjectionFamily
-) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
+def witness_signs(expansion: MultilinearExpansion, z: Sequence[int], family: ProjectionFamily) -> Witnesses:
     """(functional, total sign) for every family member, in family order."""
     base = validate_base_point(expansion, z)
     if family.output_dim != expansion.output_dim:
@@ -426,7 +425,7 @@ class Certificate:
     """
 
     base_point: Index
-    witnesses: tuple[tuple[Vector, tuple[int, ...]], ...]
+    witnesses: Witnesses
     n_reduced: int
     _picks: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
@@ -491,23 +490,32 @@ def verify_certificate(
 class BasePointReport:
     """Everything computed at one base point.
 
-    ``mask`` marks, over the length-N enumeration ``table(N)``, the vectors
-    some witness eliminates, and ``sens_lower`` holds them as tuples: views
-    of the packed set of the sweep's _LowerSet, built on first access once
-    per record, which reports of one analysis with equal witness signs
-    share. ``_signs`` is the witnesses' total signs as the sweep yielded
-    them, read-only int8 (F, N). Determined by the witnesses, the record and
-    ``_signs`` take no part in equality or hashing. Reports with equal total
-    signs share one ``witnesses`` tuple.
+    The witnesses are stored once: ``_functionals``, the family's tuple,
+    which all reports of an analysis share, and ``_sign_bytes``, the bytes
+    of their int8 (F, N) total signs. ``witnesses`` pairs them on first
+    access, and ``_signs`` is their read-only int8 view. ``mask`` marks,
+    over ``table(N)``, the vectors some witness eliminates, and
+    ``sens_lower`` holds them as tuples: views of the sweep's _LowerSet,
+    built on first access once per record, which reports with equal witness
+    signs share; determined by the sign bytes, the record takes no part in
+    equality or hashing.
     """
 
     base_point: Index
-    witnesses: tuple[tuple[Vector, tuple[int, ...]], ...]
     score: ScorePair
     certificate: Optional[Certificate]
     data_upper: Optional[ScorePair]
     _lower: _LowerSet = field(compare=False, repr=False)
-    _signs: np.ndarray = field(compare=False, repr=False)
+    _functionals: tuple[Vector, ...] = field(repr=False)
+    _sign_bytes: bytes = field(repr=False)
+
+    @cached_property
+    def witnesses(self) -> Witnesses:
+        return _paired(self._functionals, self._signs)
+
+    @property
+    def _signs(self) -> np.ndarray:
+        return np.frombuffer(self._sign_bytes, dtype=np.int8).reshape(len(self._functionals), -1)
 
     @property
     def mask(self) -> np.ndarray:
@@ -842,15 +850,12 @@ def analyze_gate(
     # the sweep hands out one record per distinct set, in first-seen order
     records = list(dict.fromkeys(record for _, _, record in swept))
     scores = dict(zip(records, _lower_scores(n_reduced, records)))
-    count = vector_count(n_reduced)
-    reports, paired = [], {}  # one witnesses tuple per distinct total-sign matrix
+    count, functionals, reports = vector_count(n_reduced), family.functionals, []
     for z, rows, record in swept:
-        key = rows.tobytes()
-        witnesses = paired[key] = paired.get(key) or _paired(family.functionals, rows)
-        certificate = None
-        if record.size == count:
-            certificate = _greedy_certificate(z, family.functionals, rows, n_reduced)
-        reports.append(BasePointReport(z, witnesses, scores[record], certificate, data_upper.get(z), record, rows))
+        certificate = _greedy_certificate(z, functionals, rows, n_reduced) if record.size == count else None
+        reports.append(
+            BasePointReport(z, scores[record], certificate, data_upper.get(z), record, functionals, rows.tobytes())
+        )
     # max keeps the first of equal scores
     lower = max(reports, key=lambda r: r.score.value)
     return GateAnalysis(

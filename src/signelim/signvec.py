@@ -53,6 +53,8 @@ __all__ = [
     "sign_string",
     "table_strings",
     "parse_sign_string",
+    "as_fraction_dot",
+    "eliminated_mask",
 ]
 
 DEFAULT_MAX_N = 16

@@ -261,6 +261,34 @@ def test_criterion_5_on_every_npn_class_of_four_inputs():
         assert time.perf_counter() - started < 5.0
 
 
+def test_criterion_5_class_members_score_as_their_representative():
+    with criterion(5, "an NPN class member scores as its representative at the transformed base point"):
+        started = time.perf_counter()
+        representatives = npn_classes(4)[0].tolist()
+        rng = random.Random(1601)
+        for _ in range(32):
+            table = rng.choice(representatives)
+            order, flips, negated = rng.sample(range(4), 4), [rng.randint(0, 1) for _ in range(4)], rng.randint(0, 1)
+
+            def read(p):  # the point of the representative that the member reads at point p
+                return sum((((p >> order[k]) & 1) ^ flips[k]) << k for k in range(4))
+
+            def image(z):  # the same map on base points: block i is bit 3 - i of a point
+                return tuple(z[3 - order[3 - i]] ^ flips[3 - i] for i in range(4))
+
+            member = sum((negated ^ ((table >> read(p)) & 1)) << p for p in range(16))
+            (analysis, classical), (member_analysis, member_classical) = (
+                (analyze_gate(expand(gate)), boolean_sensitivity(gate).per_point)
+                for gate in (boolean_gate([(t >> p) & 1 for p in range(16)], 4) for t in (table, member))
+            )
+            scores = {r.base_point: r.score.value for r in analysis.reports}
+            for report in member_analysis.reports:
+                z = report.base_point
+                assert report.score.value == scores[image(z)]
+                assert member_classical[z] == classical[image(z)]
+        assert time.perf_counter() - started < 1.0
+
+
 def test_criterion_6_cover_poset():
     with criterion(6, "cover search, size bound, and orthogonality implication"):
         found = minimal_covers(2, 4)

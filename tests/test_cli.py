@@ -138,6 +138,14 @@ class TestEnumerationCommands:
         assert err.startswith(f"error: {flag}: empty sign string (")
         assert "literal '--'" in err and "'++'" in err
 
+    def test_a_sign_that_starts_with_minus_takes_the_equals_form(self, capsys):
+        assert run(capsys, "ze", "--t=-u") == (0, '[\n  "+0"\n]\n', "")
+        assert run(capsys, "count", "oracle", "--x=-+", "--x", "+0") == (0, "4\n", "")
+        # a separate value that starts with - is read as an option
+        for argv in (("ze", "--t", "-u"), ("count", "oracle", "--x", "-+")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "") and "expected one argument" in err
+
 
 class TestCountCommands:
     def test_single_plain(self, capsys):

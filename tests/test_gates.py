@@ -3,6 +3,7 @@ import copy
 import json
 import pickle
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -524,6 +525,22 @@ class TestOneRepresentation:
         assert expand(halves) != expand(Gate((2,), 1, {(0,): (F(1, 2),), (1,): (F(1, 2),)}))
         # a partial keeps its scale canonical too
         assert reduced_partial(expand(halves), (0,), 0, 1).scale == 1
+
+    def test_replace_rebuilds_through_the_checked_constructor(self):
+        labels = (("lo", "hi"), ("off", "on"))
+        named = replace(AND, table=AND.table, input_labels=labels)
+        assert named.input_labels == labels and named.table == AND.table and named != AND
+        assert replace(named, table=named.table, input_labels=None) == AND
+        expansion = replace(expand(AND), coefficients=expand(AND).coefficients)
+        assert expansion == expand(AND) and expansion.scale == 1
+        # the stored forms are derived, not arguments; the table is one
+        for value, field in ((AND, "table"), (expand(AND), "coefficients")):
+            with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{field}'"):
+                replace(value)
+        with pytest.raises(ValidationError, match="expected 1 components"):
+            replace(AND, table={idx: (0, 1) for idx in AND.table})
+        for value in (named, expansion):
+            assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
 
 
 class TestHashing:

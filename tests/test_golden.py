@@ -139,3 +139,18 @@ def test_no_golden_analysis_builds_the_dict_view_of_a_gate(capsys, monkeypatch):
     records = [sensitivity.ExperimentRecord(p, evaluate(expansion, p)) for p in product(grid, repeat=3)]
     bound = sensitivity.data_upper_bound(records, expansion, eps=Fraction(1, 8))
     assert (bound.collisions, bound.heuristic) == (37, True)
+
+
+def test_no_golden_command_builds_the_witness_pairs_of_a_report(capsys, monkeypatch):
+    # a report stores its int8 total-sign bytes, which the document renders
+    def refuse(report):
+        raise AssertionError("a report's witness pairs were built")
+
+    monkeypatch.setattr(sensitivity.BasePointReport, "witnesses", property(refuse))
+    for gate, command in sorted(EXIT_CODES):
+        assert main(["gate", command, str(GATES[gate])]) == EXIT_CODES[gate, command]
+        assert _masked_stdout(capsys) == (GOLDEN / f"{gate}_{command}.out").read_text()
+    for name in sorted(COMMANDS):
+        if COMMANDS[name][:2] in (["gate", "analyze"], ["gate", "certify"]):
+            assert main(COMMANDS[name]) == 0
+            assert _masked_stdout(capsys) == (GOLDEN / f"{name}.out").read_text()

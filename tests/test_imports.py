@@ -130,6 +130,31 @@ def test_every_package_reexport_exists():
     assert missing_reexports(init, read) == []
 
 
+def unlisted_reexports(init_source: str, read_module) -> list[str]:
+    """``module.name`` for every name a relative import in ``__init__.py``
+    takes from a package module whose ``__all__`` leaves it out; a module
+    without ``__all__`` exports every public name."""
+    unlisted = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            listed = declared_all(ast.parse(read_module(node.module)))
+            unlisted += [f"{node.module}.{a.name}" for a in node.names if listed and a.name not in listed]
+    return unlisted
+
+
+def test_the_listing_scan_sees_a_name_left_out_of_all():
+    modules = {"listed": "def kept(): pass\ndef left(): pass\n__all__ = ['kept']\n", "open": "def any(): pass\n"}
+    init = "from .listed import kept, left\nfrom .open import any\n"
+    assert unlisted_reexports(init, modules.__getitem__) == ["listed.left"]
+
+
+def test_every_package_reexport_is_in_its_module_all():
+    # `from signelim.<module> import *` binds what the package re-exports
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    read = lambda module: (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert unlisted_reexports(init, read) == []
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """``module:name`` for every module-level function, class or assignment
     named with one leading underscore that no source reads by a Name, an
