@@ -642,25 +642,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="exact counting")
     count_sub = p_count.add_subparsers(dest="count_command", required=True)
+    canonical = "canonical sign string over +0- (first nonzero entry +, so none starts with -)"
 
     p_single = count_sub.add_parser("single", help="|eliminated set| of one vector")
-    p_single.add_argument("--x", action="append", required=True, metavar="SIGNS")
+    p_single.add_argument("--x", action="append", required=True, metavar="SIGNS", help=canonical)
     p_single.add_argument("--verify", action="store_true", help="compare with the oracle")
     p_single.set_defaults(func=_cmd_count_single)
 
     p_inter = count_sub.add_parser("intersect", help="size of the joint eliminated set")
-    p_inter.add_argument("--x", action="append", required=True, metavar="SIGNS")
+    p_inter.add_argument("--x", action="append", required=True, metavar="SIGNS", help=canonical)
     p_inter.add_argument("--verify", action="store_true")
     p_inter.set_defaults(func=_cmd_count_intersect)
 
     p_set = count_sub.add_parser("set", help="size of the union by inclusion-exclusion")
-    p_set.add_argument("--x", action="append", required=True, metavar="SIGNS")
+    p_set.add_argument("--x", action="append", required=True, metavar="SIGNS", help=canonical)
     p_set.add_argument("--verify", action="store_true")
     p_set.set_defaults(func=_cmd_count_set)
 
     p_pair = count_sub.add_parser("pair", help="two-row profile and closed forms")
-    p_pair.add_argument("--x", required=True, metavar="SIGNS")
-    p_pair.add_argument("--y", required=True, metavar="SIGNS")
+    p_pair.add_argument("--x", required=True, metavar="SIGNS", help=canonical)
+    p_pair.add_argument("--y", required=True, metavar="SIGNS", help=canonical)
     p_pair.add_argument("--verify", action="store_true")
     p_pair.set_defaults(func=_cmd_count_pair)
 

@@ -285,11 +285,6 @@ def _paired(functionals: Sequence[Vector], codes: np.ndarray) -> Witnesses:
 def witness_signs(expansion: MultilinearExpansion, z: Sequence[int], family: ProjectionFamily) -> Witnesses:
     """(functional, total sign) for every family member, in family order."""
     base = validate_base_point(expansion, z)
-    if family.output_dim != expansion.output_dim:
-        raise DomainError(
-            f"family works on dimension {family.output_dim}, "
-            f"gate outputs have dimension {expansion.output_dim}"
-        )
     return _paired(family.functionals, _total_signs(expansion, family.weights)[base])
 
 
@@ -338,13 +333,13 @@ def _score(n_reduced: int, eliminated: int) -> ScorePair:
 
 class _LowerSet:
     """A set of sign vectors of length n: ``bits``, its read-only packed row
-    over table(n), and ``size``, its popcount, with ``one_live``: the live
-    total sign (one with a +-1 entry) that eliminates it when it is the only
-    one up to sign, else None. Its bool ``mask`` and its frozenset of tuples
-    are built on first use."""
+    over table(n), and ``size``, its popcount, with ``rows``: the read-only
+    int8 matrix of the live total signs (with a +-1 entry) that eliminate
+    it, no two equal up to sign, or None for a set given without them. Its
+    bool ``mask`` and its frozenset of tuples are built on first use."""
 
-    def __init__(self, bits: np.ndarray, n: int, one_live: Optional[np.ndarray] = None) -> None:
-        self.bits, self.n, self.one_live = bits, n, one_live
+    def __init__(self, bits: np.ndarray, n: int, rows: Optional[np.ndarray] = None) -> None:
+        self.bits, self.n, self.rows = bits, n, rows
         self.size = int(np.bitwise_count(bits).sum())
 
     @cached_property
@@ -365,15 +360,16 @@ def _lower_scores(n_reduced: int, records: Sequence[_LowerSet]) -> list[ScorePai
     a set S is also 1 + 2 * #{s in S : E(s) within S}, and three closed forms
     need no kernel call:
 
-    * an empty set scores 1;
-    * a full set scores 3**N, since its empty complement eliminates nothing;
-    * a set with ``one_live`` t scores 3 when t has no "u" and 1 when it has
-      one. Up to sign, an s in S = E(t) equals t on a nonempty part A of t's
-      +-1 positions P, is 0 on the rest of P and on t's "u" positions, and
-      is free on t's 0 positions. E(s) lies within S exactly when s = +-t
-      and t has no "u"; otherwise s eliminates a vector that t does not:
-      s_j e_j, for a nonzero s_j at a 0 position j of t; s - t_k e_k, for k
-      in P outside A; s + e_j, for a "u" position j of t.
+    * an empty set scores 1, and a full set 3**N (its complement is empty);
+    * a set whose ``rows`` have a column j that is "u" in every row scores
+      1: every s in S = E(rows) has s_j = 0, and s eliminates s + e_j (the
+      products on supp(s) are all +1), which lies outside S, so no s in S is
+      interior;
+    * any other set of one row t (t has no "u") scores 3. Up to sign, an s
+      in S = E(t) equals t on a nonempty part A of t's +-1 positions P, is 0
+      on the rest of P, and is free on t's 0 positions. E(s) lies within S
+      exactly when s = +-t; else s eliminates s_j e_j, for a nonzero s_j at
+      a 0 position j of t, or s - t_k e_k, for k in P outside A, not in S.
 
     The other complements go to the transform, whose cost does not grow with
     their size, stacked in _batches of 3**N grid cells per set.
@@ -381,12 +377,12 @@ def _lower_scores(n_reduced: int, records: Sequence[_LowerSet]) -> list[ScorePai
     scores: list[Optional[ScorePair]] = [None] * len(records)
     mixed, count = [], vector_count(n_reduced)
     for k, record in enumerate(records):
-        if record.one_live is not None:
-            # S's complement eliminates every vector but one_live, or every
-            # one when one_live has a "u"
-            scores[k] = _score(n_reduced, count - (UNDETERMINED not in record.one_live))
-        elif record.size in (0, count):  # S's complement is everything or nothing
+        if record.size in (0, count):  # S's complement is everything or nothing
             scores[k] = _score(n_reduced, count - record.size)
+        elif record.rows is not None and (record.rows == UNDETERMINED).all(axis=0).any():
+            scores[k] = _score(n_reduced, count)  # no s in S is interior
+        elif record.rows is not None and len(record.rows) == 1:
+            scores[k] = _score(n_reduced, count - 1)  # only +-rows[0] is interior
         else:
             mixed.append(k)
     for lo, hi in _batches([3**n_reduced] * len(mixed)):
@@ -774,10 +770,10 @@ def _sweep(blocks: Iterable[tuple[Sequence[Index], np.ndarray]]):
     without one gets the all-zero row of the empty set, which the scan
     returns without scanning a row. Records are memoized for the sweep by
     the set of live rows up to sign (t and -t eliminate the same vectors):
-    equal sets share one record, whose packed row is read-only and whose
-    ``one_live`` is one of the rows of a set with one member. The sets a
-    block meets first go to the scan in one call, before its first base
-    point is yielded.
+    equal sets share one record, which keeps the rows the scan was given,
+    one per id, in ``rows``; its packed row and its rows are read-only. The
+    sets a block meets first go to the scan in one call, before its first
+    base point is yielded.
     """
     records: dict[frozenset[int], _LowerSet] = {}
     for zs, block in blocks:
@@ -797,7 +793,8 @@ def _sweep(blocks: Iterable[tuple[Sequence[Index], np.ndarray]]):
         bits = eliminated_any_masks(table(n), list(new.values()))
         bits.setflags(write=False)
         for (key, kept), row in zip(new.items(), bits):
-            records[key] = _LowerSet(row, n, kept[0] if len(key) == 1 else None)
+            kept.setflags(write=False)
+            records[key] = _LowerSet(row, n, kept)
         yield from ((z, rows, records[key]) for z, rows, key in zip(zs, block, keys))
 
 

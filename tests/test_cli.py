@@ -148,6 +148,13 @@ class TestEnumerationCommands:
 
 
 class TestCountCommands:
+    @pytest.mark.parametrize("command, flags", [("single", 1), ("intersect", 1), ("set", 1), ("pair", 2)])
+    def test_help_names_the_canonical_rule(self, capsys, command, flags):
+        code, out, err = run(capsys, "count", command, "--help")
+        assert (code, err) == (0, "")
+        rule = "canonical sign string over +0- (first nonzero entry +, so none starts with -)"
+        assert " ".join(out.split()).count(rule) == flags
+
     def test_single_plain(self, capsys):
         code, out, _ = run(capsys, "count", "single", "--x", "++0")
         assert code == 0

@@ -4,7 +4,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -49,11 +49,12 @@ from signelim import (
 )
 from signelim import backend, sensitivity
 from signelim.backend import sign_vector_table
-from signelim.signvec import eliminated_mask, jointly_eliminated_count, vector_count
+from signelim.signvec import eliminated_mask, jointly_eliminated_count, table, vector_count
 from signelim.errors import ResourceLimitError
 
 import oracles
 from conftest import closed_form_union, fail_if_called, random_total_sign
+from test_metamorphic import gates as metamorphic_gates
 
 F = Fraction
 
@@ -370,17 +371,20 @@ class TestTotalSign:
         signs = witness_signs(expansion, (0, 0, 0), family)
         assert [ts for _, ts in signs] == [ts for _, ts in COLOR_WITNESSES]
 
-    def test_family_dimension_must_match(self, color_gate):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e, f: witness_signs(e, (0, 0, 0), f),
+            lambda e, f: sensitivity_lower_set(e, (0, 0, 0), f),
+            analyze_gate,
+            reversibility_certificate,
+        ],
+        ids=["witness_signs", "sensitivity_lower_set", "analyze_gate", "reversibility_certificate"],
+    )
+    def test_a_wrong_dimension_family_raises_the_total_signs_error(self, color_gate, call):
         family = ProjectionFamily.from_vectors([(1,)], 1)
-        with pytest.raises(DomainError):
-            witness_signs(expand(color_gate), (0, 0, 0), family)
-
-    def test_sweeps_reject_a_wrong_dimension_family(self, color_gate):
-        family = ProjectionFamily.from_vectors([(1,)], 1)
-        with pytest.raises(DomainError):
-            analyze_gate(expand(color_gate), family)
-        with pytest.raises(DomainError):
-            reversibility_certificate(expand(color_gate), family)
+        with pytest.raises(DomainError, match=r"^functional must have 4 components, got 1$"):
+            call(expand(color_gate), family)
 
     def test_sound_against_exact_sampling(self, color_gate, rng):
         assert_sound_by_sampling(color_gate, [w for w, _ in COLOR_WITNESSES], rng)
@@ -734,18 +738,25 @@ class TestScore:
             sensitivity_score(2, [(1, 1, 1)])
 
 
+def witnessed(n, rows):
+    """(n, mask over table(n), witnesses) for the set the total signs
+    ``rows`` eliminate, as (functional, total sign) pairs."""
+    hit = oracles.eliminated(rows, n)
+    mask = np.array([s in hit for s in oracles.canonical_vectors(n)])
+    return n, mask, [((k,), tuple(t)) for k, t in enumerate(rows)]
+
+
 @st.composite
 def scored_masks(draw):
     """(n, mask over table(n), witnesses or None) for the score routes.
 
-    Masks are empty, full, one vector, a random subset, or the set that a
-    few total signs eliminate, drawn mostly from "u" (the witnesses are then
-    returned as (functional, total sign) pairs, dead rows included).
+    Masks are empty, full, one vector, a random subset, or the set that one
+    to six total signs eliminate, drawn mostly from "u" (the witnesses are
+    then returned as (functional, total sign) pairs, dead rows included).
     """
     n = draw(st.integers(1, 4))
     size = len(oracles.canonical_vectors(n))
     kind = draw(st.sampled_from(["empty", "full", "singleton", "random", "witnesses"]))
-    witnesses = None
     if kind == "empty":
         mask = np.zeros(size, dtype=bool)
     elif kind == "full":
@@ -757,25 +768,23 @@ def scored_masks(draw):
         mask = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
     else:
         u_heavy = st.sampled_from((UNDETERMINED,) * 3 + (-1, 0, 1))
-        rows = draw(st.lists(st.tuples(*[u_heavy] * n), min_size=1, max_size=4))
-        witnesses = [((k,), t) for k, t in enumerate(rows)]
-        hit = oracles.eliminated(rows, n)
-        mask = np.array([s in hit for s in oracles.canonical_vectors(n)])
-    return n, mask, witnesses
+        return witnessed(n, draw(st.lists(st.tuples(*[u_heavy] * n), min_size=1, max_size=6)))
+    return n, mask, None
 
 
-def one_live_sign(witnesses):
-    """The live total sign when the live ones are one up to sign, else None.
+def live_rows(signs, n):
+    """The live total signs among ``signs`` (those with a +-1 entry), one
+    per row up to sign, as an int8 matrix of n columns.
 
-    A total sign is live when it has a +-1 entry; rows are compared after
-    multiplying by the sign of their first +-1 entry ("u" stays "u").
+    Each row is multiplied by the sign of its first +-1 entry ("u" stays
+    "u"), and the first of equal rows is kept.
     """
-    live = set()
-    for _, ts in witnesses:
+    live = {}
+    for ts in signs:
         lead = next((e for e in ts if e in (1, -1)), 0)
         if lead:
-            live.add(tuple(e if e == UNDETERMINED else e * lead for e in ts))
-    return live.pop() if len(live) == 1 else None
+            live.setdefault(tuple(e if e == UNDETERMINED else e * lead for e in ts))
+    return np.array(list(live), dtype=np.int8).reshape(-1, n)
 
 
 class TestScoreRoutes:
@@ -785,6 +794,11 @@ class TestScoreRoutes:
     @example((3, np.ones(13, dtype=bool), None))
     @example((2, np.array([True, False, False, False]), None))
     @example((3, np.zeros(13, dtype=bool), [((0,), (2, 2, 2)), ((1,), (0, 0, 0))]))
+    # with u = UNDETERMINED (2): a common "u" column in three rows; an
+    # all-"u" row beside live rows; duplicate and negated rows
+    @example(witnessed(3, [(1, 2, 0), (0, 2, -1), (1, 2, 1)]))
+    @example(witnessed(3, [(2, 2, 2), (1, -1, 0), (0, 1, 2)]))
+    @example(witnessed(3, [(1, 0, -1), (-1, 0, 1), (1, 0, -1), (0, 1, 2), (0, -1, 2)]))
     def test_scores_match_the_complement_route(self, case):
         n, mask, witnesses = case
         members = [s for s, hit in zip(oracles.canonical_vectors(n), mask) if hit]
@@ -792,12 +806,12 @@ class TestScoreRoutes:
         bits = np.packbits(mask)
         assert sensitivity._lower_scores(n, [sensitivity._LowerSet(bits, n)])[0].value == expect
         if witnesses is not None:
-            one_live = one_live_sign(witnesses)
-            record = sensitivity._LowerSet(bits, n, one_live)
+            rows = live_rows([ts for _, ts in witnesses], n)
+            record = sensitivity._LowerSet(bits, n, rows)
             assert sensitivity._lower_scores(n, [record])[0].value == expect
 
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_one_live_sign_scores_three_or_one(self, n):
+    def test_a_single_live_sign_scores_three_or_one(self, n):
         # every total sign of length n with a +-1 entry, alone and with its
         # negation and a dead row beside it
         for t in product((-1, 0, 1, UNDETERMINED), repeat=n):
@@ -806,13 +820,36 @@ class TestScoreRoutes:
             negated = tuple(e if e == UNDETERMINED else -e for e in t)
             hit = oracles.eliminated([t], n)
             mask = np.array([s in hit for s in oracles.canonical_vectors(n)])
-            witnesses = [((1,), t), ((2,), negated), ((3,), (UNDETERMINED,) * n)]
-            record = sensitivity._LowerSet(np.packbits(mask), n, one_live_sign(witnesses))
+            rows = live_rows([t, negated, (UNDETERMINED,) * n], n)
+            record = sensitivity._LowerSet(np.packbits(mask), n, rows)
             (score,) = sensitivity._lower_scores(n, [record])
             assert score.value == (1 if UNDETERMINED in t else 3)
             assert score == (ScorePair(1, 0.0) if UNDETERMINED in t else ScorePair(3, 1.0))
             if n <= 3:
                 assert score.value == oracles.lower_score(hit, n)
+
+    def test_every_small_set_of_live_rows_scores_as_its_complement_route(self):
+        # every set of at most three live total signs of length n <= 3, one
+        # per row up to sign (first +-1 entry +1): scored from its rows, by
+        # the transform alone, and by the oracle
+        for n in (1, 2, 3):
+            vectors = oracles.canonical_vectors(n)
+            live = [
+                t for t in product((1, 0, -1, UNDETERMINED), repeat=n)
+                if next((e for e in t if e in (1, -1)), 0) == 1
+            ]
+            sets = [c for m in range(4) for c in combinations(live, m)]
+            hits = [oracles.eliminated(c, n) for c in sets]
+            bits = [np.packbits([s in hit for s in vectors]) for hit in hits]
+            rows = [np.array(c, dtype=np.int8).reshape(-1, n) for c in sets]
+            with_rows = sensitivity._lower_scores(n, [sensitivity._LowerSet(b, n, r) for b, r in zip(bits, rows)])
+            without = sensitivity._lower_scores(n, [sensitivity._LowerSet(b, n) for b in bits])
+            oracle = {}
+            for c, hit, got, transform in zip(sets, hits, with_rows, without):
+                if frozenset(hit) not in oracle:
+                    oracle[frozenset(hit)] = oracles.lower_score(hit, n)
+                assert got == transform, c
+                assert got.value == oracle[frozenset(hit)], c
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -833,6 +870,21 @@ class TestScoreRoutes:
         assert not reports[0].mask.flags.writeable
         assert reports[0].mask.tolist() == [False, True, True, True]
         assert {r.score.value for r in reports} == {3}
+
+    @settings(max_examples=40, deadline=None)
+    @given(metamorphic_gates())
+    def test_records_carry_their_live_rows(self, gate):
+        analysis = analyze_gate(expand(gate))
+        n = analysis.n_reduced
+        for report in analysis.reports:
+            rows = report._lower.rows
+            assert rows.dtype == np.int8 and not rows.flags.writeable
+            assert rows.shape[1] == n and np.isin(rows, (1, -1)).any(axis=1).all()
+            canonical = live_rows(rows.tolist(), n)
+            assert len(canonical) == len(rows)  # distinct up to sign
+            assert np.array_equal(backend.eliminated_any_mask(table(n), rows), report._lower.bits)
+            # the base point's live rows, up to order and sign
+            assert set(map(tuple, canonical.tolist())) == set(map(tuple, live_rows(report._signs.tolist(), n).tolist()))
 
     def test_reports_with_one_mask_share_one_lower_set(self):
         analysis = analyze_gate(expand(seeded_gate(2, (2,) * 4, 1, "additive")))
